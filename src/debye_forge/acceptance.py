@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import response as R
-from .fibers import compute_bands, spectral_gap
+from .fibers import compute_bands
 from .lattice import (
     Lattice,
     PeriodicField,
@@ -25,7 +25,7 @@ from .lattice import (
     monkhorst_pack,
 )
 from .occupation import OccupationModel
-from .scf import CrystalState, SCFConfig, construct_dielectric_kappa, scf_solve
+from .scf import CrystalState, SCFConfig, designer_crystal, scf_solve
 
 
 @dataclass
@@ -63,20 +63,9 @@ class MathieuContext:
         key = (beta, nk or self.NK)
         if key not in self._crystals:
             kgrid = self.kgrid if nk is None else monkhorst_pack(self.lattice, nk)
-            bands = self._bands if nk is None else compute_bands(self.basis, self.phi, kgrid)
-            T = 1.0 / beta
-            kappa, rho = construct_dielectric_kappa(self.phi, self.mu, T, kgrid)
-            gap = spectral_gap(bands, self.mu)
-            self._crystals[key] = CrystalState(
-                basis=self.basis,
-                k_points=kgrid,
-                kappa=kappa,
-                rho=rho,
-                phi=self.phi,
-                mu=self.mu,
-                occ=OccupationModel(T=T, mu=self.mu),
-                bands=bands,
-                gap=gap,
+            bands = self._bands if nk is None else None
+            self._crystals[key] = designer_crystal(
+                self.phi, self.mu, 1.0 / beta, kgrid, bands=bands
             )
         return self._crystals[key]
 

@@ -79,15 +79,7 @@ def _difference_table(basis: PlaneWaveBasis):
     """table[i, j] = basis index of G_i - G_j, or n_pw when outside the set."""
     tab = getattr(basis, "_diff_table", None)
     if tab is None:
-        n = basis.n_pw
-        tab = np.full((n, n), n, dtype=np.int64)
-        for i, gi in enumerate(basis.g_ints):
-            diffs = gi[None, :] - basis.g_ints
-            for j in range(n):
-                idx = basis.index_of(diffs[j])
-                if idx >= 0:
-                    tab[i, j] = idx
-        basis._diff_table = tab
+        tab = basis._diff_table = basis.index_table(basis.g_ints, basis.g_ints, sign=-1)
     return tab
 
 
@@ -95,15 +87,7 @@ def _shift_table(basis: PlaneWaveBasis):
     """table[p, g] = basis index of G_g + G_p, or n_pw when outside the set."""
     tab = getattr(basis, "_shift_tab", None)
     if tab is None:
-        n = basis.n_pw
-        tab = np.full((n, n), n, dtype=np.int64)
-        for p, gp in enumerate(basis.g_ints):
-            sums = basis.g_ints + gp[None, :]
-            for g in range(n):
-                idx = basis.index_of(sums[g])
-                if idx >= 0:
-                    tab[p, g] = idx
-        basis._shift_tab = tab
+        tab = basis._shift_tab = basis.index_table(basis.g_ints, basis.g_ints)
     return tab
 
 
@@ -236,16 +220,6 @@ def spectral_gap(bands: BandStructure, mu: float) -> GapReport:
     )
 
 
-def columns_to_grids(basis: PlaneWaveBasis, U):
-    """Inverse-FFT every column of U to the real grid; shape (ncols,) + fft."""
-    ncols = U.shape[1]
-    arr = np.zeros((ncols,) + basis.fft_shape, dtype=complex)
-    flat = arr.reshape(ncols, -1)
-    flat[:, basis._fft_pos] = U.T
-    axes = tuple(range(1, basis.d + 1))
-    return np.fft.ifftn(arr, axes=axes) * np.prod(basis.fft_shape)
-
-
 def density_from_potential(
     phi: PeriodicField,
     occ: OccupationModel,
@@ -269,7 +243,7 @@ def density_from_potential(
     for i in range(bands.nk):
         occs = occ.occ(bands.eigenvalues[i])
         tail = max(tail, float(occs[-1]))
-        grids = columns_to_grids(basis, bands.eigenvectors[i])
+        grids = basis.columns_to_grids(bands.eigenvectors[i])
         acc += np.einsum("n,n...->...", occs, np.abs(grids) ** 2).real
     acc /= bands.nk * vol
     rho = PeriodicField.from_grid(basis, acc)
@@ -305,16 +279,8 @@ def shift_overlap_tensor(basis: PlaneWaveBasis, U_row, U_col, offset=None):
             cache = basis._shift_tab_offsets = {}
         tab = cache.get(offset)
         if tab is None:
-            n = basis.n_pw
-            tab = np.full((n, n), n, dtype=np.int64)
-            off = np.asarray(offset, dtype=int)
-            for p, gp in enumerate(basis.g_ints):
-                sums = basis.g_ints + (gp + off)[None, :]
-                for g in range(n):
-                    idx = basis.index_of(sums[g])
-                    if idx >= 0:
-                        tab[p, g] = idx
-            cache[offset] = tab
+            rows = basis.g_ints + np.asarray(offset, dtype=int)[None, :]
+            tab = cache[offset] = basis.index_table(rows, basis.g_ints)
     pad = np.vstack([U_row, np.zeros((1, U_row.shape[1]), dtype=U_row.dtype)])
     rows = pad[tab]  # (n_pw, n_pw, nb): rows[p, g] = U_row[G_g + G_p (+ off)]
     return np.matmul(rows.conj().transpose(0, 2, 1), U_col)

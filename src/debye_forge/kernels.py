@@ -1,16 +1,23 @@
-"""Pure-numpy implementations of the divided-difference weight kernels.
+"""Divided-difference weight matrices over eigenvalue vectors.
 
-These mirror the compiled `_ddcore` extension exactly (same formulas,
-same coalescence thresholds) and act as the fallback when the extension
-is unavailable. All return (len(a), len(b)) float64 matrices of
-divided differences of f_T(. - mu) over eigenvalue vectors.
+All return (len(a), len(b)) float64 matrices of divided differences of
+f = f_T(. - mu):
+
+    dd1_matrix(a, b, T, mu)   f[a_i, b_j]
+    dd2_matrix(a, b, T, mu)   f[a_i, a_i, b_j]
+    dd3_matrix(a, b, T, mu)   f[a_i, a_i, a_i, b_j]
+
+`BACKEND` names the implementation (numpy broadcasting over the scalar
+formulas of `occupation`); run records carry it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import occupation as _occ
+from . import occupation as _occ
+
+__all__ = ["BACKEND", "dd1_matrix", "dd2_matrix", "dd3_matrix"]
 
 BACKEND = "python"
 

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +96,41 @@ class Lattice:
 
     def supercell(self, factors) -> "Lattice":
         """Integer enlargement: row i scaled by factors[i] (>= 1)."""
-        factors = np.atleast_1d(np.asarray(factors, dtype=int))
-        if factors.size == 1:
-            factors = np.full(self.d, int(factors.ravel()[0]))
-        if factors.shape != (self.d,) or np.any(factors < 1):
-            raise LatticeError("supercell factors must be positive integers per axis")
+        factors = supercell_factors(factors, self.d)
         return Lattice(self.basis * factors[:, None])
+
+
+def supercell_factors(factors, d):
+    """Per-axis supercell factors as a (d,) int array; a scalar applies to
+    every axis."""
+    factors = np.atleast_1d(np.asarray(factors, dtype=int))
+    if factors.size == 1:
+        factors = np.full(d, int(factors.ravel()[0]))
+    if factors.shape != (d,) or np.any(factors < 1):
+        raise LatticeError("supercell factors must be positive integers per axis")
+    return factors
+
+
+def lattice_index_table(rows, cols, value, sign=1):
+    """table[i, j] = value(rows[i] + sign * cols[j]) for integer vectors.
+
+    `value` maps an (m, d) integer array to m integers. It is evaluated
+    once on the bounding box of the sums, which the table then gathers
+    from by mixed-radix code, row by row: the table is the only
+    (len(rows), len(cols)) array built.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = sign * np.asarray(cols, dtype=np.int64)
+    lo = rows.min(axis=0) + cols.min(axis=0)
+    shape = tuple(int(x) for x in rows.max(axis=0) + cols.max(axis=0) - lo + 1)
+    strides = np.array([math.prod(shape[ax + 1:]) for ax in range(len(shape))], dtype=np.int64)
+    box = lo + np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=-1)
+    lookup = np.asarray(value(box), dtype=np.int64)
+    col_codes = cols @ strides
+    table = np.empty((len(rows), len(cols)), dtype=np.int64)
+    for i, code in enumerate((rows - lo) @ strides):
+        table[i] = lookup[code + col_codes]
+    return table
 
 
 def _fast_grid_size(n):
@@ -116,7 +146,40 @@ def _fast_grid_size(n):
         m += 1
 
 
-class PlaneWaveBasis:
+class GridTransforms:
+    """FFT transforms of a plane-wave set, held as its `fft_shape` and the
+    flat grid position `_fft_pos` of each plane wave (coefficients are
+    cell averages)."""
+
+    def _place_on_grid(self, ints, fft_shape):
+        self.fft_shape = tuple(int(s) for s in fft_shape)
+        idx = [np.mod(ints[:, ax], self.fft_shape[ax]) for ax in range(ints.shape[1])]
+        self._fft_pos = np.ravel_multi_index(idx, self.fft_shape)
+
+    def coeffs_array(self, coeffs):
+        """The coefficients on the full FFT array, zero on the other modes."""
+        arr = np.zeros(self.fft_shape, dtype=complex)
+        arr.flat[self._fft_pos] = coeffs
+        return arr
+
+    def coeffs_to_grid(self, coeffs):
+        return np.fft.ifftn(self.coeffs_array(coeffs)) * np.prod(self.fft_shape)
+
+    def grid_to_coeffs(self, values):
+        arr = np.fft.fftn(np.asarray(values, dtype=complex)) / np.prod(self.fft_shape)
+        return arr.flat[self._fft_pos].copy()
+
+    def columns_to_grids(self, U):
+        """Inverse-FFT every column of U to the real grid; shape (ncols,) + fft."""
+        ncols = U.shape[1]
+        arr = np.zeros((ncols,) + self.fft_shape, dtype=complex)
+        flat = arr.reshape(ncols, -1)
+        flat[:, self._fft_pos] = U.T
+        axes = tuple(range(1, len(self.fft_shape) + 1))
+        return np.fft.ifftn(arr, axes=axes) * np.prod(self.fft_shape)
+
+
+class PlaneWaveBasis(GridTransforms):
     """Energy-cutoff plane-wave set on a lattice, with its FFT grid.
 
     G-vectors are all reciprocal-lattice points with |G|^2 <= 2 E_cut
@@ -150,31 +213,66 @@ class PlaneWaveBasis:
         self.g_ints = np.array([ints[i] for i in order], dtype=int)
         self.g_cart = self.g_ints.astype(float) @ wstar
         self.g_norm2 = np.einsum("ij,ij->i", self.g_cart, self.g_cart)
-        self.n_pw = len(self.g_ints)
-
-        self._index = {tuple(n): i for i, n in enumerate(self.g_ints)}
-        self._neg_index = np.array(
-            [self._index.get(tuple(-n), -1) for n in self.g_ints], dtype=int
-        )
 
         per_axis_max = np.abs(self.g_ints).max(axis=0)
         if fft_shape is None:
             fft_shape = tuple(_fast_grid_size(4 * m + 1) for m in per_axis_max)
-        fft_shape = tuple(int(s) for s in fft_shape)
-        if any(s < 2 * m + 1 for s, m in zip(fft_shape, per_axis_max)):
+        if any(int(s) < 2 * m + 1 for s, m in zip(fft_shape, per_axis_max)):
             raise ValueError("fft grid too small to hold the G-set without aliasing")
-        self.fft_shape = fft_shape
-        # flat positions of each G in the FFT array
-        idx = [np.mod(self.g_ints[:, ax], fft_shape[ax]) for ax in range(d)]
-        self._fft_pos = np.ravel_multi_index(idx, fft_shape)
+        self._place_on_grid(self.g_ints, fft_shape)
+        self._index_g_set()
+
+    def _index_g_set(self):
+        """Integer-vector lookup and negation map of the current G-set."""
+        self.n_pw = len(self.g_ints)
+        # dense lookup over the box |n_i| <= max |G_i| holding the set
+        self._box_half = np.abs(self.g_ints).max(axis=0)
+        self._box = np.full(int(np.prod(2 * self._box_half + 1)), -1, dtype=np.int64)
+        self._box[self._box_codes(self.g_ints)] = np.arange(self.n_pw)
+        self._neg_index = self.indices_of(-self.g_ints)
+
+    def _box_codes(self, g):
+        return np.ravel_multi_index(tuple((g + self._box_half).T), tuple(2 * self._box_half + 1))
+
+    def _restrict(self, keep):
+        """Drop the G-vectors outside the mask `keep`; the FFT grid stays.
+        For a basis that has not built any index table yet."""
+        self.g_ints = self.g_ints[keep]
+        self.g_cart = self.g_cart[keep]
+        self.g_norm2 = self.g_norm2[keep]
+        self._fft_pos = self._fft_pos[keep]
+        self._index_g_set()
 
     @property
     def d(self) -> int:
         return self.lattice.d
 
+    def indices_of(self, g_ints):
+        """Basis index of each integer G-vector (rows), -1 outside the set."""
+        g = np.asarray(g_ints, dtype=np.int64).reshape(-1, self.d)
+        inside = np.all(np.abs(g) <= self._box_half, axis=1)
+        out = np.full(len(g), -1, dtype=np.int64)
+        out[inside] = self._box[self._box_codes(g[inside])]
+        return out
+
     def index_of(self, g_int):
-        """Index of an integer G-vector, or -1 if outside the cutoff set."""
-        return self._index.get(tuple(int(x) for x in np.atleast_1d(g_int)), -1)
+        """Index of an integer G-vector, or -1 if outside the cutoff set
+        (or not a d-vector)."""
+        g = np.atleast_1d(g_int)
+        if g.shape != (self.d,):
+            return -1
+        return int(self.indices_of(g)[0])
+
+    def index_table(self, rows, cols, sign=1):
+        """table[i, j] = basis index of rows[i] + sign * cols[j] (integer
+        vectors), or n_pw when outside the set."""
+        n = self.n_pw
+
+        def index(pts):
+            idx = self.indices_of(pts)
+            return np.where(idx >= 0, idx, n)
+
+        return lattice_index_table(rows, cols, index, sign)
 
     @property
     def negation_index(self):
@@ -193,15 +291,6 @@ class PlaneWaveBasis:
         k = np.atleast_1d(np.asarray(k, dtype=float))
         gk = self.g_cart + k[None, :]
         return np.einsum("ij,ij->i", gk, gk)
-
-    def coeffs_to_grid(self, coeffs):
-        arr = np.zeros(self.fft_shape, dtype=complex)
-        arr.flat[self._fft_pos] = coeffs
-        return np.fft.ifftn(arr) * np.prod(self.fft_shape)
-
-    def grid_to_coeffs(self, values):
-        arr = np.fft.fftn(np.asarray(values, dtype=complex)) / np.prod(self.fft_shape)
-        return arr.flat[self._fft_pos].copy()
 
     def grid_points(self):
         """Real-space grid points, shape fft_shape + (d,)."""
@@ -357,11 +446,7 @@ class SupercellField:
     """
 
     def __init__(self, micro: Lattice, factors, values):
-        factors = np.atleast_1d(np.asarray(factors, dtype=int))
-        if factors.size == 1:
-            factors = np.full(micro.d, int(factors.ravel()[0]))
-        if np.any(factors < 1):
-            raise LatticeError("supercell factors must be >= 1")
+        factors = supercell_factors(factors, micro.d)
         self.micro = micro
         self.factors = factors
         self.supercell = micro.supercell(factors)
@@ -376,9 +461,7 @@ class SupercellField:
 
     @classmethod
     def zeros(cls, micro: Lattice, factors, per_cell_shape):
-        factors = np.atleast_1d(np.asarray(factors, dtype=int))
-        if factors.size == 1:
-            factors = np.full(micro.d, int(factors.ravel()[0]))
+        factors = supercell_factors(factors, micro.d)
         shape = tuple(int(s * n) for s, n in zip(per_cell_shape, factors))
         return cls(micro, factors, np.zeros(shape))
 
@@ -386,9 +469,7 @@ class SupercellField:
     def from_periodic(cls, field: PeriodicField, factors):
         """Tile a micro-periodic field over the supercell grid."""
         vals = field.values()
-        factors = np.atleast_1d(np.asarray(factors, dtype=int))
-        if factors.size == 1:
-            factors = np.full(field.basis.d, int(factors.ravel()[0]))
+        factors = supercell_factors(factors, field.basis.d)
         tiled = np.tile(vals, tuple(factors))
         return cls(field.basis.lattice, factors, tiled)
 
@@ -545,23 +626,8 @@ def _fiber_basis(micro: Lattice, per_shape):
     for ax, s in enumerate(per_shape):
         lo, hi = -(s // 2), (s - 1) // 2
         keep &= (basis.g_ints[:, ax] >= lo) & (basis.g_ints[:, ax] <= hi)
-    if keep.all():
-        return basis
-    sub = PlaneWaveBasis.__new__(PlaneWaveBasis)
-    sub.lattice = basis.lattice
-    sub.ecut = basis.ecut
-    sub.g_ints = basis.g_ints[keep]
-    sub.g_cart = basis.g_cart[keep]
-    sub.g_norm2 = basis.g_norm2[keep]
-    sub.n_pw = int(keep.sum())
-    sub._index = {tuple(n): i for i, n in enumerate(sub.g_ints)}
-    sub._neg_index = np.array(
-        [sub._index.get(tuple(-n), -1) for n in sub.g_ints], dtype=int
-    )
-    sub.fft_shape = basis.fft_shape
-    idx = [np.mod(sub.g_ints[:, ax], sub.fft_shape[ax]) for ax in range(basis.d)]
-    sub._fft_pos = np.ravel_multi_index(idx, sub.fft_shape)
-    return sub
+    basis._restrict(keep)
+    return basis
 
 
 def _fiber_values_on(fib: PeriodicField, per_shape):
@@ -580,9 +646,7 @@ def _fiber_values_on(fib: PeriodicField, per_shape):
 
 def bloch_reconstruct(k_points, fibers, micro: Lattice, factors, shape):
     """Inverse Bloch transform: average of exp(i k x) f_k over the k-grid."""
-    factors = np.atleast_1d(np.asarray(factors, dtype=int))
-    if factors.size == 1:
-        factors = np.full(micro.d, int(factors.ravel()[0]))
+    factors = supercell_factors(factors, micro.d)
     out = SupercellField(micro, factors, np.zeros(shape, dtype=complex))
     x = out.grid_points()
     tiles = tuple(factors)

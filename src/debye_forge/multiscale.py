@@ -17,8 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fibers import columns_to_grids
-from .lattice import Lattice, PlaneWaveBasis, SupercellField
+from .lattice import (
+    GridTransforms,
+    Lattice,
+    PlaneWaveBasis,
+    SupercellField,
+    lattice_index_table,
+    supercell_factors,
+)
 from .occupation import OccupationModel
 from .response import ResponseWorkspace, m_fiber_averaged
 from .scf import CrystalState
@@ -128,7 +134,7 @@ def build_deformed_kappa(base: CrystalState, delta: float, kappa_prime) -> Defor
     )
 
 
-class SupercellPWBasis:
+class SupercellPWBasis(GridTransforms):
     """Plane waves {G + k_j} for G in the micro ball, k_j on the N-grid.
 
     Fiber-major ordering: flat index = j * n_pw + g. The supercell FFT
@@ -137,9 +143,7 @@ class SupercellPWBasis:
     """
 
     def __init__(self, micro_basis: PlaneWaveBasis, factors):
-        factors = np.atleast_1d(np.asarray(factors, dtype=int))
-        if factors.size == 1:
-            factors = np.full(micro_basis.d, int(factors.ravel()[0]))
+        factors = supercell_factors(factors, micro_basis.d)
         self.micro = micro_basis
         self.factors = factors
         self.lattice = micro_basis.lattice.supercell(factors)
@@ -164,35 +168,32 @@ class SupercellPWBasis:
         self.q_norm2 = np.einsum("ij,ij->i", self.q_cart, self.q_cart)
         self.n_pw = self.q_ints.shape[0]
 
-        self.fft_shape = tuple(int(s * n) for s, n in zip(micro_basis.fft_shape, factors))
-        idx = [np.mod(self.q_ints[:, ax], self.fft_shape[ax]) for ax in range(d)]
-        self._fft_pos = np.ravel_multi_index(idx, self.fft_shape)
+        self._place_on_grid(
+            self.q_ints, tuple(int(s * n) for s, n in zip(micro_basis.fft_shape, factors))
+        )
         self._diff_pos = None
 
     def fiber_slice(self, j):
         n = self.micro.n_pw
         return slice(j * n, (j + 1) * n)
 
-    def coeffs_to_grid(self, coeffs):
-        arr = np.zeros(self.fft_shape, dtype=complex)
-        arr.flat[self._fft_pos] = coeffs
-        return np.fft.ifftn(arr) * np.prod(self.fft_shape)
+    def diff_pos(self):
+        """(n_pw, n_pw) flat FFT positions of Q_i - Q_j, built once."""
+        if self._diff_pos is None:
+            shape = self.fft_shape
 
-    def grid_to_coeffs(self, values):
-        arr = np.fft.fftn(np.asarray(values, dtype=complex)) / np.prod(self.fft_shape)
-        return arr.flat[self._fft_pos].copy()
+            def position(pts):
+                return np.ravel_multi_index(tuple(np.mod(pts, shape).T), shape)
+
+            self._diff_pos = lattice_index_table(self.q_ints, self.q_ints, position, sign=-1)
+        return self._diff_pos
 
     def potential_matrix(self, field: SupercellField):
         """Multiplication-operator matrix vhat(Q - Q') from supercell FFT data."""
-        if self._diff_pos is None:
-            d = self.micro.d
-            diffs = self.q_ints[:, None, :] - self.q_ints[None, :, :]
-            idx = [np.mod(diffs[..., ax], self.fft_shape[ax]) for ax in range(d)]
-            self._diff_pos = np.ravel_multi_index(idx, self.fft_shape)
         vhat = np.fft.fftn(np.asarray(field.values, dtype=complex)) / np.prod(
             self.fft_shape
         )
-        return vhat.flat[self._diff_pos]
+        return vhat.flat[self.diff_pos()]
 
 
 class SupercellSolver:
@@ -229,11 +230,7 @@ class SupercellSolver:
         evals, evecs = np.linalg.eigh(H)
         occs = self.occ.occ(evals)
         vol = self.basis.lattice.volume
-        arr = np.zeros((self.basis.n_pw,) + self.basis.fft_shape, dtype=complex)
-        flat = arr.reshape(self.basis.n_pw, -1)
-        flat[:, self.basis._fft_pos] = evecs.T
-        axes = tuple(range(1, self.basis.micro.d + 1))
-        grids = np.fft.ifftn(arr, axes=axes) * np.prod(self.basis.fft_shape)
+        grids = self.basis.columns_to_grids(evecs)
         dens = np.einsum("n,n...->...", occs, np.abs(grids) ** 2).real / vol
         rho = SupercellField(self.basis.micro.lattice, self.basis.factors, dens)
         if return_eig:
@@ -269,32 +266,34 @@ class SupercellSolver:
             out[sl] = B @ coeffs[sl]
         return out
 
-    def solve_jacobian(self, coeffs, pin_mean=None):
+    def solve_jacobian(self, coeffs):
         """Solve (-Lap + M) d = rhs blockwise.
 
         The constant supercell mode sits in the k = 0 block; when its
         Jacobian entry (the zone-averaged screening mass density) is
-        numerically zero the mean is pinned to zero instead (valid for
-        charge-balanced perturbations; the neutrality defect is the
-        caller's diagnostic).
+        numerically zero against the block, at most 1e3 eps ||B_0||_2,
+        the mean is pinned to zero instead (valid for charge-balanced
+        perturbations; the neutrality defect is the caller's diagnostic).
+        An entry at round-off level left unpinned makes the mean of the
+        Newton step noise, and the remainder loses its order.
         """
         if self._jac_factor is None:
             import scipy.linalg as sla
 
             blocks = self.jacobian_blocks()
             gamma = int(np.argmin(np.einsum("ij,ij->i", self.basis.k_points, self.basis.k_points)))
-            screen = blocks[gamma][0, 0].real
-            auto_pin = screen < 1e-13
+            B0 = blocks[gamma]
+            pin = B0[0, 0].real <= 1e3 * np.finfo(float).eps * np.linalg.norm(B0, 2)
             facs = []
             for j, B in enumerate(blocks):
                 Bj = B
-                if j == gamma and (pin_mean if pin_mean is not None else auto_pin):
+                if j == gamma and pin:
                     Bj = B.copy()
                     Bj[0, :] = 0.0
                     Bj[:, 0] = 0.0
                     Bj[0, 0] = 1.0
                 facs.append(sla.lu_factor(Bj))
-            self._jac_factor = (facs, gamma, pin_mean if pin_mean is not None else auto_pin)
+            self._jac_factor = (facs, gamma, pin)
         import scipy.linalg as sla
 
         facs, gamma, pinned = self._jac_factor
@@ -351,7 +350,7 @@ def micro_solve_perturbation(
 
     def residual(psi_c):
         psi_f = SupercellField.from_coeffs(
-            sb.micro.lattice, sb.factors, _coeffs_to_grid_array(sb, psi_c), real=True
+            sb.micro.lattice, sb.factors, sb.coeffs_array(psi_c), real=True
         )
         drho = solver.delta_density(psi_f)
         r = sb.q_norm2 * psi_c - kp_coeffs + sb.grid_to_coeffs(drho.values)
@@ -421,18 +420,6 @@ def micro_solve_perturbation(
     return phi_delta, psi_f, info
 
 
-def _gamma_zero_index(sb: SupercellPWBasis):
-    gamma = int(np.argmin(np.einsum("ij,ij->i", sb.k_points, sb.k_points)))
-    return gamma * sb.micro.n_pw + 0
-
-
-def _coeffs_to_grid_array(sb: SupercellPWBasis, coeffs):
-    arr = np.zeros(sb.fft_shape, dtype=complex)
-    arr.flat[sb._fft_pos] = coeffs
-    # return the full FFT coefficient array (cell-average convention)
-    return arr
-
-
 def _relinearized_step(solver: SupercellSolver, psi_f: SupercellField, r):
     """Exact-Jacobian Newton step via a preconditioned iterative solve."""
     import scipy.sparse.linalg as spl
@@ -447,7 +434,7 @@ def _relinearized_step(solver: SupercellSolver, psi_f: SupercellField, r):
     def apply_J(v):
         v = np.asarray(v, dtype=complex)
         Vf = SupercellField.from_coeffs(
-            sb.micro.lattice, sb.factors, _coeffs_to_grid_array(sb, v), real=False
+            sb.micro.lattice, sb.factors, sb.coeffs_array(v), real=False
         )
         W = sb.potential_matrix(Vf)
         # dH = -W for h = -Lap - phi, so the density response carries a minus
@@ -467,16 +454,9 @@ def _relinearized_step(solver: SupercellSolver, psi_f: SupercellField, r):
 
 def _den_supercell(sb: SupercellPWBasis, B):
     """Density coefficients of an operator matrix on the supercell basis."""
-    q = sb.q_ints
-    shape = sb.fft_shape
-    acc = np.zeros(shape, dtype=complex)
+    acc = np.zeros(sb.fft_shape, dtype=complex)
     # accumulate B[i, j] onto Fourier bucket Q_i - Q_j
-    d = sb.micro.d
-    diffs = q[:, None, :] - q[None, :, :]
-    idx = np.ravel_multi_index(
-        [np.mod(diffs[..., ax], shape[ax]) for ax in range(d)], shape
-    )
-    np.add.at(acc.ravel(), idx.ravel(), B.ravel())
+    np.add.at(acc.ravel(), sb.diff_pos().ravel(), B.ravel())
     acc /= sb.lattice.volume
     return acc.flat[sb._fft_pos].copy()
 
@@ -493,7 +473,7 @@ def nonlinearity_N(base: CrystalState, psi: SupercellField):
     drho = solver.delta_density(psi)
     psi_c = sb.grid_to_coeffs(psi.values)
     lin = solver.apply_jacobian(psi_c) - sb.q_norm2 * psi_c  # M psi only
-    lin_arr = _coeffs_to_grid_array(sb, lin)
+    lin_arr = sb.coeffs_array(lin)
     lin_field = SupercellField.from_coeffs(sb.micro.lattice, sb.factors, lin_arr, real=True)
     return drho - lin_field
 
@@ -514,7 +494,7 @@ def effective_coefficients(deformed: DeformedCrystal, coeffs):
     """
     import copy as _copy
 
-    from .response import ResponseWorkspace, b_function, m_fiber_averaged
+    from .response import b_function
 
     base = deformed.base
     ws = ResponseWorkspace(base.basis, base.phi, base.occ)
@@ -524,7 +504,7 @@ def effective_coefficients(deformed: DeformedCrystal, coeffs):
     wstar = base.basis.lattice.reciprocal
 
     def bavg(k):
-        return b_function(ws, k, fiber=m_fiber_averaged, k_grid=kg)
+        return b_function(ws, k, k_grid=kg)
 
     b0 = bavg(np.zeros(d))
     eps_eff = np.zeros((d, d))

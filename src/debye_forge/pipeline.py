@@ -23,7 +23,7 @@ from .config import (
 from .fibers import compute_bands, spectral_gap
 from .lattice import Lattice, PeriodicField, monkhorst_pack
 from .occupation import OccupationModel
-from .scf import CrystalState, SCFConfig, construct_dielectric_kappa, scf_solve
+from .scf import CrystalState, SCFConfig, designer_crystal, scf_solve
 
 __all__ = ["run_pipeline", "StageError", "load_crystal_bundle", "first_gap_mu"]
 
@@ -63,23 +63,7 @@ def run_crystal(cfg):
         mu = ccfg["mu"]
         if mu == "mid-gap":
             mu = first_gap_mu(bands)
-        kappa, rho = construct_dielectric_kappa(phi, mu, T, kgrid, threads)
-        gap = spectral_gap(bands, mu)
-        state = CrystalState(
-            basis=basis,
-            k_points=kgrid,
-            kappa=kappa,
-            rho=rho,
-            phi=phi,
-            mu=mu,
-            occ=OccupationModel(T=T, mu=mu),
-            bands=bands,
-            gap=gap,
-            residual_history=[],
-            charge_history=[float(abs(rho.integral().real - kappa.integral().real))],
-            converged=True,
-            dielectric_flag=bool(gap.in_gap),
-        )
+        state = designer_crystal(phi, mu, T, kgrid, threads, bands=bands)
     else:
         if "kappa" not in ccfg:
             raise StageError("scf mode requires a crystal/kappa spec", exit_code=2)
@@ -183,7 +167,7 @@ def run_bands(cfg, state=None):
 
 
 def run_response(cfg, state=None):
-    from .response import ResponseWorkspace, b_function, fit_b_expansion, homogenized_coefficients
+    from .response import ResponseWorkspace, _b_fit, b_function, homogenized_coefficients
 
     timer = dfio.StageTimer()
     state = state or load_crystal_bundle(cfg)
@@ -203,13 +187,12 @@ def run_response(cfg, state=None):
         for x in kmax * np.geomspace(1.0 / 64.0, 1.0, nk):
             samples.append(x * e)
             samples.append(-x * e)
-    samples = np.asarray(samples)
-    b0_fit, eps_fit, quart = fit_b_expansion(ws, samples)
+    samples, solve_fit = _b_fit(ws, samples)
+    b = [b_function(ws, k) for k in samples]
+    b0_fit, eps_fit, quart = solve_fit(np.array(b))
 
     out = _stage_dir(cfg, "response")
-    rows = [
-        list(k) + [b_function(ws, k)] for k in samples
-    ]
+    rows = [list(k) + [bk] for k, bk in zip(samples, b)]
     cpath = os.path.join(out, "b_samples.csv")
     dfio.write_csv(cpath, [f"k{i}" for i in range(d)] + ["b"], rows)
 

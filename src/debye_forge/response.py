@@ -1,18 +1,21 @@
 """Linearized density response M, its Bloch fibers, and the homogenized
 coefficients (screening density V, mass m, rho', permittivity, b-symbol).
 
-Two fiber flavours coexist:
+One routine builds every response fiber: `m_fiber_averaged(ws, k,
+k_grid)` averages the (q + k, q) pair blocks over a k-grid and is the
+exact Jacobian fiber of the k-grid density map; the SCF linear response
+and the supercell Newton solves use it on their own k-grids.
+`m_fiber(ws, k)` is its one-point-grid case, the (0-fiber, k-fiber)
+pairing that the homogenized coefficients (V, m, rho', epsilon, b, nu)
+are defined through; it equals the Gamma-only-grid fiber at -k to
+round-off. The coefficients satisfy the closed-form identities exactly
+(M_0 applied to the constant equals V, b(0) = |Omega|^{-1} (m - <V,
+Kbar_0^{-1} V>), ...).
 
-* `m_fiber(ws, k)` is the single-pair fiber built from the (0-fiber,
-  k-fiber) eigenpair with first divided differences f[e_n0, e_mk]; all
-  homogenized coefficients (V, m, rho', epsilon, b, nu) are defined
-  through it and satisfy the closed-form identities exactly
-  (M_0 applied to the constant equals V, b(0) = |Omega|^{-1} (m -
-  <V, Kbar_0^{-1} V>), ...). It is the exact Jacobian of the
-  Gamma-point-only density map.
-* `m_fiber_averaged(ws, k, k_grid)` averages the (q+k, q) pair blocks
-  over a k-grid and is the exact Jacobian of the k-grid density map;
-  the SCF linear response and the supercell Newton solves use it.
+The band-pair weights are divided differences of the occupation
+function, taken from the workspace's weight kernel: `thermal_weights`
+for f_T, or `step_weights` for the T = 0 occupied-band indicator, which
+the zero-temperature permittivity uses.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 from . import kernels
 from .fibers import (
     assemble_fiber,
-    columns_to_grids,
     contour_quadrature,
     den_coefficients,
     diagonalize_fiber,
@@ -37,8 +39,8 @@ from .occupation import OccupationModel, step_dd1, step_dd2, step_dd3
 __all__ = [
     "ResponseWorkspace",
     "HomogenizedCoefficients",
-    "assemble_M_fiber",
-    "assemble_M_fiber_averaged",
+    "thermal_weights",
+    "step_weights",
     "screening_density_V",
     "screening_mass_m",
     "rho_prime",
@@ -55,14 +57,39 @@ class GaplessCrystalError(RuntimeError):
     pass
 
 
-class ResponseWorkspace:
-    """Caches fiber eigendecompositions of one crystal potential."""
+def thermal_weights(order, a, b, occ: OccupationModel):
+    """f[a_i, ..., a_i, b_j] of f_T(. - mu), a_i repeated `order` (1-3) times."""
+    dd = (kernels.dd1_matrix, kernels.dd2_matrix, kernels.dd3_matrix)[order - 1]
+    return dd(a, b, occ.T, occ.mu)
 
-    def __init__(self, basis: PlaneWaveBasis, phi: PeriodicField, occ: OccupationModel):
+
+def step_weights(order, a, b, occ: OccupationModel):
+    """T = 0 limit of `thermal_weights`: f_T replaced by the indicator of e < mu."""
+    dd = (step_dd1, step_dd2, step_dd3)[order - 1]
+    return dd(np.asarray(a)[:, None], np.asarray(b)[None, :], occ.mu)
+
+
+class ResponseWorkspace:
+    """Caches fiber eigendecompositions of one crystal potential.
+
+    `weights` is the band-pair weight kernel of the pair contractions
+    (M_k, rho', eps'): `thermal_weights`, or its T = 0 limit
+    `step_weights`.
+    """
+
+    def __init__(self, basis: PlaneWaveBasis, phi: PeriodicField, occ: OccupationModel,
+                 weights=thermal_weights):
         self.basis = basis
         self.phi = phi
         self.occ = occ
+        self.weights = weights
         self._cache = {}
+
+    def with_weights(self, weights):
+        """The same crystal and fiber cache under another weight kernel."""
+        other = ResponseWorkspace(self.basis, self.phi, self.occ, weights)
+        other._cache = self._cache
+        return other
 
     @classmethod
     def from_crystal(cls, crystal):
@@ -112,9 +139,8 @@ def _pair_block(ws: ResponseWorkspace, e_row, U_row, e_col, U_col, wrap=None):
     the shift-tensor entries at P + W (zero outside the cutoff ball),
     which reproduces the supercell umklapp bookkeeping exactly.
     """
-    occ = ws.occ
     A = shift_overlap_tensor(ws.basis, U_row, U_col, offset=wrap)
-    D = kernels.dd1_matrix(e_row, e_col, occ.T, occ.mu)
+    D = ws.weights(1, e_row, e_col, ws.occ)
     n_pw = ws.basis.n_pw
     B = A.reshape(n_pw, -1)
     vol = ws.basis.lattice.volume
@@ -124,12 +150,13 @@ def _pair_block(ws: ResponseWorkspace, e_row, U_row, e_col, U_col, wrap=None):
 def m_fiber(ws: ResponseWorkspace, k):
     """Paper-form fiber M_k from the (0-fiber, k-fiber) eigenpair.
 
-    Hermitian and positive semidefinite; M_0 applied to the constant
-    function reproduces the screening density V.
+    The pair block of `m_fiber_averaged` at -k over the one-point grid
+    {k}: 0-fiber rows, k-fiber columns. It equals the Gamma-only-grid
+    fiber at -k to round-off. Hermitian and positive semidefinite; M_0
+    applied to the constant function reproduces the screening density V.
     """
-    e0, U0 = ws.gamma
-    ek, Uk = ws.fiber(k)
-    return _pair_block(ws, e0, U0, ek, Uk)
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    return m_fiber_averaged(ws, -k, k[None, :])
 
 
 def m_fiber_averaged(ws: ResponseWorkspace, k, k_grid):
@@ -156,12 +183,6 @@ def m_fiber_averaged(ws: ResponseWorkspace, k, k_grid):
         blk = _pair_block(ws, e_r, U_r, e_c, U_c, wrap=wrap)
         acc = blk if acc is None else acc + blk
     return acc / len(np.atleast_2d(k_grid))
-
-
-def assemble_M_fiber(crystal, k):
-    """Dense M_k in the G-basis for a converged, gapped crystal."""
-    ws = ResponseWorkspace.from_crystal(crystal)
-    return m_fiber(ws, k)
 
 
 @dataclass
@@ -212,17 +233,12 @@ class ResponseOperator:
         )
 
 
-def assemble_M_fiber_averaged(crystal, k):
-    ws = ResponseWorkspace.from_crystal(crystal)
-    return m_fiber_averaged(ws, k, crystal.k_points)
-
-
 def screening_density_V(ws) -> PeriodicField:
     """V(x) = -sum_n f_T'(e_n0 - mu) |psi_n0(x)|^2 >= 0 (0-fiber only)."""
     ws = _as_workspace(ws)
     e0, U0 = ws.gamma
     w = -ws.occ.occ_deriv(e0)
-    grids = columns_to_grids(ws.basis, U0)
+    grids = ws.basis.columns_to_grids(U0)
     vals = np.einsum("n,n...->...", w, np.abs(grids) ** 2).real
     vals /= ws.basis.lattice.volume
     V = PeriodicField.from_grid(ws.basis, vals)
@@ -253,9 +269,8 @@ def rho_prime(ws):
     """
     ws = _as_workspace(ws)
     e0, U0 = ws.gamma
-    occ = ws.occ
     A = shift_overlap_tensor(ws.basis, U0, U0)
-    D2 = kernels.dd2_matrix(e0, e0, occ.T, occ.mu)
+    D2 = ws.weights(2, e0, e0, ws.occ)
     out = []
     for P in ws.momentum_matrices(U0):
         coeffs = -2.0 * den_coefficients(ws.basis, A, D2 * P)
@@ -263,16 +278,7 @@ def rho_prime(ws):
     return out
 
 
-def _epsilon_prime_weights(ws, e0, U0, zero_temperature=False):
-    occ = ws.occ
-    if zero_temperature:
-        D3 = step_dd3(e0[:, None], e0[None, :], occ.mu)
-    else:
-        D3 = kernels.dd3_matrix(e0, e0, occ.T, occ.mu)
-    return D3
-
-
-def epsilon_prime(ws, zero_temperature=False):
+def epsilon_prime(ws):
     """Band contribution: eps'_ij = -(4/|Omega|) Tr oint r^2 p_i r p_j r.
 
     Third divided differences f[e_n, e_n, e_n, e_m] weight the two
@@ -282,7 +288,7 @@ def epsilon_prime(ws, zero_temperature=False):
     """
     ws = _as_workspace(ws)
     e0, U0 = ws.gamma
-    D3 = _epsilon_prime_weights(ws, e0, U0, zero_temperature)
+    D3 = ws.weights(3, e0, e0, ws.occ)
     Ps = ws.momentum_matrices(U0)
     d = ws.basis.d
     vol = ws.basis.lattice.volume
@@ -309,13 +315,13 @@ def _kbar_solve(ws, M0, rhs):
     return out
 
 
-def epsilon_double_prime(ws, M0=None, rho_p=None, zero_temperature=False):
+def epsilon_double_prime(ws, M0=None, rho_p=None):
     """Local-field correction: eps''_ij = |Omega|^{-1} <rho'_i, Kbar_0^{-1} rho'_j>."""
     ws = _as_workspace(ws)
     if rho_p is None:
-        rho_p = rho_prime(ws) if not zero_temperature else _rho_prime_zero_t(ws)
+        rho_p = rho_prime(ws)
     if M0 is None:
-        M0 = _m_fiber_maybe_zero_t(ws, zero_temperature)
+        M0 = m_fiber(ws, np.zeros(ws.basis.d))
     d = ws.basis.d
     eps = np.empty((d, d))
     sols = [_kbar_solve(ws, M0, f.coeffs) for f in rho_p]
@@ -324,27 +330,6 @@ def epsilon_double_prime(ws, M0=None, rho_p=None, zero_temperature=False):
             val = np.vdot(rho_p[i].coeffs, sols[j])
             eps[i, j] = eps[j, i] = val.real
     return eps
-
-
-def _m_fiber_maybe_zero_t(ws, zero_temperature):
-    if not zero_temperature:
-        return m_fiber(ws, np.zeros(ws.basis.d))
-    e0, U0 = ws.gamma
-    D = step_dd1(e0[:, None], e0[None, :], ws.occ.mu)
-    A = shift_overlap_tensor(ws.basis, U0, U0)
-    B = A.reshape(ws.basis.n_pw, -1)
-    return -(B.conj() * D.ravel()[None, :]) @ B.T / ws.basis.lattice.volume
-
-
-def _rho_prime_zero_t(ws):
-    e0, U0 = ws.gamma
-    A = shift_overlap_tensor(ws.basis, U0, U0)
-    D2 = step_dd2(e0[:, None], e0[None, :], ws.occ.mu)
-    out = []
-    for P in ws.momentum_matrices(U0):
-        coeffs = -2.0 * den_coefficients(ws.basis, A, D2 * P)
-        out.append(PeriodicField(ws.basis, coeffs, realness=False))
-    return out
 
 
 def epsilon_matrix(ws):
@@ -368,14 +353,10 @@ def epsilon_zero_temperature(ws):
     e0, _ = ws.gamma
     if np.min(np.abs(e0 - ws.occ.mu)) < 1e-10:
         raise GaplessCrystalError("mu at a band edge: T = 0 limit undefined")
-    ep = epsilon_prime(ws, zero_temperature=True)
-    M0 = _m_fiber_maybe_zero_t(ws, True)
-    epp = epsilon_double_prime(ws, M0=M0, rho_p=_rho_prime_zero_t(ws), zero_temperature=True)
-    eps = np.eye(ws.basis.d) + ep - epp
-    return 0.5 * (eps + eps.T)
+    return epsilon_matrix(ws.with_weights(step_weights))[0]
 
 
-def b_function(ws, k, fiber=m_fiber, k_grid=None):
+def b_function(ws, k, k_grid=None):
     """Feshbach-Schur symbol b(k) of -Lap + M at micro momentum k.
 
     b(k) = |Omega|^{-1} <1, (|k|^2 + M_k - M_k Kbar_k^{-1} M_k) 1> with
@@ -387,13 +368,13 @@ def b_function(ws, k, fiber=m_fiber, k_grid=None):
     the constant fiber mode, i.e. the exact low-momentum symbol of the
     full operator acting on macroscopically modulated sources. Real and
     even in k.
+
+    M_k is the paper-form `m_fiber`, or with a k_grid the zone-averaged
+    fiber of the density map on that grid.
     """
     ws = _as_workspace(ws)
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    if fiber is m_fiber:
-        Mk = m_fiber(ws, k)
-    else:
-        Mk = fiber(ws, k, k_grid)
+    Mk = m_fiber(ws, k) if k_grid is None else m_fiber_averaged(ws, k, k_grid)
     v = Mk[:, 0].copy()  # M_k applied to the constant (coefficient vector)
     K = Mk.copy()
     K[np.diag_indices_from(K)] += ws.basis.kinetic_diagonal(k)
@@ -419,6 +400,17 @@ def fit_b_expansion(ws, k_samples):
         quartic contribution over the samples.
     """
     ws = _as_workspace(ws)
+    ks, solve = _b_fit(ws, k_samples)
+    return solve(np.array([b_function(ws, k) for k in ks]))
+
+
+def _b_fit(ws, k_samples):
+    """The validated samples of `fit_b_expansion` as an (m, d) array, and
+    its least-squares solve for the b values at them.
+
+    The design is checked before any b(k) is evaluated, so a sample set
+    that cannot be fitted costs no fiber work.
+    """
     ks = np.atleast_2d(np.asarray(k_samples, dtype=float))
     m, d = ks.shape
     if m < 12:
@@ -465,16 +457,19 @@ def fit_b_expansion(ws, k_samples):
         raise ValueError(
             f"ill-conditioned fit (cond {cond:.2e}); enlarge the sample set"
         )
-    y = np.array([b_function(ws, k) for k in ks])
-    coef, *_ = np.linalg.lstsq(Xw / scale[None, :], y * w, rcond=1e-12)
-    coef = coef / scale
-    b0 = float(coef[0])
-    eps_fit = np.zeros((d, d))
-    for c, (i, j) in zip(coef[1 : 1 + len(quad_idx)], quad_idx):
-        eps_fit[i, j] = eps_fit[j, i] = c
-    quart = X[:, 1 + len(quad_idx) :] @ coef[1 + len(quad_idx) :]
-    quartic_residual = float(np.sqrt(np.mean(quart**2)))
-    return b0, eps_fit, quartic_residual
+
+    def solve(y):
+        coef, *_ = np.linalg.lstsq(Xw / scale[None, :], y * w, rcond=1e-12)
+        coef = coef / scale
+        b0 = float(coef[0])
+        eps_fit = np.zeros((d, d))
+        for c, (i, j) in zip(coef[1 : 1 + n_quad], quad_idx):
+            eps_fit[i, j] = eps_fit[j, i] = c
+        quart = X[:, 1 + n_quad :] @ coef[1 + n_quad :]
+        quartic_residual = float(np.sqrt(np.mean(quart**2)))
+        return b0, eps_fit, quartic_residual
+
+    return ks, solve
 
 
 def feshbach_ell(ws, delta, r, k_samples):

@@ -23,6 +23,7 @@ __all__ = [
     "solve_chemical_potential",
     "scf_solve",
     "construct_dielectric_kappa",
+    "designer_crystal",
     "verify_dielectricity",
     "UnreachableChargeError",
 ]
@@ -263,17 +264,19 @@ def scf_solve(
     )
 
 
-def construct_dielectric_kappa(
-    phi: PeriodicField, mu: float, T: float, k_points, threads=None
-):
-    """Designer dielectric: the background charge whose crystal is (phi, mu).
+def designer_crystal(
+    phi: PeriodicField, mu: float, T: float, k_points, threads=None, bands=None
+) -> CrystalState:
+    """Designer dielectric: the crystal whose self-consistent state is (phi, mu).
 
     rho := den[f_T(h^phi - mu)] and kappa := -Lap phi + rho solve the
     self-consistent equation exactly by construction; mu must lie in a
-    spectral gap of h^phi.
+    spectral gap of h^phi. `bands` are those of phi on k_points when the
+    caller already has them.
     """
     basis = phi.basis
-    bands = compute_bands(basis, phi, k_points, threads)
+    if bands is None:
+        bands = compute_bands(basis, phi, k_points, threads)
     gap = spectral_gap(bands, mu)
     if not gap.in_gap:
         raise DielectricityError(
@@ -283,7 +286,26 @@ def construct_dielectric_kappa(
     rho = density_from_potential(phi, occ, k_points, bands=bands)
     kappa_coeffs = basis.g_norm2 * phi.coeffs + rho.coeffs
     kappa = PeriodicField(basis, kappa_coeffs, realness=True)
-    return kappa, rho
+    return CrystalState(
+        basis=basis,
+        k_points=np.atleast_2d(np.asarray(k_points, dtype=float)),
+        kappa=kappa,
+        rho=rho,
+        phi=phi,
+        mu=mu,
+        occ=occ,
+        bands=bands,
+        gap=gap,
+        charge_history=[float(abs(rho.integral().real - kappa.integral().real))],
+    )
+
+
+def construct_dielectric_kappa(
+    phi: PeriodicField, mu: float, T: float, k_points, threads=None
+):
+    """(kappa, rho) of the designer crystal of (phi, mu); see `designer_crystal`."""
+    state = designer_crystal(phi, mu, T, k_points, threads)
+    return state.kappa, state.rho
 
 
 def verify_dielectricity(state: CrystalState, lambda_bound: float):

@@ -10,8 +10,12 @@ from debye_forge.fibers import (
     density_from_potential,
     diagonalize_fiber,
     spectral_gap,
+    shift_overlap_tensor,
+    _difference_table,
+    _shift_table,
 )
-from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, monkhorst_pack
+from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, _fiber_basis, monkhorst_pack
+from debye_forge.multiscale import SupercellPWBasis
 from debye_forge.occupation import OccupationModel
 
 LAT = Lattice(np.array([[2 * np.pi]]))
@@ -259,3 +263,62 @@ def test_contour_matches_eigen_calculus_random_gapped_fibers():
         )
         ref = U @ np.diag(occ.occ(ev)) @ U.conj().T
         assert np.abs(val - ref).max() < 1e-8
+
+
+def dict_loop_table(basis, rows, cols, sign=1):
+    """Oracle: the per-entry dict lookup the vectorised tables replaced."""
+    index = {tuple(g): i for i, g in enumerate(basis.g_ints)}
+    n = basis.n_pw
+    tab = np.full((len(rows), len(cols)), n, dtype=np.int64)
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            tab[i, j] = index.get(tuple(int(x) for x in r + sign * c), n)
+    return tab
+
+
+HEX = Lattice(2 * np.pi * np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]]))
+INDEX_BASES = {
+    "1d": lambda: BASIS,
+    "2d-hex": lambda: PlaneWaveBasis(HEX, ecut=6.0),
+    "3d-cubic": lambda: PlaneWaveBasis(Lattice(2 * np.pi * np.eye(3)), ecut=4.0),
+    "1d-fiber-restricted": lambda: _fiber_basis(LAT, (10,)),
+    "2d-fiber-restricted": lambda: _fiber_basis(HEX, (6, 4)),
+}
+
+
+class TestIndexTables:
+    @pytest.mark.parametrize("name", list(INDEX_BASES))
+    def test_tables_match_dict_loop(self, name):
+        basis = INDEX_BASES[name]()
+        g = basis.g_ints
+        index = {tuple(v): i for i, v in enumerate(g)}
+        assert [basis.index_of(v) for v in g] == list(range(basis.n_pw))
+        neg = [index.get(tuple(-v), -1) for v in g]
+        assert np.array_equal(basis.negation_index, neg)
+        assert np.array_equal(_difference_table(basis), dict_loop_table(basis, g, g, sign=-1))
+        assert np.array_equal(_shift_table(basis), dict_loop_table(basis, g, g))
+
+    @pytest.mark.parametrize("name", ["1d", "2d-hex", "3d-cubic"])
+    def test_umklapp_offset_table(self, name):
+        basis = INDEX_BASES[name]()
+        g = basis.g_ints
+        off = np.array([1, -1, 1][: basis.d])
+        U = np.eye(basis.n_pw)[:, :2]
+        shift_overlap_tensor(basis, U, U, offset=off)
+        tab = basis._shift_tab_offsets[tuple(off)]
+        assert np.array_equal(tab, dict_loop_table(basis, g + off, g))
+        assert (tab < basis.n_pw).any() and (tab == basis.n_pw).any()
+
+    @pytest.mark.parametrize(
+        "micro, N",
+        [(PlaneWaveBasis(LAT, ecut=8.0), 4), (PlaneWaveBasis(HEX, ecut=3.0), 2)],
+        ids=["1d", "2d-hex"],
+    )
+    def test_supercell_difference_positions(self, micro, N):
+        sb = SupercellPWBasis(micro, N)
+        shape = sb.fft_shape
+        oracle = np.empty((sb.n_pw, sb.n_pw), dtype=np.int64)
+        for i, qi in enumerate(sb.q_ints):
+            for j, qj in enumerate(sb.q_ints):
+                oracle[i, j] = np.ravel_multi_index(tuple(np.mod(qi - qj, shape)), shape)
+        assert np.array_equal(sb.diff_pos(), oracle)

@@ -1,38 +1,10 @@
-"""Parity between the compiled divided-difference kernels and the numpy
-fallback, plus consistency with the scalar API."""
+"""Divided-difference weight matrices: consistency with the scalar API."""
 
 import numpy as np
 import pytest
 
 from debye_forge import kernels
-from debye_forge.kernels import _fallback
 from debye_forge.occupation import OccupationModel, divided_difference
-
-
-@pytest.fixture(params=["spread", "clustered", "mixed"])
-def nodes(request):
-    rng = np.random.default_rng(hash(request.param) % 2**32)
-    if request.param == "spread":
-        a = np.sort(rng.uniform(-5, 5, 24))
-        b = np.sort(rng.uniform(-5, 5, 17))
-    elif request.param == "clustered":
-        base = rng.uniform(-1, 1, 6)
-        a = np.sort(np.concatenate([base + 1e-9 * rng.standard_normal(6) for _ in range(4)]))
-        b = a[:17].copy()
-    else:
-        a = np.sort(np.concatenate([rng.uniform(-3, 3, 12), [0.5, 0.5 + 1e-8]]))
-        b = np.sort(rng.uniform(-3, 3, 9))
-    return a, b
-
-
-@pytest.mark.parametrize("fn", ["dd1_matrix", "dd2_matrix", "dd3_matrix"])
-def test_backend_parity(nodes, fn):
-    a, b = nodes
-    T, mu = 0.03, 0.12
-    got = getattr(kernels, fn)(a, b, T, mu)
-    ref = getattr(_fallback, fn)(a, b, T, mu)
-    scale = max(np.abs(ref).max(), 1e-30)
-    assert np.abs(got - ref).max() <= 1e-13 * scale
 
 
 def test_dd1_matches_scalar_api():
@@ -57,7 +29,3 @@ def test_dd_matrices_shapes_and_signs():
     occ = OccupationModel(T=T, mu=mu)
     assert np.abs(np.diag(M1) - occ.occ_deriv(a)).max() < 1e-13 * np.abs(M1).max()
 
-
-def test_backend_reports_identity():
-    assert kernels.BACKEND in ("cython", "python")
-    assert _fallback.BACKEND == "python"

@@ -71,6 +71,15 @@ def test_gset_properties(basis1d):
     assert basis1d.g_norm2.max() <= 2 * basis1d.ecut * (1 + 1e-12)
 
 
+def test_index_of_rejects_outside_and_wrong_length():
+    basis = PlaneWaveBasis(Lattice(2 * np.pi * np.eye(2)), ecut=8.0)
+    assert basis.index_of([0, 0]) == 0
+    assert basis.index_of([10, 0]) == -1
+    # a config term with the wrong number of integers is outside the set
+    assert basis.index_of([1]) == -1
+    assert basis.index_of([1, 0, 0, 0]) == -1
+
+
 def test_transform_cosine(basis1d):
     f = PeriodicField.from_callable(basis1d, np.cos)
     i1 = basis1d.index_of([1])

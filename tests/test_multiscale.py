@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from debye_forge.multiscale import (
 from debye_forge.occupation import OccupationModel
 from debye_forge.scf import CrystalState, construct_dielectric_kappa
 
+REPO = Path(__file__).resolve().parent.parent
 LAT = Lattice(np.array([[2 * np.pi]]))
 BASIS = PlaneWaveBasis(LAT, ecut=50.0)
 PHI = PeriodicField.from_callable(BASIS, lambda x: 2.0 * np.cos(x))
@@ -275,3 +279,19 @@ def test_oversized_split_radius_warns():
     coeffs = homogenized_coefficients(ws, 1 / 8, st.eta0)
     with pytest.warns(UserWarning, match="split radius"):
         expansion_decompose(dc, psim, coeffs, a_split=2.0, newton_info=info)
+
+
+@pytest.mark.parametrize("amplitude", [1.90, 1.917])
+def test_mean_pinned_relative_to_gamma_block(tmp_path, amplitude):
+    """The reference config at ecut 50 with a weaker cosine: the Gamma-block
+    screening entry is about 1e-13, round-off against its block. The mean
+    must be pinned, or the remainder loses its order-2 convergence."""
+    from debye_forge.config import parse_config
+    from debye_forge.pipeline import run_pipeline
+
+    raw = json.loads((REPO / "configs" / "mathieu.json").read_text())
+    raw.update(ecut=50.0, output_dir=str(tmp_path))
+    raw["crystal"]["potential"]["terms"][0]["amplitude"] = amplitude
+    assert run_pipeline(parse_config(raw), {"crystal", "multiscale"}) == 0
+    order = json.loads((tmp_path / "multiscale" / "order.json").read_text())
+    assert order["l2_slope"] >= 1.8

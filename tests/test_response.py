@@ -92,6 +92,14 @@ class TestMFiber:
         ).max()
         assert diff < 1e-9
 
+    def test_gamma_grid_fiber_at_minus_k(self, ws):
+        # the (0-fiber, k-fiber) pairing is the Gamma-only-grid fiber at -k
+        gamma = np.zeros((1, 1))
+        for k in (0.03, 0.2, -0.31):
+            diff = np.abs(R.m_fiber(ws, [k]) - R.m_fiber_averaged(ws, [-k], gamma)).max()
+            assert diff <= 1e-15
+        assert np.array_equal(R.m_fiber(ws, [0.0]), R.m_fiber_averaged(ws, [0.0], gamma))
+
     def test_averaged_fiber_hermitian_psd(self, ws):
         M = R.m_fiber_averaged(ws, [1.0 / 8.0], KGRID)
         assert np.abs(M - M.conj().T).max() < 1e-12
