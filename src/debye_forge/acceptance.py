@@ -275,7 +275,7 @@ def crit_11_multiscale_order(ctx):
     rows = {}
     for N in (8, 16, 32):
         st = ctx.crystal(40, nk=N)
-        ws = R.ResponseWorkspace(ctx.basis, ctx.phi, st.occ)
+        ws = R.ResponseWorkspace.of(st)
         coeffs = R.homogenized_coefficients(ws, 1.0 / N, st.eta0)
         amp = 0.05 / N**2  # the 1D harness keeps the cubic deformation scaling
         src = gaussian_source(

@@ -247,7 +247,7 @@ class SupercellSolver:
     def jacobian_blocks(self):
         """Per-fiber dense blocks of -Lap + M at psi = 0 (exact Jacobian)."""
         if self._jac_blocks is None:
-            ws = ResponseWorkspace(self.base.basis, self.base.phi, self.occ)
+            ws = ResponseWorkspace.of(self.base)
             blocks = []
             for j in range(self.basis.n_fibers):
                 k = self.basis.k_points[j]
@@ -346,20 +346,26 @@ def micro_solve_perturbation(
         )
     tol_abs = max(tol * kp_norm, noise_floor)
 
-    psi_c = np.zeros(sb.n_pw, dtype=complex)
-
-    def residual(psi_c):
-        psi_f = SupercellField.from_coeffs(
+    def as_field(psi_c):
+        return SupercellField.from_coeffs(
             sb.micro.lattice, sb.factors, sb.coeffs_array(psi_c), real=True
         )
+
+    def residual(psi_c):
+        psi_f = as_field(psi_c)
         drho = solver.delta_density(psi_f)
         r = sb.q_norm2 * psi_c - kp_coeffs + sb.grid_to_coeffs(drho.values)
-        return r, psi_f
+        return r, psi_f, drho
 
     def rnorm(r):
         return float(np.sqrt(sb.lattice.volume * np.sum(np.abs(r) ** 2)))
 
-    r, psi_f = residual(psi_c)
+    # at psi = 0 the density difference is rho_tiled - rho_tiled = 0, so
+    # the residual is -kappa'_delta without a supercell density
+    psi_c = np.zeros(sb.n_pw, dtype=complex)
+    psi_f = as_field(psi_c)
+    drho = SupercellField(sb.micro.lattice, sb.factors, np.zeros(sb.fft_shape))
+    r = -kp_coeffs
     history = [rnorm(r)]
     converged = history[-1] <= tol_abs
     it = 0
@@ -373,21 +379,22 @@ def micro_solve_perturbation(
         accepted = False
         for _ in range(8):
             trial = psi_c - scale * step
-            r_new, psi_new = residual(trial)
+            r_new, psi_new, drho_new = residual(trial)
             if rnorm(r_new) < history[-1]:
                 accepted = True
                 break
             scale *= 0.5
         if not accepted:
-            # stagnation: accept if we are at the numerical floor of the
-            # density map, otherwise this is a genuine regime failure
+            # stagnation: accept the current iterate (and its density) if
+            # it is at the numerical floor of the density map, otherwise
+            # this is a genuine regime failure
             if history[-1] <= max(10.0 * noise_floor, 1e-6 * kp_norm):
                 converged = True
                 break
             raise RegimeViolationError(
                 "Newton stagnated even with damping; outside the screened regime"
             )
-        psi_c, r, psi_f = trial, r_new, psi_new
+        psi_c, r, psi_f, drho = trial, r_new, psi_new, drho_new
         history.append(rnorm(r))
         converged = history[-1] <= tol_abs
 
@@ -396,8 +403,8 @@ def micro_solve_perturbation(
             f"Newton did not reach {tol:.1e} relative residual in {max_iter} steps "
             f"(last {history[-1] / kp_norm:.3e})"
         )
-    # neutrality defect: mean of kappa'_delta minus mean of the induced density
-    drho = solver.delta_density(psi_f)
+    # neutrality defect: mean of kappa'_delta minus mean of the induced
+    # density at the accepted iterate
     defect = float(abs(kp.mean() - drho.mean()))
     # nonlinearity diagnostics: N(psi) = drho - M psi and its share of drho
     lin = solver.apply_jacobian(psi_c) - sb.q_norm2 * psi_c
@@ -497,7 +504,7 @@ def effective_coefficients(deformed: DeformedCrystal, coeffs):
     from .response import b_function
 
     base = deformed.base
-    ws = ResponseWorkspace(base.basis, base.phi, base.occ)
+    ws = ResponseWorkspace.of(base)
     kg = SupercellPWBasis(base.basis, deformed.factors).k_points
     delta = deformed.delta
     d = base.basis.d

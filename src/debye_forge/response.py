@@ -93,11 +93,22 @@ class ResponseWorkspace:
 
     @classmethod
     def from_crystal(cls, crystal):
+        """The crystal's workspace (`of`), refused when mu is not in a gap."""
         if getattr(crystal, "gap", None) is not None and not crystal.gap.in_gap:
             raise GaplessCrystalError(
                 "response coefficients require mu inside a spectral gap"
             )
-        return cls(crystal.basis, crystal.phi, crystal.occ)
+        return cls.of(crystal)
+
+    @classmethod
+    def of(cls, crystal):
+        """The one thermal-weight workspace of a crystal, built on first use
+        and kept on it, so every response fiber of the crystal (coefficients,
+        supercell Jacobians, effective coefficients) comes from one cache."""
+        ws = getattr(crystal, "response_ws", None)
+        if ws is None:
+            ws = crystal.response_ws = cls(crystal.basis, crystal.phi, crystal.occ)
+        return ws
 
     def _key(self, k):
         frac = np.atleast_1d(np.asarray(k, dtype=float)) @ np.linalg.inv(

@@ -77,6 +77,8 @@ class CrystalState:
     charge_history: list = field(default_factory=list)
     converged: bool = True
     dielectric_flag: bool = True
+    # the crystal's one ResponseWorkspace (`ResponseWorkspace.of`)
+    response_ws: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def eta(self):

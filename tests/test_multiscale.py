@@ -295,3 +295,58 @@ def test_mean_pinned_relative_to_gamma_block(tmp_path, amplitude):
     assert run_pipeline(parse_config(raw), {"crystal", "multiscale"}) == 0
     order = json.loads((tmp_path / "multiscale" / "order.json").read_text())
     assert order["l2_slope"] >= 1.8
+
+
+def test_newton_evaluates_each_density_once(monkeypatch):
+    """One supercell density for rho_tiled, then one per residual trial:
+    none at psi = 0 (that residual is -kappa'_delta) and no repeat of an
+    input (the accepted iterate's density feeds the diagnostics)."""
+    st = make_crystal()
+    inputs, trials = [], []
+    density = SupercellSolver.density
+    delta_density = SupercellSolver.delta_density
+
+    def counted_density(self, phi_field, return_eig=False):
+        inputs.append(np.asarray(phi_field.values).tobytes())
+        return density(self, phi_field, return_eig)
+
+    def counted_delta_density(self, psi):
+        trials.append(float(np.abs(psi.values).max()))
+        return delta_density(self, psi)
+
+    monkeypatch.setattr(SupercellSolver, "density", counted_density)
+    monkeypatch.setattr(SupercellSolver, "delta_density", counted_delta_density)
+    _, _, info = micro_solve_perturbation(build_deformed_kappa(st, 1 / 8, bump(8)))
+    assert info["iterations"] >= 1
+    assert len(trials) >= info["iterations"]
+    assert min(trials) > 0.0
+    assert len(inputs) == 1 + len(trials)
+    assert len(set(inputs)) == len(inputs)
+
+    inputs.clear()
+    micro_solve_perturbation(build_deformed_kappa(st, 1 / 8, bump(8, amplitude=0.0)))
+    assert inputs == []
+
+
+def test_multiscale_chain_diagonalizes_each_fiber_once(monkeypatch):
+    """Coefficients, the supercell Jacobian and the effective coefficients
+    of one crystal share its workspace: no momentum is diagonalised twice."""
+    from debye_forge import response as R
+
+    st = make_crystal(N=16)
+    seen = []
+    diagonalize = R.diagonalize_fiber
+
+    def counted(fiber):
+        seen.append(tuple(np.round(fiber.k, 12)))
+        return diagonalize(fiber)
+
+    monkeypatch.setattr(R, "diagonalize_fiber", counted)
+    ws = R.ResponseWorkspace.from_crystal(st)
+    assert R.ResponseWorkspace.of(st) is ws
+    for N in (8, 16):
+        coeffs = R.homogenized_coefficients(ws, 1 / N, st.eta0)
+        dc = build_deformed_kappa(st, 1 / N, bump(N))
+        micro_solve_perturbation(dc)
+        effective_coefficients(dc, coeffs)
+    assert len(seen) == len(set(seen))
