@@ -204,6 +204,9 @@ class SupercellSolver:
         self.basis = SupercellPWBasis(base.basis, factors)
         self.occ = base.occ
         self.phi_tiled = SupercellField.from_periodic(base.phi, self.basis.factors)
+        eps = np.finfo(float).eps
+        self._e_hi = self.occ.mu + self.occ.T * np.log(self.basis.n_pw / eps**2)
+        self.density_window = {"kept": 0, "of": self.basis.n_pw, "dropped_bound": 0.0}
         self._rho_ref = None
         self._jac_blocks = None
         self._jac_factor = None
@@ -225,13 +228,29 @@ class SupercellSolver:
         return H
 
     def density(self, phi_field: SupercellField, return_eig=False):
-        """Supercell density den[f_T(h^phi - mu)] at the base crystal's mu."""
+        """Supercell density den[f_T(h^phi - mu)] at the base crystal's mu.
+
+        The dense eigh gives every eigenpair; the grid transforms and the
+        occupation sum run over the ascending eigenpairs with e <= e_hi =
+        mu + T ln(n / eps^2) only (n the basis size, eps machine epsilon).
+        A dropped state has occupation below eps^2 / n and sum_n
+        |psi_n(x)|^2 = n / |Omega|, so the dropped density is at most
+        n f_T(e_first_dropped - mu) / |Omega| <= eps^2 / |Omega| pointwise.
+        `density_window` keeps the largest kept count and bound over the
+        calls. return_eig=True returns the full spectrum.
+        """
         H = self.hamiltonian(phi_field)
         evals, evecs = np.linalg.eigh(H)
-        occs = self.occ.occ(evals)
+        n = evals.size
+        kept = int(np.searchsorted(evals, self._e_hi, side="right"))
+        occs = self.occ.occ(evals[: kept + 1])
         vol = self.basis.lattice.volume
-        grids = self.basis.columns_to_grids(evecs)
-        dens = np.einsum("n,n...->...", occs, np.abs(grids) ** 2).real / vol
+        grids = self.basis.columns_to_grids(evecs[:, :kept])
+        dens = np.einsum("n,n...->...", occs[:kept], np.abs(grids) ** 2).real / vol
+        win = self.density_window
+        win["kept"] = max(win["kept"], kept)
+        if kept < n:
+            win["dropped_bound"] = max(win["dropped_bound"], float(n * occs[kept] / vol))
         rho = SupercellField(self.basis.micro.lattice, self.basis.factors, dens)
         if return_eig:
             return rho, (evals, evecs)
@@ -421,6 +440,7 @@ def micro_solve_perturbation(
         "neutrality_defect": defect,
         "nonlinearity_l2": nl_norm,
         "nonlinearity_share": nl_norm / max(drho_norm, 1e-300),
+        "density_window": dict(solver.density_window),
         "solver": solver,
     }
     phi_delta = solver.phi_tiled + psi_f

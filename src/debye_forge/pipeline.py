@@ -181,9 +181,16 @@ def run_response(cfg, state=None):
     kmax = rcfg["kmax"]
     nk = rcfg["ksamples"]
     d = state.basis.d
+    # the reciprocal axes, and for d >= 2 the diagonal of each pair of
+    # them, so that every k_i k_j column of the fit design is nonzero
+    axes = [w / np.linalg.norm(w) for w in wstar]
+    dirs = axes + [
+        (axes[i] + axes[j]) / np.linalg.norm(axes[i] + axes[j])
+        for i in range(d)
+        for j in range(i + 1, d)
+    ]
     samples = []
-    for i in range(d):
-        e = wstar[i] / np.linalg.norm(wstar[i])
+    for e in dirs:
         for x in kmax * np.geomspace(1.0 / 64.0, 1.0, nk):
             samples.append(x * e)
             samples.append(-x * e)

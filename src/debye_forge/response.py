@@ -74,7 +74,9 @@ class ResponseWorkspace:
 
     `weights` is the band-pair weight kernel of the pair contractions
     (M_k, rho', eps'): `thermal_weights`, or its T = 0 limit
-    `step_weights`.
+    `step_weights`. `pair_window` and `pair_window_bound` are the edge
+    of the occupied window of the fiber pair blocks and the bound on
+    what it drops (see `_pair_block`).
     """
 
     def __init__(self, basis: PlaneWaveBasis, phi: PeriodicField, occ: OccupationModel,
@@ -84,11 +86,13 @@ class ResponseWorkspace:
         self.occ = occ
         self.weights = weights
         self._cache = {}
+        self._window = None
 
     def with_weights(self, weights):
         """The same crystal and fiber cache under another weight kernel."""
         other = ResponseWorkspace(self.basis, self.phi, self.occ, weights)
         other._cache = self._cache
+        other._window = self._window
         return other
 
     @classmethod
@@ -134,6 +138,30 @@ class ResponseWorkspace:
     def gamma(self):
         return self.fiber(np.zeros(self.basis.d))
 
+    def _pair_window(self):
+        """(e_w, eps m / |Omega|) with e_w = mu + T ln(n_pw / (eps T m)) and
+        m the screening mass; (+inf, 0) when m underflows to 0."""
+        if self._window is None:
+            m = screening_mass_m(self)
+            eps = np.finfo(float).eps
+            T, vol = self.occ.T, self.basis.lattice.volume
+            if m > 0.0:
+                e_w = self.occ.mu + T * (np.log(self.basis.n_pw) - np.log(eps * T) - np.log(m))
+                self._window = (float(e_w), eps * m / vol)
+            else:
+                self._window = (np.inf, 0.0)
+        return self._window
+
+    @property
+    def pair_window(self):
+        """Edge e_w of the occupied window of the pair blocks."""
+        return self._pair_window()[0]
+
+    @property
+    def pair_window_bound(self):
+        """Bound eps m / |Omega| on any entry of the pairs a block drops."""
+        return self._pair_window()[1]
+
     def momentum_matrices(self, U):
         """(-i d_j) in the eigenbasis at the 0-fiber: U^dag diag(G_j) U."""
         return [
@@ -145,17 +173,37 @@ class ResponseWorkspace:
 def _pair_block(ws: ResponseWorkspace, e_row, U_row, e_col, U_col, wrap=None):
     """-(1/|Omega|) sum_nm f[e_row_n, e_col_m] * conj(A_Q) A_P as a matrix.
 
+    Only the pairs with a band in the occupied window e <= e_w =
+    ws.pair_window are contracted (eigenvalues ascending): the rows with
+    e_row <= e_w against every column, then the other rows against the
+    columns with e_col <= e_w. e_w = mu + T ln(n_pw / (eps T m)), with m
+    the screening mass and eps machine epsilon. A dropped pair has both
+    bands above e_w, so |f[e_n, e_m]| <= f_T(e_w - mu) / T, and since
+    sum_nm |A_P,nm|^2 <= n_pw every dropped entry sum is at most
+    n_pw f_T(e_w - mu) / (T |Omega|) <= eps m / |Omega| =
+    ws.pair_window_bound, the rounding level of M's constant column and
+    of b(0). Step weights vanish there exactly (e_w > mu). When m
+    underflows to 0, e_w = +inf and nothing is dropped.
+
     wrap is an integer reciprocal vector W: when the row fiber was folded
     back into the zone by -W, the density bucket at output mode P gathers
     the shift-tensor entries at P + W (zero outside the cutoff ball),
     which reproduces the supercell umklapp bookkeeping exactly.
     """
-    A = shift_overlap_tensor(ws.basis, U_row, U_col, offset=wrap)
-    D = ws.weights(1, e_row, e_col, ws.occ)
+    e_w = ws.pair_window
+    r = int(np.searchsorted(e_row, e_w, side="right"))
+    c = int(np.searchsorted(e_col, e_w, side="right"))
     n_pw = ws.basis.n_pw
-    B = A.reshape(n_pw, -1)
-    vol = ws.basis.lattice.volume
-    return -(B.conj() * D.ravel()[None, :]) @ B.T / vol
+    out = np.zeros((n_pw, n_pw), dtype=complex)
+    for rows, cols in ((slice(None, r), slice(None)), (slice(r, None), slice(None, c))):
+        U_r, U_c = U_row[:, rows], U_col[:, cols]
+        if U_r.shape[1] == 0 or U_c.shape[1] == 0:
+            continue
+        A = shift_overlap_tensor(ws.basis, U_r, U_c, offset=wrap)
+        D = ws.weights(1, e_row[rows], e_col[cols], ws.occ)
+        B = A.reshape(n_pw, -1)
+        out += (B.conj() * D.ravel()[None, :]) @ B.T
+    return -out / ws.basis.lattice.volume
 
 
 def m_fiber(ws: ResponseWorkspace, k):
@@ -177,6 +225,14 @@ def m_fiber_averaged(ws: ResponseWorkspace, k, k_grid):
     k_grid (for k = 0, of the SCF density itself). Row momenta leaving
     the zone are folded back and the pair block carries the umklapp
     relabelling, matching the supercell density map to round-off.
+
+    Truncation: each pair block contracts only the pairs with a band at
+    or below e_w = mu + T ln(n_pw / (eps T m)) (`ResponseWorkspace.
+    pair_window`); every entry of the result is off by at most
+    eps m / |Omega| (`pair_window_bound`), the rounding level of the
+    constant column. The supercell density map whose Jacobian this is
+    sums only the states with e <= mu + T ln(n / eps^2), a pointwise
+    error of at most eps^2 / |Omega| (`SupercellSolver.density`).
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     basis = ws.basis

@@ -269,3 +269,28 @@ def test_response_state_flag_override(tmp_path):
     # without --state the dependency is missing
     assert cli_main(["response", "--config", str(path)]) == 2
     assert cli_main(["response", "--config", str(path), "--state", str(moved)]) == 0
+
+
+def test_response_stage_2d(tmp_path):
+    """The 2D response stage samples b(k) along both axes and their
+    diagonal, so its fit design is full and eps_fit matches eps."""
+    cfg = {
+        "lattice": {"basis": [[6.283185307179586, 0.0], [0.0, 6.283185307179586]]},
+        "temperature": 0.05,
+        "ecut": 8.0,
+        "kgrid": [4, 4],
+        "crystal": {
+            "mode": "designer",
+            "potential": {"family": "cosine", "terms": [
+                {"n": [1, 0], "amplitude": 2.0}, {"n": [0, 1], "amplitude": 2.0}]},
+            "mu": "mid-gap",
+        },
+        "response": {"delta": 0.05, "kmax": 0.1, "ksamples": 16},
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(cfg))
+    for stage in ("crystal", "response"):
+        assert cli_main([stage, "--config", str(path)]) == 0, stage
+    res = load_json(tmp_path / "out" / "response" / "response.json")
+    assert np.abs(np.asarray(res["eps_fit"]) - np.asarray(res["eps"])).max() <= 1e-6

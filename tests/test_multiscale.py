@@ -97,6 +97,24 @@ class TestSupercellSolver:
         drho = sol.delta_density(zero)
         assert np.abs(drho.values).max() < 1e-13
 
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_windowed_density_against_full_eigh(self, N):
+        st = make_crystal(N=N)
+        sol = SupercellSolver(st, N)
+        sb = sol.basis
+        x = np.arange(sb.fft_shape[0]) * (2 * np.pi * N / sb.fft_shape[0])
+        psi = SupercellField(LAT, np.full(1, N), 0.05 * np.cos(x / N) + 0.02 * np.sin(3 * x / N))
+        phi = sol.phi_tiled + psi
+        got = sol.density(phi).values
+        evals, evecs = np.linalg.eigh(sol.hamiltonian(phi))
+        grids = sb.columns_to_grids(evecs)
+        full = np.einsum("n,n...->...", sol.occ.occ(evals), np.abs(grids) ** 2).real
+        full /= sb.lattice.volume
+        win = sol.density_window
+        assert win["of"] == sb.n_pw and 0 < win["kept"] < sb.n_pw
+        assert 0.0 < win["dropped_bound"] <= np.finfo(float).eps ** 2 / sb.lattice.volume
+        assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+
     def test_frozen_jacobian_matches_fd(self):
         # directions must be band-limited to the plane-wave ball: that is
         # the domain of the discretized unknown (the solver synthesizes
@@ -322,6 +340,8 @@ def test_newton_evaluates_each_density_once(monkeypatch):
     assert min(trials) > 0.0
     assert len(inputs) == 1 + len(trials)
     assert len(set(inputs)) == len(inputs)
+    win = info["density_window"]
+    assert 0 < win["kept"] < win["of"] and win["dropped_bound"] > 0.0
 
     inputs.clear()
     micro_solve_perturbation(build_deformed_kappa(st, 1 / 8, bump(8, amplitude=0.0)))

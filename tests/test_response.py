@@ -406,3 +406,47 @@ def test_eps_fit_converges_to_eigen_route_in_beta():
         gaps.append(abs(eps_fit - eps))
     assert gaps[1] < gaps[0]
     assert gaps[2] <= gaps[1] + 1e-9
+
+
+def _full_pair_block(ws, e_row, U_row, e_col, U_col, wrap=None):
+    """Every band pair contracted: the pair block before the window."""
+    A = shift_overlap_tensor(ws.basis, U_row, U_col, offset=wrap)
+    D = ws.weights(1, e_row, e_col, ws.occ)
+    B = A.reshape(ws.basis.n_pw, -1)
+    return -(B.conj() * D.ravel()[None, :]) @ B.T / ws.basis.lattice.volume
+
+
+class TestPairWindow:
+    # (row momentum, column momentum, umklapp): row 0.7 folded to -0.3
+    PAIRS = [([0.1], [0.05], None), ([-0.3], [0.4], np.array([1]))]
+
+    @pytest.mark.parametrize("weights", [R.thermal_weights, R.step_weights])
+    @pytest.mark.parametrize("beta", [5.0, 20.0, 40.0])
+    def test_window_against_full_contraction(self, beta, weights):
+        w = R.ResponseWorkspace(BASIS, PHI, OccupationModel(T=1 / beta, mu=MU), weights)
+        m = R.screening_mass_m(w)
+        eps = np.finfo(float).eps
+        assert w.pair_window == pytest.approx(
+            MU + np.log(BASIS.n_pw / (eps * m / beta)) / beta, rel=1e-14)
+        assert w.pair_window_bound == pytest.approx(eps * m / LAT.volume, rel=1e-14)
+        for k_row, k_col, wrap in self.PAIRS:
+            e_r, U_r = w.fiber(k_row)
+            e_c, U_c = w.fiber(k_col)
+            assert e_r[-1] > w.pair_window and e_c[-1] > w.pair_window  # pairs dropped
+            got = R._pair_block(w, e_r, U_r, e_c, U_c, wrap=wrap)
+            full = _full_pair_block(w, e_r, U_r, e_c, U_c, wrap=wrap)
+            assert np.abs(got - full).max() <= (
+                w.pair_window_bound + 1e-14 * np.abs(full).max())
+
+    def test_no_truncation_when_mass_underflows(self):
+        w = R.ResponseWorkspace(BASIS, PHI, OccupationModel(T=1e-4, mu=MU))
+        assert R.screening_mass_m(w) == 0.0
+        assert w.pair_window == np.inf and w.pair_window_bound == 0.0
+        for k_row, k_col, wrap in self.PAIRS:
+            e_r, U_r = w.fiber(k_row)
+            e_c, U_c = w.fiber(k_col)
+            got = R._pair_block(w, e_r, U_r, e_c, U_c, wrap=wrap)
+            assert np.array_equal(got, _full_pair_block(w, e_r, U_r, e_c, U_c, wrap=wrap))
+
+    def test_step_workspace_shares_the_window(self, ws):
+        assert ws.with_weights(R.step_weights).pair_window == ws.pair_window
