@@ -356,22 +356,19 @@ def micro_solve_perturbation(
     kp = deformed.kappa_prime_delta
     kp_coeffs = sb.grid_to_coeffs(kp.values)
     kp_norm = float(np.sqrt(sb.lattice.volume * np.sum(np.abs(kp_coeffs) ** 2)))
+    zero = SupercellField(sb.micro.lattice, sb.factors, np.zeros(sb.fft_shape))
     if kp_norm == 0.0:
-        psi = SupercellField(sb.micro.lattice, sb.factors, np.zeros(sb.fft_shape))
-        return solver.phi_tiled, psi, {"iterations": 0, "residuals": [0.0], "neutrality_defect": 0.0}
+        return solver.phi_tiled, zero, {"iterations": 0, "residuals": [0.0], "neutrality_defect": 0.0}
     if noise_floor is None:
         noise_floor = (
             4.0 * sb.n_pw * np.finfo(float).eps * (1.0 + solver.rho_tiled.l2_norm())
         )
     tol_abs = max(tol * kp_norm, noise_floor)
 
-    def as_field(psi_c):
-        return SupercellField.from_coeffs(
+    def residual(psi_c):
+        psi_f = SupercellField.from_coeffs(
             sb.micro.lattice, sb.factors, sb.coeffs_array(psi_c), real=True
         )
-
-    def residual(psi_c):
-        psi_f = as_field(psi_c)
         drho = solver.delta_density(psi_f)
         r = sb.q_norm2 * psi_c - kp_coeffs + sb.grid_to_coeffs(drho.values)
         return r, psi_f, drho
@@ -382,8 +379,7 @@ def micro_solve_perturbation(
     # at psi = 0 the density difference is rho_tiled - rho_tiled = 0, so
     # the residual is -kappa'_delta without a supercell density
     psi_c = np.zeros(sb.n_pw, dtype=complex)
-    psi_f = as_field(psi_c)
-    drho = SupercellField(sb.micro.lattice, sb.factors, np.zeros(sb.fft_shape))
+    psi_f = drho = zero
     r = -kp_coeffs
     history = [rnorm(r)]
     converged = history[-1] <= tol_abs
