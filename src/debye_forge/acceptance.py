@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .lattice import (
     SupercellField,
     monkhorst_pack,
 )
-from .occupation import OccupationModel
 from .scf import CrystalState, SCFConfig, designer_crystal, scf_solve
 
 
@@ -57,7 +56,6 @@ class MathieuContext:
         self.mu = float(0.5 * (hi[0] + lo[1]))
         self._bands = bands
         self._crystals = {}
-        self._workspaces = {}
 
     def crystal(self, beta, nk=None) -> CrystalState:
         key = (beta, nk or self.NK)
@@ -70,11 +68,7 @@ class MathieuContext:
         return self._crystals[key]
 
     def workspace(self, beta) -> R.ResponseWorkspace:
-        if beta not in self._workspaces:
-            self._workspaces[beta] = R.ResponseWorkspace(
-                self.basis, self.phi, OccupationModel(T=1.0 / beta, mu=self.mu)
-            )
-        return self._workspaces[beta]
+        return R.ResponseWorkspace.of(self.crystal(beta))
 
     def s_beta(self, beta):
         eta0 = self.crystal(beta).eta0
@@ -301,19 +295,20 @@ def crit_11_multiscale_order(ctx):
 
 def crit_12_nonlinearity_quadratic(ctx):
     """||N(t psi)||_L2 scales with slope 2.0 +- 0.1 over t in 1e-1..1e-4."""
-    from .multiscale import nonlinearity_N
+    from .multiscale import SupercellSolver, nonlinearity_N
 
     st = ctx.crystal(40, nk=8)
     N = 8
+    solver = SupercellSolver(st, N)
     shape = (ctx.basis.fft_shape[0] * N,)
     L = 2 * np.pi * N
     x = np.arange(shape[0]) / shape[0] * L
     psi_vals = 0.5 * np.cos(2 * np.pi * x / L) + 0.3 * np.sin(4 * np.pi * x / L)
     psi = SupercellField(ctx.lattice, np.full(1, N), psi_vals)
     ts = np.array([1e-1, 1e-2, 1e-3, 1e-4])
-    norms = np.array([nonlinearity_N(st, psi * t).l2_norm() for t in ts])
+    norms = np.array([nonlinearity_N(solver, psi * t).l2_norm() for t in ts])
     slope = float(np.polyfit(np.log(ts), np.log(norms), 1)[0])
-    n0 = nonlinearity_N(st, psi * 0.0).l2_norm()
+    n0 = nonlinearity_N(solver, psi * 0.0).l2_norm()
     ok = abs(slope - 2.0) <= 0.1 and n0 <= 1e-12
     return ok, f"log-log slope {slope:.3f} (2.0 +- 0.1), N(0) = {n0:.1e}"
 

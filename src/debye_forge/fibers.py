@@ -66,7 +66,7 @@ def _kmap(fn, items, threads=None):
 def _reduce_k_point(basis: PlaneWaveBasis, k):
     """Map k into the reciprocal cell (fractional coords in [-1/2, 1/2))."""
     wstar = basis.lattice.reciprocal
-    frac = np.atleast_1d(np.asarray(k, dtype=float)) @ np.linalg.inv(wstar)
+    frac = np.atleast_1d(np.asarray(k, dtype=float)) @ basis.lattice.reciprocal_inverse
     wrapped = frac - np.round(frac)
     # np.round sends 0.5 to 0, leaving +1/2; fold it to -1/2
     wrapped = np.where(wrapped >= 0.5 - 1e-12, wrapped - 1.0, wrapped)
@@ -247,7 +247,6 @@ def density_from_potential(
         acc += np.einsum("n,n...->...", occs, np.abs(grids) ** 2).real
     acc /= bands.nk * vol
     rho = PeriodicField.from_grid(basis, acc)
-    rho.band_tail = tail
     # pointwise positivity holds exactly for the summed grid values; the
     # ball-truncated field can ring slightly negative at coarse cutoffs
     rho.grid_min = float(acc.min())

@@ -105,7 +105,7 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def write_manifest(stage_dir, config_hash, outputs, timings, extra=None):
+def write_manifest(stage_dir, config_hash, outputs, timings):
     """Atomic manifest: input hash, versions, timings, output checksums.
 
     The manifest is written to a temporary file and renamed into place,
@@ -119,8 +119,6 @@ def write_manifest(stage_dir, config_hash, outputs, timings, extra=None):
         "timings_s": timings,
         "outputs": {os.path.basename(p): sha256_file(p) for p in outputs},
     }
-    if extra:
-        manifest.update(extra)
     tmp = os.path.join(stage_dir, ".manifest.json.tmp")
     dump_json(tmp, manifest)
     os.replace(tmp, os.path.join(stage_dir, "manifest.json"))

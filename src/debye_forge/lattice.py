@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "PeriodicField",
     "SupercellField",
     "reciprocal_lattice",
+    "centred_k_grid",
     "monkhorst_pack",
     "bloch_decompose",
     "bloch_reconstruct",
@@ -78,19 +80,24 @@ class Lattice:
             raise LatticeError("lattice basis must be a d x d matrix")
         if basis.shape[0] not in (1, 2, 3):
             raise LatticeError("dimension must be 1, 2 or 3")
-        basis = basis.copy()
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _read_only(basis.copy()))
 
     @property
     def d(self) -> int:
         return self.basis.shape[0]
 
-    @property
+    # computed on first use and kept: the basis is immutable, and the
+    # arrays are read-only so that no caller can change the cached copy
+    @cached_property
     def reciprocal(self) -> np.ndarray:
-        return reciprocal_lattice(self.basis)
+        return _read_only(reciprocal_lattice(self.basis))
 
-    @property
+    @cached_property
+    def reciprocal_inverse(self) -> np.ndarray:
+        """inv(reciprocal): cartesian momentum @ it = fractional coordinates."""
+        return _read_only(np.linalg.inv(self.reciprocal))
+
+    @cached_property
     def volume(self) -> float:
         return float(abs(np.linalg.det(self.basis)))
 
@@ -98,6 +105,11 @@ class Lattice:
         """Integer enlargement: row i scaled by factors[i] (>= 1)."""
         factors = supercell_factors(factors, self.d)
         return Lattice(self.basis * factors[:, None])
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def supercell_factors(factors, d):
@@ -200,7 +212,7 @@ class PlaneWaveBasis(GridTransforms):
 
         gmax2 = 2.0 * self.ecut
         # bounding box: |n_i| <= sqrt(2 ecut) / (shortest height of wstar)
-        inv_norms = np.linalg.norm(np.linalg.inv(wstar), axis=0)
+        inv_norms = np.linalg.norm(lattice.reciprocal_inverse, axis=0)
         nmax = np.maximum(1, np.ceil(np.sqrt(gmax2) * inv_norms).astype(int))
         ints, norms2 = [], []
         for n in itertools.product(*(range(-m, m + 1) for m in nmax)):
@@ -460,12 +472,6 @@ class SupercellField:
                 raise ValueError("grid not commensurate with the supercell factors")
 
     @classmethod
-    def zeros(cls, micro: Lattice, factors, per_cell_shape):
-        factors = supercell_factors(factors, micro.d)
-        shape = tuple(int(s * n) for s, n in zip(per_cell_shape, factors))
-        return cls(micro, factors, np.zeros(shape))
-
-    @classmethod
     def from_periodic(cls, field: PeriodicField, factors):
         """Tile a micro-periodic field over the supercell grid."""
         vals = field.values()
@@ -541,25 +547,30 @@ class SupercellField:
     __rmul__ = __mul__
 
 
+def centred_k_grid(lattice: Lattice, factors):
+    """The centred n-point grid per axis: integer offsets j in
+    [-floor(n/2), ceil(n/2)) in FFT order (0, 1, ..., then the negative
+    ones) and their cartesian momenta k = (j / n) @ W*.
+
+    Returns (j_ints, k_points), both of shape (prod(n), d); row 0 is k = 0.
+    """
+    factors = supercell_factors(factors, lattice.d)
+    axes = []
+    for n in factors:
+        j = np.arange(n)
+        axes.append(np.where(2 * j >= n, j - n, j))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    j_ints = np.stack([m.ravel() for m in mesh], axis=-1)
+    return j_ints, (j_ints / factors[None, :]) @ lattice.reciprocal
+
+
 def monkhorst_pack(lattice: Lattice, nk):
     """Uniform fractional k-grid including k = 0, mapped into [-1/2, 1/2).
 
     Returns cartesian k-points, shape (prod(nk), d). The point k = 0 is
     always present (required for the 0-fiber quantities).
     """
-    nk = np.atleast_1d(np.asarray(nk, dtype=int))
-    if nk.size == 1:
-        nk = np.full(lattice.d, int(nk.ravel()[0]))
-    wstar = lattice.reciprocal
-    axes = []
-    for n in nk:
-        j = np.arange(n)
-        frac = j / n
-        frac = np.where(frac >= 0.5, frac - 1.0, frac)
-        axes.append(frac)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    frac = np.stack([m.ravel() for m in mesh], axis=-1)
-    return frac @ wstar
+    return centred_k_grid(lattice, nk)[1]
 
 
 def bloch_decompose(f: SupercellField):
@@ -581,25 +592,9 @@ def bloch_decompose(f: SupercellField):
     basis = _fiber_basis(micro, per_shape)
     nfac = int(np.prod(factors))
 
-    wstar = micro.reciprocal
-    kfracs = []
-    for n in factors:
-        j = np.arange(n)
-        frac = j / n
-        frac = np.where(frac >= 0.5, frac - 1.0, frac)
-        kfracs.append(frac)
-    mesh = np.meshgrid(*kfracs, indexing="ij")
-    kfrac = np.stack([m.ravel() for m in mesh], axis=-1)
-    kkart = kfrac @ wstar
-
-    # supercell FFT integer index of G + k: m = G * N + j with the centered
-    # fiber offsets j matching the k-grid fractions in [-1/2, 1/2)
-    joffs = []
-    for n in factors:
-        j = np.arange(n)
-        joffs.append(np.where(j / n >= 0.5, j - n, j))
-    jmesh = np.meshgrid(*joffs, indexing="ij")
-    jlist = np.stack([m.ravel() for m in jmesh], axis=-1)
+    # supercell FFT integer index of G + k: m = G * N + j with the centred
+    # fiber offsets j of the k-grid
+    jlist, kkart = centred_k_grid(micro, factors)
 
     fibers = []
     for j in jlist:

@@ -22,10 +22,11 @@ from .lattice import (
     Lattice,
     PlaneWaveBasis,
     SupercellField,
+    centred_k_grid,
     lattice_index_table,
+    monkhorst_pack,
     supercell_factors,
 )
-from .occupation import OccupationModel
 from .response import ResponseWorkspace, m_fiber_averaged
 from .scf import CrystalState
 
@@ -38,6 +39,8 @@ __all__ = [
     "nonlinearity_N",
     "expansion_decompose",
 ]
+
+MAX_NEWTON_ITER = 60
 
 
 class RegimeViolationError(RuntimeError):
@@ -149,16 +152,9 @@ class SupercellPWBasis(GridTransforms):
         self.lattice = micro_basis.lattice.supercell(factors)
         d = micro_basis.d
 
-        joffsets = []
-        for n in factors:
-            j = np.arange(n)
-            j = np.where(j / n >= 0.5, j - n, j)
-            joffsets.append(j)
-        mesh = np.meshgrid(*joffsets, indexing="ij")
-        self.j_ints = np.stack([m.ravel() for m in mesh], axis=-1)  # (nfib, d)
+        self.j_ints, self.k_points = centred_k_grid(micro_basis.lattice, factors)  # (nfib, d)
         self.n_fibers = self.j_ints.shape[0]
         wstar_super = self.lattice.reciprocal
-        self.k_points = (self.j_ints / factors[None, :]) @ micro_basis.lattice.reciprocal
 
         g = micro_basis.g_ints
         self.q_ints = (
@@ -227,7 +223,7 @@ class SupercellSolver:
         H[np.diag_indices_from(H)] += self.basis.q_norm2
         return H
 
-    def density(self, phi_field: SupercellField, return_eig=False):
+    def density(self, phi_field: SupercellField):
         """Supercell density den[f_T(h^phi - mu)] at the base crystal's mu.
 
         The dense eigh gives every eigenpair; the grid transforms and the
@@ -237,7 +233,7 @@ class SupercellSolver:
         |psi_n(x)|^2 = n / |Omega|, so the dropped density is at most
         n f_T(e_first_dropped - mu) / |Omega| <= eps^2 / |Omega| pointwise.
         `density_window` keeps the largest kept count and bound over the
-        calls. return_eig=True returns the full spectrum.
+        calls.
         """
         H = self.hamiltonian(phi_field)
         evals, evecs = np.linalg.eigh(H)
@@ -251,10 +247,7 @@ class SupercellSolver:
         win["kept"] = max(win["kept"], kept)
         if kept < n:
             win["dropped_bound"] = max(win["dropped_bound"], float(n * occs[kept] / vol))
-        rho = SupercellField(self.basis.micro.lattice, self.basis.factors, dens)
-        if return_eig:
-            return rho, (evals, evecs)
-        return rho
+        return SupercellField(self.basis.micro.lattice, self.basis.factors, dens)
 
     def delta_density(self, psi: SupercellField):
         """rho(phi_per + psi) - rho(phi_per), the screening response."""
@@ -284,6 +277,14 @@ class SupercellSolver:
             sl = self.basis.fiber_slice(j)
             out[sl] = B @ coeffs[sl]
         return out
+
+    def nonlinearity(self, psi_c, drho: SupercellField):
+        """N(psi) = drho - M psi, the nonlinear part of the density response
+        to psi (basis coefficients psi_c, density difference drho), as an
+        array of supercell Fourier coefficients on the FFT grid. M psi comes
+        from the frozen Jacobian blocks."""
+        lin = self.apply_jacobian(psi_c) - self.basis.q_norm2 * psi_c  # M psi only
+        return drho.coeffs() - self.basis.coeffs_array(lin)
 
     def solve_jacobian(self, coeffs):
         """Solve (-Lap + M) d = rhs blockwise.
@@ -326,31 +327,21 @@ class SupercellSolver:
         return out
 
 
-def micro_solve_perturbation(
-    deformed: DeformedCrystal,
-    tol: float = 1e-10,
-    max_iter: int = 60,
-    full_relinearize: bool = False,
-    regime_warn=None,
-    noise_floor: float | None = None,
-):
+def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
     """Newton solve of -Lap psi = kappa'_delta - [rho(phi_per+psi) - rho_per].
 
     mu is held at mu_per throughout (screening, not the chemical
-    potential, absorbs the perturbation). The frozen block Jacobian
-    -Lap + M gives Newton-chord iterations; full re-linearization
-    (exact directional Jacobian at the current psi, solved iteratively
-    with the frozen blocks as preconditioner) is available behind a flag.
+    potential, absorbs the perturbation). The Jacobian is frozen at
+    psi = 0: the block Jacobian -Lap + M gives Newton-chord iterations,
+    damped by step halving, at most MAX_NEWTON_ITER of them.
 
     Convergence: residual <= tol * ||kappa'_delta|| whenever that is
     attainable. For very small sources the dense-eigensolver noise in
     the density difference sets an absolute floor (~n eps ||rho||); the
     solve is accepted at the floor, which is recorded in the info dict.
 
-    Returns (phi_delta, psi_micro, info).
+    Returns (phi_delta, psi_micro, info); info holds plain data only.
     """
-    if regime_warn:
-        warnings.warn(f"regime conditions violated: {regime_warn}")
     solver = SupercellSolver(deformed.base, deformed.factors)
     sb = solver.basis
     kp = deformed.kappa_prime_delta
@@ -359,10 +350,7 @@ def micro_solve_perturbation(
     zero = SupercellField(sb.micro.lattice, sb.factors, np.zeros(sb.fft_shape))
     if kp_norm == 0.0:
         return solver.phi_tiled, zero, {"iterations": 0, "residuals": [0.0], "neutrality_defect": 0.0}
-    if noise_floor is None:
-        noise_floor = (
-            4.0 * sb.n_pw * np.finfo(float).eps * (1.0 + solver.rho_tiled.l2_norm())
-        )
+    noise_floor = 4.0 * sb.n_pw * np.finfo(float).eps * (1.0 + solver.rho_tiled.l2_norm())
     tol_abs = max(tol * kp_norm, noise_floor)
 
     def residual(psi_c):
@@ -384,12 +372,9 @@ def micro_solve_perturbation(
     history = [rnorm(r)]
     converged = history[-1] <= tol_abs
     it = 0
-    while not converged and it < max_iter:
+    while not converged and it < MAX_NEWTON_ITER:
         it += 1
-        if full_relinearize:
-            step = _relinearized_step(solver, psi_f, r)
-        else:
-            step = solver.solve_jacobian(r)
+        step = solver.solve_jacobian(r)
         scale = 1.0
         accepted = False
         for _ in range(8):
@@ -415,19 +400,15 @@ def micro_solve_perturbation(
 
     if not converged:
         raise RegimeViolationError(
-            f"Newton did not reach {tol:.1e} relative residual in {max_iter} steps "
+            f"Newton did not reach {tol:.1e} relative residual in {MAX_NEWTON_ITER} steps "
             f"(last {history[-1] / kp_norm:.3e})"
         )
     # neutrality defect: mean of kappa'_delta minus mean of the induced
     # density at the accepted iterate
     defect = float(abs(kp.mean() - drho.mean()))
-    # nonlinearity diagnostics: N(psi) = drho - M psi and its share of drho
-    lin = solver.apply_jacobian(psi_c) - sb.q_norm2 * psi_c
-    nl = sb.grid_to_coeffs(drho.values) - lin
-    nl_norm = float(np.sqrt(sb.lattice.volume * np.sum(np.abs(nl) ** 2)))
-    drho_norm = float(
-        np.sqrt(sb.lattice.volume * np.sum(np.abs(sb.grid_to_coeffs(drho.values)) ** 2))
-    )
+    # nonlinearity diagnostics: N(psi) on the basis and its share of drho
+    nl_norm = rnorm(solver.nonlinearity(psi_c, drho).flat[sb._fft_pos])
+    drho_norm = rnorm(sb.grid_to_coeffs(drho.values))
     info = {
         "iterations": it,
         "residuals": history,
@@ -437,68 +418,23 @@ def micro_solve_perturbation(
         "nonlinearity_l2": nl_norm,
         "nonlinearity_share": nl_norm / max(drho_norm, 1e-300),
         "density_window": dict(solver.density_window),
-        "solver": solver,
     }
     phi_delta = solver.phi_tiled + psi_f
     return phi_delta, psi_f, info
 
 
-def _relinearized_step(solver: SupercellSolver, psi_f: SupercellField, r):
-    """Exact-Jacobian Newton step via a preconditioned iterative solve."""
-    import scipy.sparse.linalg as spl
-
-    sb = solver.basis
-    rho, (evals, evecs) = solver.density(solver.phi_tiled + psi_f, return_eig=True)
-    occm = solver.occ
-    from . import kernels
-
-    D = kernels.dd1_matrix(evals, evals, occm.T, occm.mu)
-
-    def apply_J(v):
-        v = np.asarray(v, dtype=complex)
-        Vf = SupercellField.from_coeffs(
-            sb.micro.lattice, sb.factors, sb.coeffs_array(v), real=False
-        )
-        W = sb.potential_matrix(Vf)
-        # dH = -W for h = -Lap - phi, so the density response carries a minus
-        C = D * (evecs.conj().T @ W @ evecs)
-        drho_mat = evecs @ C @ evecs.conj().T
-        dr = _den_supercell(sb, drho_mat)
-        return sb.q_norm2 * v - dr
-
-    n = sb.n_pw
-    J = spl.LinearOperator((n, n), matvec=apply_J, dtype=complex)
-    Minv = spl.LinearOperator((n, n), matvec=solver.solve_jacobian, dtype=complex)
-    step, ok = spl.lgmres(J, r, M=Minv, rtol=1e-10, atol=0.0, maxiter=50)
-    if ok != 0:
-        step = solver.solve_jacobian(r)
-    return step
-
-
-def _den_supercell(sb: SupercellPWBasis, B):
-    """Density coefficients of an operator matrix on the supercell basis."""
-    acc = np.zeros(sb.fft_shape, dtype=complex)
-    # accumulate B[i, j] onto Fourier bucket Q_i - Q_j
-    np.add.at(acc.ravel(), sb.diff_pos().ravel(), B.ravel())
-    acc /= sb.lattice.volume
-    return acc.flat[sb._fft_pos].copy()
-
-
-def nonlinearity_N(base: CrystalState, psi: SupercellField):
-    """N(psi) = [rho(phi_per+psi) - rho(phi_per)] - M psi on the supercell.
+def nonlinearity_N(solver: SupercellSolver, psi: SupercellField):
+    """N(psi) = [rho(phi_per+psi) - rho(phi_per)] - M psi on the solver's
+    supercell.
 
     Evaluated by full functional calculus (supercell diagonalization),
     not by the resolvent series; the linear part M psi uses the exact
-    zone-averaged Jacobian blocks, so N is quadratically small.
+    zone-averaged Jacobian blocks, so N is quadratically small. Calls on
+    one solver share its reference density and its Jacobian blocks.
     """
-    solver = SupercellSolver(base, psi.factors)
     sb = solver.basis
-    drho = solver.delta_density(psi)
-    psi_c = sb.grid_to_coeffs(psi.values)
-    lin = solver.apply_jacobian(psi_c) - sb.q_norm2 * psi_c  # M psi only
-    lin_arr = sb.coeffs_array(lin)
-    lin_field = SupercellField.from_coeffs(sb.micro.lattice, sb.factors, lin_arr, real=True)
-    return drho - lin_field
+    nl = solver.nonlinearity(sb.grid_to_coeffs(psi.values), solver.delta_density(psi))
+    return SupercellField.from_coeffs(sb.micro.lattice, sb.factors, nl, real=True)
 
 
 def effective_coefficients(deformed: DeformedCrystal, coeffs):
@@ -521,7 +457,7 @@ def effective_coefficients(deformed: DeformedCrystal, coeffs):
 
     base = deformed.base
     ws = ResponseWorkspace.of(base)
-    kg = SupercellPWBasis(base.basis, deformed.factors).k_points
+    kg = monkhorst_pack(base.basis.lattice, deformed.factors)
     delta = deformed.delta
     d = base.basis.d
     wstar = base.basis.lattice.reciprocal
@@ -530,20 +466,22 @@ def effective_coefficients(deformed: DeformedCrystal, coeffs):
         return b_function(ws, k, k_grid=kg)
 
     b0 = bavg(np.zeros(d))
-    eps_eff = np.zeros((d, d))
-    for i in range(d):
-        e = wstar[i] / np.linalg.norm(wstar[i])
+
+    def quadratic(e):
+        """k^2 coefficient of b(k e) - b(0), fitted by (k^2, k^4) at
+        k = delta / 2 and delta."""
         k1, k2 = 0.5 * delta, 1.0 * delta
         A = np.array([[k1**2, k1**4], [k2**2, k2**4]])
         rhs = [bavg(k1 * e) - b0, bavg(k2 * e) - b0]
-        eps_eff[i, i] = np.linalg.solve(A, rhs)[0]
+        return np.linalg.solve(A, rhs)[0]
+
+    axes = [w / np.linalg.norm(w) for w in wstar]
+    eps_eff = np.zeros((d, d))
+    for i in range(d):
+        eps_eff[i, i] = quadratic(axes[i])
     for i in range(d):
         for j in range(i + 1, d):
-            e = (wstar[i] / np.linalg.norm(wstar[i]) + wstar[j] / np.linalg.norm(wstar[j])) / np.sqrt(2)
-            k1, k2 = 0.5 * delta, 1.0 * delta
-            A = np.array([[k1**2, k1**4], [k2**2, k2**4]])
-            rhs = [bavg(k1 * e) - b0, bavg(k2 * e) - b0]
-            quad = np.linalg.solve(A, rhs)[0]
+            quad = quadratic((axes[i] + axes[j]) / np.sqrt(2))
             off = 0.5 * (2.0 * quad - eps_eff[i, i] - eps_eff[j, j])
             eps_eff[i, j] = eps_eff[j, i] = off
     out = _copy.copy(coeffs)

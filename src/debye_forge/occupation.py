@@ -54,9 +54,6 @@ class OccupationModel:
         """order-th derivative of f_T evaluated at eps - mu."""
         return _fermi(np.asarray(eps, dtype=float) - self.mu, self.T, order)
 
-    def with_mu(self, mu):
-        return OccupationModel(T=self.T, mu=mu)
-
 
 def _u_t(x):
     """Return (u, t) with t = tanh(x/2), u = s(1-s) for s = 1/(1+e^x).
@@ -110,15 +107,6 @@ def fermi_dirac(lam, occ: OccupationModel, order: int = 0):
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     return _fermi(lam, occ.T, order)
-
-
-def _sinhc(d):
-    """sinh(d)/d, accurate through d = 0."""
-    d = np.asarray(d, dtype=float)
-    small = np.abs(d) < 1e-8
-    safe = np.where(small, 1.0, d)
-    out = np.where(small, 1.0 + d * d / 6.0, np.sinh(safe) / safe)
-    return out
 
 
 def dd1(a, b, T, mu):

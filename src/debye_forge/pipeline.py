@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 
 import numpy as np
 
@@ -350,14 +351,12 @@ def run_multiscale(cfg, state=None, strict_regime=False):
         spec["amplitude"] = spec.get("amplitude", 0.05) * delta ** (3 - d)
         src = build_macro_source(box, shape, spec)
         deformed = build_deformed_kappa(state, delta, src)
-        warn = None
         if not all(regime_flags.values()):
-            warn = regime_flags
-        phid, psim, info = micro_solve_perturbation(deformed, regime_warn=warn)
-        info_out = {k: v for k, v in info.items() if k != "solver"}
+            warnings.warn(f"regime conditions violated: {regime_flags}")
+        phid, psim, info = micro_solve_perturbation(deformed)
         ceff = effective_coefficients(deformed, coeffs)
         rep = expansion_decompose(
-            deformed, psim, ceff, a_split=mcfg["split_a"], newton_info=info_out
+            deformed, psim, ceff, a_split=mcfg["split_a"], newton_info=info
         )
         jpath = os.path.join(out, f"multiscale_N{N}.json")
         dfio.dump_json(
@@ -370,7 +369,7 @@ def run_multiscale(cfg, state=None, strict_regime=False):
                 "eps_single_fiber": coeffs.eps,
                 "norms": rep.norms,
                 "momentum_split": rep.momentum_split,
-                "newton": info_out,
+                "newton": info,
                 "regime": regime_flags,
             },
         )
@@ -398,14 +397,6 @@ def run_multiscale(cfg, state=None, strict_regime=False):
     dfio.write_manifest(out, config_hash(cfg), files, {"multiscale": timer.elapsed()})
     return slope
 
-
-STAGES = {
-    "crystal": run_crystal,
-    "bands": run_bands,
-    "response": run_response,
-    "macro": run_macro,
-    "multiscale": run_multiscale,
-}
 
 _ORDER = ["crystal", "bands", "response", "macro", "multiscale"]
 

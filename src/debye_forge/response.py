@@ -30,6 +30,7 @@ from .fibers import (
     contour_quadrature,
     den_coefficients,
     diagonalize_fiber,
+    potential_matrix,
     shift_overlap_tensor,
     _shift_table,
 )
@@ -115,9 +116,7 @@ class ResponseWorkspace:
         return ws
 
     def _key(self, k):
-        frac = np.atleast_1d(np.asarray(k, dtype=float)) @ np.linalg.inv(
-            self.basis.lattice.reciprocal
-        )
+        frac = np.atleast_1d(np.asarray(k, dtype=float)) @ self.basis.lattice.reciprocal_inverse
         return tuple(np.round(frac, 12))
 
     def fiber(self, k):
@@ -236,7 +235,7 @@ def m_fiber_averaged(ws: ResponseWorkspace, k, k_grid):
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     basis = ws.basis
-    winv = np.linalg.inv(basis.lattice.reciprocal)
+    winv = basis.lattice.reciprocal_inverse
     acc = None
     for q in np.atleast_2d(k_grid):
         q_row = q + k
@@ -645,13 +644,6 @@ def homogenized_coefficients(ws, delta, eta0) -> HomogenizedCoefficients:
 # Contour-quadrature route (cross-check, not the hot path)
 
 
-def _resolvent_pair(ws, k):
-    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
-    Hk = assemble_fiber(ws.basis, ws.phi, k).matrix
-    eye = np.eye(ws.basis.n_pw)
-    return H0, Hk, eye
-
-
 def den_from_matrix(basis: PlaneWaveBasis, B):
     """Fourier coefficients of den[B]: d(Q) = |Omega|^{-1} sum_G B[G+Q, G]."""
     tab = _shift_table(basis)
@@ -663,8 +655,10 @@ def den_from_matrix(basis: PlaneWaveBasis, B):
 def m_fiber_apply_contour(ws, k, w: PeriodicField, tol=1e-10):
     """Contour-quadrature evaluation of M_k w (dual route to m_fiber)."""
     ws = _as_workspace(ws)
-    H0, Hk, eye = _resolvent_pair(ws, k)
-    W = _mult_matrix(ws.basis, w)
+    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
+    Hk = assemble_fiber(ws.basis, ws.phi, k).matrix
+    eye = np.eye(ws.basis.n_pw)
+    W = potential_matrix(w)
     e0, _ = ws.gamma
     ek, _ = ws.fiber(k)
     spectrum = np.concatenate([e0, ek])
@@ -678,15 +672,10 @@ def m_fiber_apply_contour(ws, k, w: PeriodicField, tol=1e-10):
     return PeriodicField(ws.basis, -val, realness=False), err
 
 
-def _mult_matrix(basis, w: PeriodicField):
-    from .fibers import potential_matrix
-
-    return potential_matrix(w)
-
-
 def rho_prime_contour(ws, tol=1e-10):
     ws = _as_workspace(ws)
-    H0, _, eye = _resolvent_pair(ws, np.zeros(ws.basis.d))
+    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
+    eye = np.eye(ws.basis.n_pw)
     e0, _ = ws.gamma
     Pmats = [np.diag(ws.basis.g_cart[:, j]) for j in range(ws.basis.d)]
 
@@ -703,7 +692,8 @@ def rho_prime_contour(ws, tol=1e-10):
 
 def epsilon_prime_contour(ws, tol=1e-10):
     ws = _as_workspace(ws)
-    H0, _, eye = _resolvent_pair(ws, np.zeros(ws.basis.d))
+    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
+    eye = np.eye(ws.basis.n_pw)
     e0, _ = ws.gamma
     d = ws.basis.d
     vol = ws.basis.lattice.volume

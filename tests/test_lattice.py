@@ -11,6 +11,7 @@ from debye_forge.lattice import (
     apply_inverse_laplacian,
     bloch_decompose,
     bloch_reconstruct,
+    centred_k_grid,
     inner,
     low_momentum_project,
     monkhorst_pack,
@@ -283,6 +284,28 @@ def test_monkhorst_contains_gamma():
     k = monkhorst_pack(lat, [4, 3])
     assert np.min(np.einsum("ij,ij->i", k, k)) < 1e-14
     assert k.shape == (12, 2)
+
+
+def test_reciprocal_basis_computed_once_and_read_only():
+    lat = Lattice(np.array([[1.0, 0.3], [-0.2, 1.4]]))
+    assert lat.reciprocal is lat.reciprocal
+    assert np.array_equal(lat.reciprocal, reciprocal_lattice(lat.basis))
+    assert np.array_equal(lat.reciprocal_inverse, np.linalg.inv(lat.reciprocal))
+    for a in (lat.reciprocal, lat.reciprocal_inverse):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12])
+def test_centred_k_grid_offsets(n):
+    lat = Lattice(np.array([[1.0, 0.3], [-0.2, 1.4]]))
+    j, k = centred_k_grid(lat, [n, 2])
+    axis = j[::2, 0]
+    # FFT order: 0, 1, ..., then the negative offsets
+    assert list(axis) == [int(x) for x in np.fft.fftfreq(n, 1.0 / n)]
+    assert axis.min() == -(n // 2) and axis.max() == (n + 1) // 2 - 1
+    assert np.array_equal(k, (j / np.array([n, 2])) @ lat.reciprocal)
+    assert np.array_equal(monkhorst_pack(lat, [n, 2]), k)
 
 
 def test_inner_product_convention(basis1d):

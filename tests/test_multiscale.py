@@ -183,8 +183,8 @@ class TestMicroSolve:
             st = make_crystal(beta=5.0, N=N)
             src = bump(N, amplitude=0.02, width=0.3, mean_free=False)
             dc = build_deformed_kappa(st, 1.0 / N, src)
-            _, psim, info = micro_solve_perturbation(dc)
-            solver = info["solver"]
+            _, psim, _ = micro_solve_perturbation(dc)
+            solver = SupercellSolver(st, N)
             drho = solver.delta_density(psim)
             added = dc.kappa_prime_delta.mean() * dc.kappa_prime_delta.volume
             induced = drho.mean() * drho.volume
@@ -216,7 +216,7 @@ class TestMicroSolve:
         st = make_crystal()
         dc = build_deformed_kappa(st, 1 / 8, bump(8, amplitude=0.01))
         phid, psim, info = micro_solve_perturbation(dc, tol=1e-11)
-        solver = info["solver"]
+        solver = SupercellSolver(st, 8)
         sb = solver.basis
         psi_c = sb.grid_to_coeffs(psim.values)
         res = (
@@ -227,20 +227,37 @@ class TestMicroSolve:
         rnorm = np.sqrt(sb.lattice.volume * np.sum(np.abs(res) ** 2))
         assert rnorm < 1e-9
 
-    def test_full_relinearization_agrees(self):
+    def test_info_is_plain_data(self):
         st = make_crystal()
         dc = build_deformed_kappa(st, 1 / 8, bump(8, amplitude=0.01))
-        _, psi1, _ = micro_solve_perturbation(dc, tol=1e-11)
-        _, psi2, _ = micro_solve_perturbation(dc, tol=1e-11, full_relinearize=True)
-        scale = np.abs(psi1.values).max()
-        assert np.abs(psi1.values - psi2.values).max() < 1e-8 * scale
+        _, _, info = micro_solve_perturbation(dc)
+        assert json.loads(json.dumps(info)) == info
+        assert {"iterations", "relative_residual", "noise_floor"} <= set(info)
 
 
 class TestNonlinearity:
+    def test_one_solver_one_reference_density(self, monkeypatch):
+        """k calls on one solver: one density for rho_tiled, one per call."""
+        st = make_crystal()
+        solver = SupercellSolver(st, 8)
+        calls = []
+        density = SupercellSolver.density
+
+        def counted(self, phi_field):
+            calls.append(1)
+            return density(self, phi_field)
+
+        monkeypatch.setattr(SupercellSolver, "density", counted)
+        x = np.arange(BASIS.fft_shape[0] * 8) * (2 * np.pi / BASIS.fft_shape[0])
+        psi = SupercellField(LAT, np.full(1, 8), 0.05 * np.cos(x / 8))
+        for t in (1.0, 0.1, 0.01):
+            nonlinearity_N(solver, psi * t)
+        assert len(calls) == 1 + 3
+
     def test_zero_input(self):
         st = make_crystal()
         psi = SupercellField(LAT, np.full(1, 8), np.zeros(BASIS.fft_shape[0] * 8))
-        assert nonlinearity_N(st, psi).l2_norm() < 1e-13
+        assert nonlinearity_N(SupercellSolver(st, 8), psi).l2_norm() < 1e-13
 
     def test_quadratic_scaling(self):
         st = make_crystal()
@@ -251,7 +268,8 @@ class TestNonlinearity:
             LAT, np.full(1, N), 0.4 * np.cos(2 * np.pi * x / L) + 0.2 * np.sin(4 * np.pi * x / L)
         )
         ts = np.array([1e-1, 1e-2, 1e-3])
-        norms = [nonlinearity_N(st, psi * t).l2_norm() for t in ts]
+        solver = SupercellSolver(st, N)
+        norms = [nonlinearity_N(solver, psi * t).l2_norm() for t in ts]
         slope = np.polyfit(np.log(ts), np.log(norms), 1)[0]
         assert abs(slope - 2.0) < 0.1
 
@@ -261,8 +279,8 @@ class TestNonlinearity:
         L = 2 * np.pi * N
         x = np.arange(BASIS.fft_shape[0] * N) / (BASIS.fft_shape[0] * N) * L
         psi = SupercellField(LAT, np.full(1, N), 0.05 * np.cos(2 * np.pi * x / L))
-        nl = nonlinearity_N(st, psi)
         solver = SupercellSolver(st, N)
+        nl = nonlinearity_N(solver, psi)
         sb = solver.basis
         drho = solver.delta_density(psi)
         psi_c = sb.grid_to_coeffs(psi.values)
@@ -324,9 +342,9 @@ def test_newton_evaluates_each_density_once(monkeypatch):
     density = SupercellSolver.density
     delta_density = SupercellSolver.delta_density
 
-    def counted_density(self, phi_field, return_eig=False):
+    def counted_density(self, phi_field):
         inputs.append(np.asarray(phi_field.values).tobytes())
-        return density(self, phi_field, return_eig)
+        return density(self, phi_field)
 
     def counted_delta_density(self, psi):
         trials.append(float(np.abs(psi.values).max()))
