@@ -349,7 +349,19 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
     kp_norm = float(np.sqrt(sb.lattice.volume * np.sum(np.abs(kp_coeffs) ** 2)))
     zero = SupercellField(sb.micro.lattice, sb.factors, np.zeros(sb.fft_shape))
     if kp_norm == 0.0:
-        return solver.phi_tiled, zero, {"iterations": 0, "residuals": [0.0], "neutrality_defect": 0.0}
+        # psi = 0 solves the equation exactly and no supercell density
+        # enters its residual, so no eigensolver noise floor either
+        info = {
+            "iterations": 0,
+            "residuals": [0.0],
+            "relative_residual": 0.0,
+            "noise_floor": 0.0,
+            "neutrality_defect": 0.0,
+            "nonlinearity_l2": 0.0,
+            "nonlinearity_share": 0.0,
+            "density_window": dict(solver.density_window),
+        }
+        return solver.phi_tiled, zero, info
     noise_floor = 4.0 * sb.n_pw * np.finfo(float).eps * (1.0 + solver.rho_tiled.l2_norm())
     tol_abs = max(tol * kp_norm, noise_floor)
 

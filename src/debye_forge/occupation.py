@@ -5,26 +5,39 @@ coefficients) is functional calculus of
 
     f_T(lam) = 1 / (exp(lam / T) + 1),
 
-so this module centralizes f_T, its derivatives, and first/second/third
-divided differences with stable evaluation near coalescing nodes.
-Derivatives are expressed through t = tanh(lam / 2T), which is
-overflow-safe for |lam|/T up to and beyond 1e4.
+so this module centralizes f_T, its derivatives of every order and one
+divided-difference kernel. Derivatives are expressed through
+t = tanh(lam / 2T), which is overflow-safe for |lam|/T up to and beyond
+1e4.
+
+The kernel `dd(k, a, b, T, mu)` is f[a, ..., a, b] with a repeated k = 1,
+2 or 3 times. k = 1 is a closed form, exact at every node separation.
+For k = 2, 3 there is one threshold, |b - a| < TAYLOR_RADIUS * T: below
+it the Taylor series of f_T about a is summed, which has no cancellation
+(McCurdy, Ng and Parlett, Math. Comp. 43, 501 (1984)); above it one
+recursion step on k - 1 loses at most about eps / TAYLOR_RADIUS^2
+relative to T^-k. `divided_difference` uses the same closed form,
+threshold and series for any 2 to 4 nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
 __all__ = [
     "OccupationModel",
     "fermi_dirac",
+    "dd",
     "divided_difference",
-    "step_dd1",
-    "step_dd2",
-    "step_dd3",
+    "step_dd",
 ]
+
+# node spread, in units of T, below which divided differences of order >= 2
+# are summed from the Taylor series of f_T instead of recursed
+TAYLOR_RADIUS = 0.5
 
 
 @dataclass(frozen=True)
@@ -69,34 +82,53 @@ def _u_t(x):
     return u, t
 
 
-def _fermi(lam, T, order):
-    """Derivatives of f(lam) = 1/(exp(lam/T)+1) via tanh identities.
+def _q_table(n):
+    """Power-series coefficients in t of q_1, ..., q_n, lowest power first.
 
-    All orders reduce to polynomials in u = s(1-s), t = 1-2s = tanh(x/2):
-        f    = (1 - t)/2
-        f'   = -u/T
-        f''  = u t / T^2
-        f''' = -u (1 - 6u) / T^3
-        f4   = u t (1 - 12u) / T^4
-        f5   = u (-1 + 30u - 120u^2) / T^5
+    f_T^(j) = u q_j(t) / T^j, and q_1 = -1, q_(j+1) = -t q_j + (1 - t^2)
+    q_j' / 2, from du/dx = -t u and dt/dx = 2u.
     """
+    table = [np.array([-1.0])]
+    while len(table) < n:
+        q = table[-1]
+        dq = q[1:] * np.arange(1, len(q))  # q'
+        nxt = np.zeros(len(q) + 1)
+        nxt[1:] -= q  # -t q
+        nxt[: len(dq)] += 0.5 * dq  # + q' / 2
+        nxt[2:] -= 0.5 * dq  # - t^2 q' / 2
+        table.append(nxt)
+    return table
+
+
+# derivative orders 1..32; the divided-difference series needs at most 25
+_Q = _q_table(32)
+
+
+def _q(order, t):
+    """q_order(t) by Horner in t^2: q_j is even in t for odd j and odd for
+    even j, so q_1 = -1 and q_2 = t come out exact."""
+    c = _Q[order - 1][(order + 1) % 2 :: 2]
+    acc, t2 = c[-1], t * t
+    for ci in c[-2::-1]:
+        acc = acc * t2 + ci
+    return acc * t if order % 2 == 0 else acc
+
+
+def _fermi(lam, T, order):
+    """Derivative of order `order` >= 0 of f(lam) = 1/(exp(lam/T)+1).
+
+    f = s = 1/(1+e^x) itself is evaluated from exp(-|x|); for j >= 1,
+    f^(j) = u q_j(t) / T^j with x = lam/T (f' = -u/T, f'' = u t / T^2).
+    """
+    if not 0 <= order <= len(_Q):
+        raise ValueError(f"unsupported derivative order {order}")
     x = np.asarray(lam, dtype=float) / T
-    u, t = _u_t(x)
     if order == 0:
         em = np.exp(-np.abs(x))
         s_pos = em / (1.0 + em)  # value for x >= 0
         return np.where(x >= 0, s_pos, 1.0 - s_pos)
-    if order == 1:
-        return -u / T
-    if order == 2:
-        return u * t / T**2
-    if order == 3:
-        return -u * (1.0 - 6.0 * u) / T**3
-    if order == 4:
-        return u * t * (1.0 - 12.0 * u) / T**4
-    if order == 5:
-        return u * (-1.0 + 30.0 * u - 120.0 * u * u) / T**5
-    raise ValueError(f"unsupported derivative order {order}")
+    u, t = _u_t(x)
+    return u * _q(order, t) / T**order
 
 
 def fermi_dirac(lam, occ: OccupationModel, order: int = 0):
@@ -109,7 +141,7 @@ def fermi_dirac(lam, occ: OccupationModel, order: int = 0):
     return _fermi(lam, occ.T, order)
 
 
-def dd1(a, b, T, mu):
+def _dd1(a, b, T, mu):
     """First divided difference f[a, b] of f_T(. - mu).
 
     Uses the cancellation-free closed form
@@ -120,8 +152,6 @@ def dd1(a, b, T, mu):
     which is exact for all node separations (the d -> 0 limit is
     f_T'(a - mu)) and overflow-safe via exponent combination.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     al = (a - mu) / (2.0 * T)
     be = (b - mu) / (2.0 * T)
     d = al - be
@@ -145,55 +175,63 @@ def dd1(a, b, T, mu):
     return -(1.0 / T) * sinhc_scaled / ((1.0 + ea) * (1.0 + eb))
 
 
-def dd2(a, b, T, mu, tau=None):
-    """Confluent second divided difference f[a, a, b] of f_T(. - mu).
+def _taylor_dd(center, offsets, T, mu):
+    """f[center + d_0, ..., center + d_n] of f_T(. - mu) by its Taylor series.
 
-    a and b broadcast; below the coalescence threshold tau the Taylor
-    expansion around a is used (f''/2 + f''' h/6 + f4 h^2/24 + f5 h^3/120).
+    f[...] = sum_{j >= n} f^(j)(center)/j! h_(j-n)(d_0, ..., d_n), with
+    h_m the complete homogeneous symmetric polynomial of degree m, which
+    holds every confluent limit. The poles of f_T nearest the real axis
+    are pi T away, so |f^(j)| T^j / j! <~ 2 / pi^(j+1) and the terms fall
+    like r^m, r = max|d| / (pi T) <= TAYLOR_RADIUS / pi; the sum stops
+    once r^m < 1e-17 (at most 22 terms past the leading one).
+    """
+    n = len(offsets) - 1
+    r = max(float(np.max(np.abs(d), initial=0.0)) for d in offsets) / (np.pi * T)
+    terms = int(np.ceil(np.log(1e-17) / np.log(r))) if r > 0 else 0
+    u, t = _u_t((center - mu) / T)
+    # h_m(d / T), m = 0..terms, one node at a time: h_m += y h_(m-1)
+    hm = [1.0] + [0.0] * terms
+    for d in offsets:
+        y = d / T
+        for m in range(1, terms + 1):
+            hm[m] = hm[m] + y * hm[m - 1]
+    total = 0.0
+    for m in range(terms, -1, -1):  # smallest terms first
+        total = total + _q(n + m, t) / factorial(n + m) * hm[m]
+    return u * total / T**n
+
+
+def dd(k, a, b, T, mu):
+    """f[a, ..., a, b] of f_T(. - mu), a repeated k in {1, 2, 3} times.
+
+    a and b broadcast. k = 1 is the closed form; for k >= 2 the Taylor
+    series about a is summed where |b - a| < TAYLOR_RADIUS * T, and
+    elsewhere the recursion f[a x j, b] = (f[a x (j-1), b] - f^(j-1)(a)/(j-1)!)
+    / (b - a) runs up from the closed form.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if tau is None:
-        tau = 1e-6 * max(T, 1.0)
-    h = b - a
-    small = np.abs(h) < tau
-    safe = np.where(small, 1.0, h)
-    direct = (dd1(a, b, T, mu) - _fermi(a - mu, T, 1)) / safe
-    am = a - mu
-    taylor = (
-        0.5 * _fermi(am, T, 2)
-        + _fermi(am, T, 3) * h / 6.0
-        + _fermi(am, T, 4) * h * h / 24.0
-        + _fermi(am, T, 5) * h**3 / 120.0
-    )
-    return np.where(small, taylor, direct)
-
-
-def dd3(a, b, T, mu, tau=None):
-    """Confluent third divided difference f[a, a, a, b] of f_T(. - mu)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if tau is None:
-        tau = 1e-6 * max(T, 1.0)
-    h = b - a
-    small = np.abs(h) < tau
-    safe = np.where(small, 1.0, h)
-    direct = (dd2(a, b, T, mu, tau=tau) - 0.5 * _fermi(a - mu, T, 2)) / safe
-    am = a - mu
-    taylor = (
-        _fermi(am, T, 3) / 6.0
-        + _fermi(am, T, 4) * h / 24.0
-        + _fermi(am, T, 5) * h * h / 120.0
-    )
-    return np.where(small, taylor, direct)
+    out = _dd1(a, b, T, mu)
+    if k == 1:
+        return out
+    h = np.asarray(b - a)
+    near = np.abs(h) < TAYLOR_RADIUS * T
+    safe = np.where(near, 1.0, h)
+    for j in range(1, k):
+        out = (out - _fermi(a - mu, T, j) / factorial(j)) / safe
+    out = np.asarray(out)
+    if near.any():
+        out[near] = _taylor_dd(np.broadcast_to(a, h.shape)[near], [0.0] * k + [h[near]], T, mu)
+    return out
 
 
 def divided_difference(occ: OccupationModel, nodes):
     """Divided difference of f_T(. - mu) over 2 to 4 energy nodes.
 
-    Symmetric in its arguments; coalescing nodes fall back to the
-    confluent (Hermite) limits through the threshold tau_dd
-    = 1e-6 * max(T, 1).
+    Symmetric in its arguments. Two nodes use the closed form of `dd`;
+    more nodes recurse on the sorted set, except that a set spread less
+    than TAYLOR_RADIUS * T is summed from the Taylor series of `dd`,
+    which holds the confluent limits.
     """
     nodes = [float(x) for x in nodes]
     if not all(np.isfinite(nodes)):
@@ -201,62 +239,28 @@ def divided_difference(occ: OccupationModel, nodes):
     if not 2 <= len(nodes) <= 4:
         raise ValueError("need between 2 and 4 nodes")
     T, mu = occ.T, occ.mu
-    tau = 1e-6 * max(T, 1.0)
 
     def rec(ns):
-        n = len(ns)
-        if n == 1:
-            return float(_fermi(ns[0] - mu, T, 0))
-        lo, hi = ns[0], ns[-1]
-        if abs(hi - lo) >= tau:
-            return (rec(ns[:-1]) - rec(ns[1:])) / (lo - hi)
-        # all nodes within tau of each other after sorting: confluent limit
-        m = sum(ns) / n
-        if n == 2:
-            h = ns[0] - ns[1]
-            return float(
-                _fermi(m - mu, T, 1) + _fermi(m - mu, T, 3) * h * h / 24.0
-            )
-        if n == 3:
-            return float(0.5 * _fermi(m - mu, T, 2))
-        return float(_fermi(m - mu, T, 3) / 6.0)
+        if len(ns) == 2:
+            return float(_dd1(ns[0], ns[1], T, mu))
+        if ns[-1] - ns[0] < TAYLOR_RADIUS * T:
+            return float(_taylor_dd(ns[0], [x - ns[0] for x in ns], T, mu))
+        return (rec(ns[:-1]) - rec(ns[1:])) / (ns[0] - ns[-1])
 
     return rec(sorted(nodes))
 
 
-# T = 0 limit: f_T replaced by the step function chi_(-inf, mu).
-# Only cross-gap node pairs contribute; confluent limits vanish away
-# from the step, so no coalescence handling is needed for gapped input.
+def step_dd(order, a, b, mu):
+    """f[a, ..., a, b] (a repeated `order` times) for the T = 0 occupation.
 
-
-def step_dd1(a, b, mu):
-    """First divided difference of chi_(-inf, mu): 1/(a-b) across the gap."""
+    f_T is replaced by the step function chi_(-inf, mu): only node pairs
+    across mu contribute, (-1)^(order-1) (f_a - f_b) / (a - b)^order, and
+    confluent limits vanish away from the step, so gapped input needs no
+    coalescence handling.
+    """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     fa = (a < mu).astype(float)
     fb = (b < mu).astype(float)
-    diff = a - b
     cross = fa != fb
-    safe = np.where(cross, diff, 1.0)
-    return np.where(cross, (fa - fb) / safe, 0.0)
-
-
-def step_dd2(a, b, mu):
-    """f[a, a, b] for the step function: -sign/(a-b)^2 across the gap."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    fa = (a < mu).astype(float)
-    fb = (b < mu).astype(float)
-    diff = a - b
-    cross = fa != fb
-    safe = np.where(cross, diff, 1.0)
-    return np.where(cross, -(fa - fb) / safe**2, 0.0)
-
-
-def step_dd3(a, b, mu):
-    """f[a, a, a, b] for the step function: sign/(a-b)^3 across the gap."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    fa = (a < mu).astype(float)
-    fb = (b < mu).astype(float)
-    diff = a - b
-    cross = fa != fb
-    safe = np.where(cross, diff, 1.0)
-    return np.where(cross, (fa - fb) / safe**3, 0.0)
+    safe = np.where(cross, a - b, 1.0)
+    return np.where(cross, (-1) ** (order - 1) * (fa - fb) / safe**order, 0.0)

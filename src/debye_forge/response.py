@@ -35,7 +35,7 @@ from .fibers import (
     _shift_table,
 )
 from .lattice import PeriodicField, PlaneWaveBasis
-from .occupation import OccupationModel, step_dd1, step_dd2, step_dd3
+from .occupation import OccupationModel, step_dd
 
 __all__ = [
     "ResponseWorkspace",
@@ -48,7 +48,6 @@ __all__ = [
     "epsilon_matrix",
     "b_function",
     "fit_b_expansion",
-    "feshbach_ell",
     "nu_and_regime",
     "epsilon_zero_temperature",
 ]
@@ -66,8 +65,7 @@ def thermal_weights(order, a, b, occ: OccupationModel):
 
 def step_weights(order, a, b, occ: OccupationModel):
     """T = 0 limit of `thermal_weights`: f_T replaced by the indicator of e < mu."""
-    dd = (step_dd1, step_dd2, step_dd3)[order - 1]
-    return dd(np.asarray(a)[:, None], np.asarray(b)[None, :], occ.mu)
+    return step_dd(order, np.asarray(a)[:, None], np.asarray(b)[None, :], occ.mu)
 
 
 class ResponseWorkspace:
@@ -249,54 +247,6 @@ def m_fiber_averaged(ws: ResponseWorkspace, k, k_grid):
         blk = _pair_block(ws, e_r, U_r, e_c, U_c, wrap=wrap)
         acc = blk if acc is None else acc + blk
     return acc / len(np.atleast_2d(k_grid))
-
-
-@dataclass
-class ResponseOperator:
-    """Tabulated response fibers M_k on a response k-grid.
-
-    Carries the assembly metadata: per-fiber Hermiticity defects, the
-    smallest eigenvalue of M_0 relative to its norm, and divided-
-    difference statistics (fraction of eigenvalue pairs inside the
-    coalescence window, where the Taylor limit is used).
-    """
-
-    k_grid: np.ndarray
-    fibers: list
-    hermiticity_defects: list
-    m0_min_eigenvalue: float
-    m0_norm: float
-    dd_coalescent_fraction: float
-
-    @classmethod
-    def assemble(cls, crystal, k_grid):
-        ws = ResponseWorkspace.from_crystal(crystal)
-        k_grid = np.atleast_2d(np.asarray(k_grid, dtype=float))
-        fibers, defects = [], []
-        for k in k_grid:
-            M = m_fiber(ws, k)
-            defect = float(np.abs(M - M.conj().T).max())
-            if defect > 1e-10 * max(1.0, float(np.abs(M).max())):
-                raise RuntimeError(f"fiber at k={k} lost Hermiticity: {defect:.2e}")
-            fibers.append(M)
-            defects.append(defect)
-        M0 = m_fiber(ws, np.zeros(ws.basis.d))
-        lam = float(np.linalg.eigvalsh(M0).min())
-        norm = float(np.linalg.norm(M0, 2))
-        if lam < -1e-10 * norm:
-            raise RuntimeError(f"M_0 lost positivity: lambda_min = {lam:.2e}")
-        e0, _ = ws.gamma
-        tau = 1e-6 * max(ws.occ.T, 1.0)
-        pair_gaps = np.abs(e0[:, None] - e0[None, :])
-        frac = float(np.mean(pair_gaps < tau))
-        return cls(
-            k_grid=k_grid,
-            fibers=fibers,
-            hermiticity_defects=defects,
-            m0_min_eigenvalue=lam,
-            m0_norm=norm,
-            dd_coalescent_fraction=frac,
-        )
 
 
 def screening_density_V(ws) -> PeriodicField:
@@ -536,25 +486,6 @@ def _b_fit(ws, k_samples):
         return b0, eps_fit, quartic_residual
 
     return ks, solve
-
-
-def feshbach_ell(ws, delta, r, k_samples):
-    """Low-momentum symbol table ell(k) = delta^{-2} b(delta k), |k| <= r.
-
-    Requires a = delta * r to keep B(delta r) inside the reciprocal
-    cell of the micro lattice.
-    """
-    ws = _as_workspace(ws)
-    a = delta * r
-    wstar = ws.basis.lattice.reciprocal
-    if a > 0.5 * np.min(np.linalg.norm(wstar, axis=1)):
-        raise ValueError("a = delta*r too large: ball B(delta r) exceeds the cell")
-    table = {}
-    for k in np.atleast_2d(np.asarray(k_samples, dtype=float)):
-        if np.linalg.norm(k) > r * (1 + 1e-12):
-            continue
-        table[tuple(k)] = delta**-2 * b_function(ws, delta * k)
-    return table
 
 
 @dataclass

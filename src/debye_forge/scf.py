@@ -15,7 +15,7 @@ import numpy as np
 
 from .fibers import BandStructure, GapReport, compute_bands, density_from_potential, spectral_gap
 from .lattice import PeriodicField, PlaneWaveBasis
-from .occupation import OccupationModel
+from .occupation import OccupationModel, _fermi
 
 __all__ = [
     "SCFConfig",
@@ -131,11 +131,7 @@ def solve_chemical_potential(
         )
 
     def charge(mu):
-        x = (evals - mu) / T
-        ax = np.abs(x)
-        em = np.exp(-ax)
-        s = np.where(x >= 0, em / (1 + em), 1 / (1 + em))
-        return float(np.mean(np.sum(s, axis=1)))
+        return float(np.mean(np.sum(_fermi(evals - mu, T, 0), axis=1)))
 
     tol = rel_tol * target_charge
     margin = T * np.log(max(n_states / tol, 10.0))

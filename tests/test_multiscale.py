@@ -234,6 +234,17 @@ class TestMicroSolve:
         assert json.loads(json.dumps(info)) == info
         assert {"iterations", "relative_residual", "noise_floor"} <= set(info)
 
+    def test_zero_source_info_has_the_same_keys(self):
+        st = make_crystal()
+        _, _, info = micro_solve_perturbation(build_deformed_kappa(st, 1 / 8, bump(8)))
+        _, _, info0 = micro_solve_perturbation(
+            build_deformed_kappa(st, 1 / 8, bump(8, amplitude=0.0))
+        )
+        assert set(info0) == set(info)
+        assert json.loads(json.dumps(info0)) == info0
+        assert info0["relative_residual"] == info0["nonlinearity_l2"] == 0.0
+        assert info0["density_window"]["of"] == info["density_window"]["of"]
+
 
 class TestNonlinearity:
     def test_one_solver_one_reference_density(self, monkeypatch):

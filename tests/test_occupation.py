@@ -6,9 +6,7 @@ from debye_forge.occupation import (
     OccupationModel,
     divided_difference,
     fermi_dirac,
-    step_dd1,
-    step_dd2,
-    step_dd3,
+    step_dd,
 )
 
 mp = pytest.importorskip("mpmath")
@@ -84,6 +82,19 @@ class TestFermi:
                 got = float(fermi_dirac(lam, OccupationModel(T=T, mu=0.0), order))
                 assert got == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
+    def test_higher_derivatives_match_mpmath(self):
+        # orders past the ones fermi_dirac exposes come from the same
+        # recurrence; the Taylor branch of the divided differences sums them
+        T = 0.07
+        occ = OccupationModel(T=T, mu=0.0)
+        for lam in (0.0, 0.03, -0.35, 1.2):
+            for order in (3, 4, 5, 8):
+                ref = float(
+                    mp.diff(lambda x: 1 / (mp.exp(x / T) + 1), mp.mpf(lam), order)
+                )
+                got = float(occ.occ_deriv(lam, order))
+                assert got == pytest.approx(ref, rel=1e-12, abs=1e-14 * T**-order)
+
 
 class TestDividedDifference:
     occ = OccupationModel(T=0.025, mu=0.2)
@@ -121,10 +132,21 @@ class TestDividedDifference:
         assert got == pytest.approx(ref, rel=2e-7, abs=tol_abs)
 
     def test_near_coalescent_extended_precision(self):
-        # near-coalescent nodes at the documented threshold scale
+        # two near-coalescent nodes go through the closed form
         got = divided_difference(self.occ, [0.3, 0.300001])
         ref = mp_dd([0.3, 0.300001], self.occ.T, self.occ.mu)
-        assert abs(got - ref) <= 1e-8 * abs(ref)
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("h", [0.0, 2e-9, -4e-4, 0.01, -0.3])
+    def test_coalescing_node_sets_against_mpmath(self, h):
+        # repeated nodes [a, a, b] and [a, a, a, b], inside and outside the
+        # Taylor radius 0.5 T = 0.0125
+        a = 0.21
+        for nodes in ([a, a, a + h], [a, a, a, a + h]):
+            got = divided_difference(self.occ, nodes)
+            ref = mp_dd(nodes, self.occ.T, self.occ.mu)
+            k = len(nodes) - 1
+            assert abs(got - ref) <= 1e-12 * max(abs(ref), 1e-3 * self.occ.T**-k)
 
     def test_node_validation(self):
         with pytest.raises(ValueError):
@@ -137,22 +159,22 @@ class TestStepWeights:
     mu = 0.0
 
     def test_same_side_vanishes(self):
-        assert step_dd1(-1.0, -0.5, self.mu) == 0.0
-        assert step_dd2(1.0, 0.5, self.mu) == 0.0
-        assert step_dd3(-1.0, -2.0, self.mu) == 0.0
+        assert step_dd(1, -1.0, -0.5, self.mu) == 0.0
+        assert step_dd(2, 1.0, 0.5, self.mu) == 0.0
+        assert step_dd(3, -1.0, -2.0, self.mu) == 0.0
 
     def test_cross_gap_values(self):
         a, b = -0.5, 1.5
-        assert step_dd1(a, b, self.mu) == pytest.approx(1.0 / (a - b))
-        assert step_dd2(a, b, self.mu) == pytest.approx(-1.0 / (a - b) ** 2)
-        assert step_dd3(a, b, self.mu) == pytest.approx(1.0 / (a - b) ** 3)
+        assert step_dd(1, a, b, self.mu) == pytest.approx(1.0 / (a - b))
+        assert step_dd(2, a, b, self.mu) == pytest.approx(-1.0 / (a - b) ** 2)
+        assert step_dd(3, a, b, self.mu) == pytest.approx(1.0 / (a - b) ** 3)
 
     def test_zero_temperature_is_fermi_limit(self):
         a, b = -0.8, 0.9
         for beta in (200.0, 400.0):
             occ = OccupationModel(T=1.0 / beta, mu=self.mu)
             v = divided_difference(occ, [a, b])
-            assert v == pytest.approx(step_dd1(a, b, self.mu), rel=1e-10)
+            assert v == pytest.approx(step_dd(1, a, b, self.mu), rel=1e-10)
 
 
 def test_temperature_must_be_positive():

@@ -292,30 +292,18 @@ class TestBFunction:
 
 
 class TestFeshbachEll:
+    # the low-momentum symbol ell(k) = delta^-2 b(delta k)
+    delta = 1.0 / 8.0
+
     def test_ell_chain(self, ws):
-        delta = 1.0 / 8.0
-        r = 2.0
-        ks = np.array([[0.0], [0.5], [1.0], [2.0]])
-        table = R.feshbach_ell(ws, delta, r, ks)
-        nu = R.nu_and_regime(ws, delta, eta0=0.8)["nu"]
-        assert table[(0.0,)] == pytest.approx(nu, rel=1e-12)
-        direct = delta**-2 * R.b_function(ws, [delta * 1.0])
-        assert table[(1.0,)] == pytest.approx(direct, rel=1e-12)
-
-    def test_delta_one_reduces_to_b(self, ws):
-        table = R.feshbach_ell(ws, 1.0, 0.2, np.array([[0.1]]))
-        assert table[(0.1,)] == pytest.approx(R.b_function(ws, [0.1]), rel=1e-12)
-
-    def test_ball_outside_cell_refused(self, ws):
-        with pytest.raises(ValueError, match="ball"):
-            R.feshbach_ell(ws, 1.0, 10.0, np.array([[0.1]]))
+        nu = R.nu_and_regime(ws, self.delta, eta0=0.8)["nu"]
+        ell0 = self.delta**-2 * R.b_function(ws, [0.0])
+        assert ell0 == pytest.approx(nu, rel=1e-12)
 
     def test_ell_lower_bound_scan(self, ws):
-        delta, r = 1.0 / 8.0, 3.0
-        ks = np.array([[x] for x in np.linspace(0.2, 3.0, 8)])
-        table = R.feshbach_ell(ws, delta, r, ks)
-        for (k,), val in table.items():
-            assert val >= (1 - 1e-6) * k**2
+        for k in np.linspace(0.2, 3.0, 8):
+            ell = self.delta**-2 * R.b_function(ws, [self.delta * k])
+            assert ell >= (1 - 1e-6) * k**2
 
 
 class TestRegime:
@@ -367,29 +355,6 @@ class TestRegime:
 
         with pytest.raises(R.GaplessCrystalError):
             R.ResponseWorkspace.from_crystal(FakeCrystal())
-
-
-class TestResponseOperator:
-    def test_assembly_with_metadata(self, ws):
-        from debye_forge.fibers import compute_bands, spectral_gap
-        from debye_forge.occupation import OccupationModel
-        from debye_forge.scf import CrystalState, construct_dielectric_kappa
-
-        T = 1 / 20
-        kappa, rho = construct_dielectric_kappa(PHI, MU, T, KGRID)
-        bands = compute_bands(BASIS, PHI, KGRID)
-        crystal = CrystalState(
-            basis=BASIS, k_points=KGRID, kappa=kappa, rho=rho, phi=PHI, mu=MU,
-            occ=OccupationModel(T=T, mu=MU), bands=bands,
-            gap=spectral_gap(bands, MU),
-        )
-        kg = np.array([[0.0], [0.05], [-0.05], [0.1]])
-        op = R.ResponseOperator.assemble(crystal, kg)
-        assert len(op.fibers) == 4
-        assert op.m0_min_eigenvalue >= -1e-10 * op.m0_norm
-        assert max(op.hermiticity_defects) < 1e-12
-        assert 0.0 <= op.dd_coalescent_fraction < 0.5
-        assert np.abs(op.fibers[0] - R.m_fiber(ws, [0.0])).max() < 1e-15
 
 
 def test_eps_fit_converges_to_eigen_route_in_beta():
