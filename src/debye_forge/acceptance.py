@@ -57,15 +57,12 @@ class MathieuContext:
         self._bands = bands
         self._crystals = {}
 
-    def crystal(self, beta, nk=None) -> CrystalState:
-        key = (beta, nk or self.NK)
-        if key not in self._crystals:
-            kgrid = self.kgrid if nk is None else monkhorst_pack(self.lattice, nk)
-            bands = self._bands if nk is None else None
-            self._crystals[key] = designer_crystal(
-                self.phi, self.mu, 1.0 / beta, kgrid, bands=bands
+    def crystal(self, beta) -> CrystalState:
+        if beta not in self._crystals:
+            self._crystals[beta] = designer_crystal(
+                self.phi, self.mu, 1.0 / beta, self.kgrid, bands=self._bands
             )
-        return self._crystals[key]
+        return self._crystals[beta]
 
     def workspace(self, beta) -> R.ResponseWorkspace:
         return R.ResponseWorkspace.of(self.crystal(beta))
@@ -99,8 +96,7 @@ def crit_02_charge_conservation(ctx):
 
 def crit_03_m_positivity(ctx):
     """lambda_min(M_0) >= -1e-10 ||M_0||."""
-    ws = ctx.workspace(40)
-    M0 = R.m_fiber(ws, np.zeros(1))
+    M0 = ctx.workspace(40).m0
     lam = float(np.linalg.eigvalsh(M0).min())
     norm = float(np.linalg.norm(M0, 2))
     return lam >= -1e-10 * norm, f"lambda_min = {lam:.2e}, ||M_0|| = {norm:.2e}"
@@ -113,7 +109,7 @@ def crit_04_jacobian_identity(ctx):
 
     ws = ctx.workspace(40)
     basis = ctx.basis
-    M0 = R.m_fiber(ws, np.zeros(1))
+    M0 = ws.m0
     occ = ws.occ
     kgamma = np.zeros((1, 1))
     rng = np.random.default_rng(7)
@@ -164,8 +160,7 @@ def crit_06_b0_identity(ctx):
     b0 = R.b_function(ws, np.zeros(1))
     m = R.screening_mass_m(ws)
     V = R.screening_density_V(ws)
-    M0 = R.m_fiber(ws, np.zeros(1))
-    sol = R._kbar_solve(ws, M0, V.coeffs)
+    sol = R._kbar_solve(ws, ws.m0, V.coeffs)
     closed = m / ctx.lattice.volume - np.vdot(V.coeffs, sol).real
     rel = abs(b0 - closed) / abs(b0)
     even = max(
@@ -256,40 +251,22 @@ def crit_10_macro_pb(ctx):
 def crit_11_multiscale_order(ctx):
     """d = 1, beta = 40, delta in {1/8, 1/16, 1/32}: remainder L2 slope in
     [1.7, 2.5] and ||phi_rem|| < ||delta psi(delta .)|| at delta = 1/32."""
-    from .macro import gaussian_source
-    from .multiscale import (
-        build_deformed_kappa,
-        effective_coefficients,
-        expansion_decompose,
-        micro_solve_perturbation,
-    )
+    from .multiscale import multiscale_sweep
 
     t0 = time.perf_counter()
-    box = Lattice(ctx.lattice.basis.copy())
-    rows = {}
-    for N in (8, 16, 32):
-        st = ctx.crystal(40, nk=N)
-        ws = R.ResponseWorkspace.of(st)
-        coeffs = R.homogenized_coefficients(ws, 1.0 / N, st.eta0)
-        amp = 0.05 / N**2  # the 1D harness keeps the cubic deformation scaling
-        src = gaussian_source(
-            box, (ctx.basis.fft_shape[0] * N,), center=[np.pi], width=0.35,
-            amplitude=amp, mean_free=True,
-        )
-        deformed = build_deformed_kappa(st, 1.0 / N, src)
-        _, psim, info = micro_solve_perturbation(deformed)
-        ceff = effective_coefficients(deformed, coeffs)
-        rep = expansion_decompose(deformed, psim, ceff, newton_info=info)
-        rows[N] = rep.norms
-    ds = np.array([1 / 8, 1 / 16, 1 / 32])
-    rem = np.array([rows[8]["rem_l2"], rows[16]["rem_l2"], rows[32]["rem_l2"]])
-    slope = float(np.polyfit(np.log(ds), np.log(rem), 1)[0])
-    sub = rows[32]["rem_l2"] < rows[32]["macro_term_l2"]
+    # a mean-free Gaussian of amplitude 0.05 delta^2 (the sweep keeps the
+    # cubic deformation scaling) centred in the cell
+    spec = {"family": "gaussian", "center": [np.pi], "width": 0.35, "amplitude": 0.05,
+            "mean_free": True}
+    sweep = multiscale_sweep(ctx.crystal(40), [1 / 8, 1 / 16, 1 / 32], spec)
+    slope = sweep.l2_slope
+    last = sweep.reports[-1].norms
+    sub = last["rem_l2"] < last["macro_term_l2"]
     runtime = time.perf_counter() - t0
     ok = 1.7 <= slope <= 2.5 and sub and runtime < 600.0
     return ok, (
         f"L2 slope {slope:.3f} (in [1.7, 2.5]), rem/macro at 1/32 = "
-        f"{rows[32]['rem_l2'] / rows[32]['macro_term_l2']:.3e} (< 1), {runtime:.0f}s (< 600s)"
+        f"{last['rem_l2'] / last['macro_term_l2']:.3e} (< 1), {runtime:.0f}s (< 600s)"
     )
 
 
@@ -297,9 +274,8 @@ def crit_12_nonlinearity_quadratic(ctx):
     """||N(t psi)||_L2 scales with slope 2.0 +- 0.1 over t in 1e-1..1e-4."""
     from .multiscale import SupercellSolver, nonlinearity_N
 
-    st = ctx.crystal(40, nk=8)
     N = 8
-    solver = SupercellSolver(st, N)
+    solver = SupercellSolver(ctx.crystal(40), N)
     shape = (ctx.basis.fft_shape[0] * N,)
     L = 2 * np.pi * N
     x = np.arange(shape[0]) / shape[0] * L

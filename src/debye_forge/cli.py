@@ -69,7 +69,6 @@ def build_parser():
         "--delta-list", help="comma-separated scale ratios (e.g. 0.125,0.0625)"
     )
     v = sub.add_parser("verify", help="run the acceptance suite")
-    v.add_argument("--config", help="unused; accepted for symmetry")
     v.add_argument("--quick", action="store_true", help="skip the slow criteria")
     return parser
 

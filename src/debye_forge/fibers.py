@@ -32,7 +32,7 @@ __all__ = [
     "spectral_gap",
     "contour_quadrature",
     "shift_overlap_tensor",
-    "den_coefficients",
+    "den_from_matrix",
 ]
 
 
@@ -89,6 +89,14 @@ def _shift_table(basis: PlaneWaveBasis):
     if tab is None:
         tab = basis._shift_tab = basis.index_table(basis.g_ints, basis.g_ints)
     return tab
+
+
+def den_from_matrix(basis: PlaneWaveBasis, B):
+    """Fourier coefficients of den[B]: d(Q) = |Omega|^{-1} sum_G B[G+Q, G]."""
+    tab = _shift_table(basis)
+    pad = np.vstack([B, np.zeros((1, B.shape[1]), dtype=B.dtype)])
+    picked = pad[tab, np.arange(basis.n_pw)[None, :]]
+    return picked.sum(axis=1) / basis.lattice.volume
 
 
 def potential_matrix(phi: PeriodicField):
@@ -262,9 +270,10 @@ def shift_overlap_tensor(basis: PlaneWaveBasis, U_row, U_col, offset=None):
     """A[p, n, m] = sum_G conj(U_row[G + G_p + offset, n]) U_col[G, m].
 
     This is (U_row^dagger S_{p+offset} U_col) for the translation-in-
-    Fourier operator S, the building block of density contractions: the
-    density coefficients of U_row C U_col^dagger are
-    den_hat(G_p) = (1/|Omega|) sum_{nm} conj(A[p,n,m]) C[n,m].
+    Fourier operator S, the building block of the pair-block
+    contractions: the density coefficients of U_row C U_col^dagger are
+    den_hat(G_p) = (1/|Omega|) sum_{nm} conj(A[p,n,m]) C[n,m], which
+    `den_from_matrix` forms without the tensor.
     The integer `offset` shifts every slot (umklapp bookkeeping for
     zone-wrapped fiber pairs); slots whose shifted index leaves the
     cutoff ball gather only the ball-interior overlaps that remain.
@@ -283,13 +292,6 @@ def shift_overlap_tensor(basis: PlaneWaveBasis, U_row, U_col, offset=None):
     pad = np.vstack([U_row, np.zeros((1, U_row.shape[1]), dtype=U_row.dtype)])
     rows = pad[tab]  # (n_pw, n_pw, nb): rows[p, g] = U_row[G_g + G_p (+ off)]
     return np.matmul(rows.conj().transpose(0, 2, 1), U_col)
-
-
-def den_coefficients(basis: PlaneWaveBasis, A, C):
-    """Fourier coefficients of den[U_row C U_col^dagger] given A from
-    shift_overlap_tensor: (1/|Omega|) sum_nm conj(A[p,n,m]) C[n,m]."""
-    vol = basis.lattice.volume
-    return np.einsum("pnm,nm->p", A.conj(), C) / vol
 
 
 def _contour_nodes(segments, n_per):

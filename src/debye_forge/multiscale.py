@@ -13,7 +13,7 @@ density map at psi = 0).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,11 +33,13 @@ from .scf import CrystalState
 __all__ = [
     "DeformedCrystal",
     "MultiscaleReport",
+    "MultiscaleSweep",
     "SupercellSolver",
     "build_deformed_kappa",
     "micro_solve_perturbation",
     "nonlinearity_N",
     "expansion_decompose",
+    "multiscale_sweep",
 ]
 
 MAX_NEWTON_ITER = 60
@@ -45,26 +47,6 @@ MAX_NEWTON_ITER = 60
 
 class RegimeViolationError(RuntimeError):
     pass
-
-
-def _resample_values(values, new_shape):
-    """Fourier resampling between commensurate periodic grids (exact for
-    band-limited data)."""
-    values = np.asarray(values)
-    if values.shape == tuple(new_shape):
-        return values.copy()
-    c = np.fft.fftn(np.asarray(values, dtype=complex)) / values.size
-    out = np.zeros(new_shape, dtype=complex)
-    for idx, val in np.ndenumerate(c):
-        if val == 0.0:
-            continue
-        freq = tuple(
-            i if i <= s // 2 else i - s for i, s in zip(idx, values.shape)
-        )
-        if all(-(n // 2) <= f <= (n - 1) // 2 for f, n in zip(freq, new_shape)):
-            out[tuple(np.mod(freq, new_shape))] = val
-    res = np.fft.ifftn(out) * np.prod(new_shape)
-    return res.real if np.isrealobj(values) else res
 
 
 @dataclass
@@ -90,10 +72,11 @@ def build_deformed_kappa(base: CrystalState, delta: float, kappa_prime) -> Defor
         base: converged periodic crystal.
         delta: scale ratio 1/N with integer N (commensurate supercells).
         kappa_prime: macro perturbation profile, a SupercellField on the
-            macro box delta * (N Omega) (a smooth Gaussian-family bump;
-            its non-constant part must decay below 1e-8 of its amplitude
-            at the box boundary, otherwise the periodic supercell
-            truncates it and the build is refused).
+            macro box delta * (N Omega), sampled on the supercell grid (the
+            micro FFT grid times N per axis; another grid is refused). A
+            smooth Gaussian-family bump: its non-constant part must decay
+            below 1e-8 of its amplitude at the box boundary, otherwise the
+            periodic supercell truncates it and the build is refused.
     """
     N = 1.0 / delta
     if abs(N - round(N)) > 1e-12:
@@ -121,10 +104,12 @@ def build_deformed_kappa(base: CrystalState, delta: float, kappa_prime) -> Defor
                 f"{spread:.3e} vs peak-to-peak {amp:.3e}"
             )
 
-    per_shape = basis.fft_shape
-    super_shape = tuple(int(s * N) for s in per_shape)
-    kp_vals = _resample_values(kp.values, super_shape)
-    kp_delta = SupercellField(basis.lattice, factors, delta**d * kp_vals)
+    super_shape = tuple(int(s * N) for s in basis.fft_shape)
+    if vals.shape != super_shape:
+        raise ValueError(
+            f"kappa' grid {vals.shape} is not the supercell grid {super_shape}"
+        )
+    kp_delta = SupercellField(basis.lattice, factors, delta**d * vals)
     kappa_tiled = SupercellField.from_periodic(base.kappa, factors)
     kappa_delta = kappa_tiled + kp_delta
     return DeformedCrystal(
@@ -169,10 +154,6 @@ class SupercellPWBasis(GridTransforms):
         )
         self._diff_pos = None
 
-    def fiber_slice(self, j):
-        n = self.micro.n_pw
-        return slice(j * n, (j + 1) * n)
-
     def diff_pos(self):
         """(n_pw, n_pw) flat FFT positions of Q_i - Q_j, built once."""
         if self._diff_pos is None:
@@ -205,7 +186,7 @@ class SupercellSolver:
         self.density_window = {"kept": 0, "of": self.basis.n_pw, "dropped_bound": 0.0}
         self._rho_ref = None
         self._jac_blocks = None
-        self._jac_factor = None
+        self._jac_pinned = None
 
     @property
     def rho_tiled(self):
@@ -257,26 +238,21 @@ class SupercellSolver:
     # -- frozen block Jacobian ------------------------------------------
 
     def jacobian_blocks(self):
-        """Per-fiber dense blocks of -Lap + M at psi = 0 (exact Jacobian)."""
+        """(n_fibers, n_pw, n_pw) stack of the per-fiber dense blocks of
+        -Lap + M at psi = 0 (exact Jacobian), in fiber order."""
         if self._jac_blocks is None:
             ws = ResponseWorkspace.of(self.base)
-            blocks = []
-            for j in range(self.basis.n_fibers):
-                k = self.basis.k_points[j]
-                Mk = m_fiber_averaged(ws, k, self.basis.k_points)
-                B = Mk.copy()
+            kpts = self.basis.k_points
+            blocks = np.array([m_fiber_averaged(ws, k, kpts) for k in kpts])
+            for B, k in zip(blocks, kpts):
                 B[np.diag_indices_from(B)] += self.base.basis.kinetic_diagonal(k)
-                blocks.append(B)
             self._jac_blocks = blocks
         return self._jac_blocks
 
     def apply_jacobian(self, coeffs):
         """(-Lap + M)|_{psi=0} applied to a supercell coefficient vector."""
-        out = np.empty_like(coeffs)
-        for j, B in enumerate(self.jacobian_blocks()):
-            sl = self.basis.fiber_slice(j)
-            out[sl] = B @ coeffs[sl]
-        return out
+        cols = coeffs.reshape(self.basis.n_fibers, -1, 1)  # fiber-major
+        return (self.jacobian_blocks() @ cols).reshape(coeffs.shape)
 
     def nonlinearity(self, psi_c, drho: SupercellField):
         """N(psi) = drho - M psi, the nonlinear part of the density response
@@ -297,34 +273,23 @@ class SupercellSolver:
         An entry at round-off level left unpinned makes the mean of the
         Newton step noise, and the remainder loses its order.
         """
-        if self._jac_factor is None:
-            import scipy.linalg as sla
-
+        if self._jac_pinned is None:
             blocks = self.jacobian_blocks()
             gamma = int(np.argmin(np.einsum("ij,ij->i", self.basis.k_points, self.basis.k_points)))
             B0 = blocks[gamma]
             pin = B0[0, 0].real <= 1e3 * np.finfo(float).eps * np.linalg.norm(B0, 2)
-            facs = []
-            for j, B in enumerate(blocks):
-                Bj = B
-                if j == gamma and pin:
-                    Bj = B.copy()
-                    Bj[0, :] = 0.0
-                    Bj[:, 0] = 0.0
-                    Bj[0, 0] = 1.0
-                facs.append(sla.lu_factor(Bj))
-            self._jac_factor = (facs, gamma, pin)
-        import scipy.linalg as sla
-
-        facs, gamma, pinned = self._jac_factor
-        out = np.empty_like(coeffs)
-        for j in range(self.basis.n_fibers):
-            sl = self.basis.fiber_slice(j)
-            rhs = coeffs[sl].copy()
-            if j == gamma and pinned:
-                rhs[0] = 0.0
-            out[sl] = sla.lu_solve(facs[j], rhs)
-        return out
+            if pin:
+                blocks = blocks.copy()
+                blocks[gamma, 0, :] = 0.0
+                blocks[gamma, :, 0] = 0.0
+                blocks[gamma, 0, 0] = 1.0
+            self._jac_pinned = (blocks, gamma if pin else None)
+        blocks, pinned = self._jac_pinned
+        rhs = coeffs.reshape(self.basis.n_fibers, -1, 1)
+        if pinned is not None:
+            rhs = rhs.copy()
+            rhs[pinned, 0] = 0.0
+        return np.linalg.solve(blocks, rhs).reshape(coeffs.shape)
 
 
 def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
@@ -461,10 +426,10 @@ def effective_coefficients(deformed: DeformedCrystal, coeffs):
     symbol of the operator actually being solved: the Schur-complement
     b built from zone-averaged fibers on the supercell's own k-grid.
 
-    Returns a copy of `coeffs` with nu and eps replaced.
+    Returns `coeffs` with eps and b(0) replaced, so nu and every field
+    derived from it follow; b(0) is floored at 1e-300 delta^2, which keeps
+    nu positive for the macro solve.
     """
-    import copy as _copy
-
     from .response import b_function
 
     base = deformed.base
@@ -496,11 +461,7 @@ def effective_coefficients(deformed: DeformedCrystal, coeffs):
             quad = quadratic((axes[i] + axes[j]) / np.sqrt(2))
             off = 0.5 * (2.0 * quad - eps_eff[i, i] - eps_eff[j, j])
             eps_eff[i, j] = eps_eff[j, i] = off
-    out = _copy.copy(coeffs)
-    out.eps = eps_eff
-    out.nu = max(b0 / delta**2, 1e-300)
-    out.b0 = b0
-    return out
+    return replace(coeffs, eps=eps_eff, b0=max(b0, 1e-300 * delta**2))
 
 
 @dataclass
@@ -539,15 +500,13 @@ def expansion_decompose(
     prob = MacroProblem(box=box, nu=coeffs.nu, eps=coeffs.eps, source=deformed.kappa_prime)
     psi_macro = solve_pb(prob)
 
-    # macro grid aligned with the supercell grid (same fractions)
-    macro_vals = _resample_values(psi_macro.values, psi_micro.shape)
-    scale = delta ** (d - 2)
-    macro_term_vals = scale * macro_vals
+    # psi_macro lives on the grid of kappa', which is the supercell grid
+    # (`build_deformed_kappa` refuses any other)
+    macro_term_vals = delta ** (d - 2) * psi_macro.values
     rem_vals = np.asarray(psi_micro.values, dtype=float) - macro_term_vals
 
-    macro_lat = box
-    macro_term = SupercellField(macro_lat, np.ones(d, dtype=int), macro_term_vals)
-    phi_rem = SupercellField(macro_lat, np.ones(d, dtype=int), rem_vals)
+    macro_term = SupercellField(box, np.ones(d, dtype=int), macro_term_vals)
+    phi_rem = SupercellField(box, np.ones(d, dtype=int), rem_vals)
 
     zeta = coeffs.zeta
     def znorm(f):
@@ -588,3 +547,55 @@ def expansion_decompose(
         momentum_split=split,
         newton=newton_info or {},
     )
+
+
+@dataclass
+class MultiscaleSweep:
+    """One deformed-crystal run per delta over one coefficient pass.
+
+    Entry i of each list belongs to delta_list[i]; the Newton info of a
+    run is its report's `newton`.
+    """
+
+    coeffs: list      # single-fiber HomogenizedCoefficients
+    effective: list   # `effective_coefficients` of the supercell operator
+    reports: list     # MultiscaleReport
+    l2_slope: float   # log-log slope of rem_l2 in delta, nan below two deltas
+
+
+def multiscale_sweep(crystal: CrystalState, delta_list, kappa_prime, split_a: float = 0.5):
+    """Multiscale check of a crystal at each delta = 1/N of delta_list.
+
+    kappa_prime is a macro source spec (`config.build_macro_source`) for
+    the macro box of the crystal's cell; it is sampled on each supercell
+    grid. The homogenized coefficients come from one pass and are moved
+    to each delta by `dataclasses.replace`.
+    """
+    from .config import build_macro_source
+    from .response import homogenized_coefficients
+
+    basis = crystal.basis
+    ws = ResponseWorkspace.from_crystal(crystal)
+    coeffs = homogenized_coefficients(ws, delta_list[0], crystal.eta0)
+    box = Lattice(basis.lattice.basis.copy())
+    sweep = MultiscaleSweep([], [], [], float("nan"))
+    for delta in delta_list:
+        N = int(round(1.0 / delta))
+        spec = dict(kappa_prime)
+        # the harness keeps the cubic deformation scaling of the 3D
+        # setting: the amplitude carries the extra delta^(3-d) power
+        spec["amplitude"] = spec.get("amplitude", 0.05) * delta ** (3 - basis.d)
+        src = build_macro_source(box, tuple(int(s * N) for s in basis.fft_shape), spec)
+        deformed = build_deformed_kappa(crystal, delta, src)
+        _, psi_micro, info = micro_solve_perturbation(deformed)
+        at_delta = replace(coeffs, delta=delta)
+        effective = effective_coefficients(deformed, at_delta)
+        sweep.coeffs.append(at_delta)
+        sweep.effective.append(effective)
+        sweep.reports.append(
+            expansion_decompose(deformed, psi_micro, effective, a_split=split_a, newton_info=info)
+        )
+    if len(delta_list) >= 2:
+        rem = np.array([rep.norms["rem_l2"] for rep in sweep.reports])
+        sweep.l2_slope = float(np.polyfit(np.log(np.array(delta_list)), np.log(rem), 1)[0])
+    return sweep

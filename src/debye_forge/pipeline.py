@@ -168,7 +168,7 @@ def run_bands(cfg, state=None):
 
 
 def run_response(cfg, state=None):
-    from .response import ResponseWorkspace, _b_fit, b_function, homogenized_coefficients
+    from .response import ResponseWorkspace, _b_fit, _kbar_solve, b_function, homogenized_coefficients
 
     timer = dfio.StageTimer()
     state = state or load_crystal_bundle(cfg)
@@ -205,11 +205,9 @@ def run_response(cfg, state=None):
     dfio.write_csv(cpath, [f"k{i}" for i in range(d)] + ["b"], rows)
 
     s_beta = coeffs.s_beta
-    # independent closed form of b(0): |Omega|^{-1} m - <Vhat, Kbar0^{-1} Vhat>
-    from .response import _kbar_solve, m_fiber
-
-    M0 = m_fiber(ws, np.zeros(d))
-    sol = _kbar_solve(ws, M0, coeffs.V.coeffs)
+    # independent closed form of b(0): |Omega|^{-1} m - <Vhat, Kbar0^{-1} Vhat>,
+    # on the M_0 of the coefficient pass
+    sol = _kbar_solve(ws, ws.m0, coeffs.V.coeffs)
     b0_closed = coeffs.m / state.basis.lattice.volume - float(
         np.vdot(coeffs.V.coeffs, sol).real
     )
@@ -316,49 +314,27 @@ def run_macro(cfg, coeffs=None):
 
 
 def run_multiscale(cfg, state=None, strict_regime=False):
-    from .multiscale import (
-        build_deformed_kappa,
-        effective_coefficients,
-        expansion_decompose,
-        micro_solve_perturbation,
-    )
-    from .response import ResponseWorkspace, homogenized_coefficients
+    from .multiscale import multiscale_sweep
 
     timer = dfio.StageTimer()
     state = state or load_crystal_bundle(cfg)
     mcfg = cfg["multiscale"]
-    basis = state.basis
-    d = basis.d
-    ws = ResponseWorkspace.from_crystal(state)
+    sweep = multiscale_sweep(state, mcfg["delta_list"], mcfg["kappa_prime"], mcfg["split_a"])
 
     out = _stage_dir(cfg, "multiscale")
     files = []
-    box = Lattice(basis.lattice.basis.copy())
     rows = []
-    for delta in mcfg["delta_list"]:
-        N = int(round(1.0 / delta))
-        coeffs = homogenized_coefficients(ws, delta, state.eta0)
+    for coeffs, ceff, rep in zip(sweep.coeffs, sweep.effective, sweep.reports):
+        delta = coeffs.delta
         regime_flags = coeffs.regime_ok
-        if strict_regime and not all(regime_flags.values()):
-            raise StageError(
-                f"regime conditions violated at delta={delta}: {regime_flags}",
-                exit_code=4,
-            )
-        shape = tuple(int(s * N) for s in basis.fft_shape)
-        spec = dict(mcfg["kappa_prime"])
-        # the harness keeps the cubic deformation scaling of the 3D
-        # setting: the amplitude carries the extra delta^(3-d) power
-        spec["amplitude"] = spec.get("amplitude", 0.05) * delta ** (3 - d)
-        src = build_macro_source(box, shape, spec)
-        deformed = build_deformed_kappa(state, delta, src)
         if not all(regime_flags.values()):
+            if strict_regime:
+                raise StageError(
+                    f"regime conditions violated at delta={delta}: {regime_flags}",
+                    exit_code=4,
+                )
             warnings.warn(f"regime conditions violated: {regime_flags}")
-        phid, psim, info = micro_solve_perturbation(deformed)
-        ceff = effective_coefficients(deformed, coeffs)
-        rep = expansion_decompose(
-            deformed, psim, ceff, a_split=mcfg["split_a"], newton_info=info
-        )
-        jpath = os.path.join(out, f"multiscale_N{N}.json")
+        jpath = os.path.join(out, f"multiscale_N{int(round(1.0 / delta))}.json")
         dfio.dump_json(
             jpath,
             {
@@ -369,7 +345,7 @@ def run_multiscale(cfg, state=None, strict_regime=False):
                 "eps_single_fiber": coeffs.eps,
                 "norms": rep.norms,
                 "momentum_split": rep.momentum_split,
-                "newton": info,
+                "newton": rep.newton,
                 "regime": regime_flags,
             },
         )
@@ -379,12 +355,6 @@ def run_multiscale(cfg, state=None, strict_regime=False):
              rep.norms["macro_term_l2"]]
         )
 
-    if len(rows) >= 2:
-        ds = np.array([r[0] for r in rows])
-        rem = np.array([r[1] for r in rows])
-        slope = float(np.polyfit(np.log(ds), np.log(rem), 1)[0])
-    else:
-        slope = float("nan")
     cpath = os.path.join(out, "order_fit.csv")
     dfio.write_csv(
         cpath,
@@ -392,10 +362,10 @@ def run_multiscale(cfg, state=None, strict_regime=False):
         rows,
     )
     spath = os.path.join(out, "order.json")
-    dfio.dump_json(spath, {"l2_slope": slope, "deltas": [r[0] for r in rows]})
+    dfio.dump_json(spath, {"l2_slope": sweep.l2_slope, "deltas": [r[0] for r in rows]})
     files += [cpath, spath]
     dfio.write_manifest(out, config_hash(cfg), files, {"multiscale": timer.elapsed()})
-    return slope
+    return sweep.l2_slope
 
 
 _ORDER = ["crystal", "bands", "response", "macro", "multiscale"]

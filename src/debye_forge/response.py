@@ -20,7 +20,8 @@ the zero-temperature permittivity uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,11 +29,10 @@ from . import kernels
 from .fibers import (
     assemble_fiber,
     contour_quadrature,
-    den_coefficients,
+    den_from_matrix,
     diagonalize_fiber,
     potential_matrix,
     shift_overlap_tensor,
-    _shift_table,
 )
 from .lattice import PeriodicField, PlaneWaveBasis
 from .occupation import OccupationModel, step_dd
@@ -48,9 +48,14 @@ __all__ = [
     "epsilon_matrix",
     "b_function",
     "fit_b_expansion",
-    "nu_and_regime",
+    "homogenized_coefficients",
     "epsilon_zero_temperature",
 ]
+
+# regime windows of the asymptotic theory: c_T, c_T^(-8/9) delta and
+# theta = delta m^(-8/9) at or below these count as small
+ALPHA_THRESHOLD = 0.1
+THETA_THRESHOLD = 0.1
 
 
 class GaplessCrystalError(RuntimeError):
@@ -134,6 +139,11 @@ class ResponseWorkspace:
     @property
     def gamma(self):
         return self.fiber(np.zeros(self.basis.d))
+
+    @cached_property
+    def m0(self):
+        """M_0 = `m_fiber` at k = 0 under this workspace's weights, built once."""
+        return m_fiber(self, np.zeros(self.basis.d))
 
     def _pair_window(self):
         """(e_w, eps m / |Omega|) with e_w = mu + T ln(n_pw / (eps T m)) and
@@ -251,7 +261,6 @@ def m_fiber_averaged(ws: ResponseWorkspace, k, k_grid):
 
 def screening_density_V(ws) -> PeriodicField:
     """V(x) = -sum_n f_T'(e_n0 - mu) |psi_n0(x)|^2 >= 0 (0-fiber only)."""
-    ws = _as_workspace(ws)
     e0, U0 = ws.gamma
     w = -ws.occ.occ_deriv(e0)
     grids = ws.basis.columns_to_grids(U0)
@@ -264,34 +273,30 @@ def screening_density_V(ws) -> PeriodicField:
 
 def screening_mass_m(ws) -> float:
     """m = -Tr f_T'(h_0 - mu) = int_Omega V > 0."""
-    ws = _as_workspace(ws)
     e0, _ = ws.gamma
     return float(np.sum(-ws.occ.occ_deriv(e0)))
-
-
-def _as_workspace(obj) -> ResponseWorkspace:
-    if isinstance(obj, ResponseWorkspace):
-        return obj
-    return ResponseWorkspace.from_crystal(obj)
 
 
 def rho_prime(ws):
     """d-vector of periodic fields: the k-linear coefficient of M_k 1.
 
-    Component j is -2 den[oint r_0^2 (-i d_j) r_0], evaluated in the
-    0-fiber eigenbasis with confluent second divided differences
-    f[e_n, e_n, e_m]. Purely imaginary-valued; odd under inversion for
+    Component j is -2 den[oint r_0^2 (-i d_j) r_0] = -2 den[U_0 (D_2 o
+    P_j) U_0^dagger], with D_2 the confluent second divided differences
+    f[e_n, e_n, e_m] and P_j the momentum matrix in the 0-fiber
+    eigenbasis: the density of one plane-wave matrix per component
+    (pair-density form, Baroni et al., Rev. Mod. Phys. 73, 515 (2001)).
+    Purely imaginary-valued; odd under inversion for
     inversion-symmetric crystals.
     """
-    ws = _as_workspace(ws)
     e0, U0 = ws.gamma
-    A = shift_overlap_tensor(ws.basis, U0, U0)
     D2 = ws.weights(2, e0, e0, ws.occ)
-    out = []
-    for P in ws.momentum_matrices(U0):
-        coeffs = -2.0 * den_coefficients(ws.basis, A, D2 * P)
-        out.append(PeriodicField(ws.basis, coeffs, realness=False))
-    return out
+    U0h = U0.conj().T
+    return [
+        PeriodicField(
+            ws.basis, -2.0 * den_from_matrix(ws.basis, U0 @ (D2 * P) @ U0h), realness=False
+        )
+        for P in ws.momentum_matrices(U0)
+    ]
 
 
 def epsilon_prime(ws):
@@ -302,7 +307,6 @@ def epsilon_prime(ws):
     expansion of b_1(k) (the perturbation is 2 k . p), and is verified
     against the b(k) quadratic fit.
     """
-    ws = _as_workspace(ws)
     e0, U0 = ws.gamma
     D3 = ws.weights(3, e0, e0, ws.occ)
     Ps = ws.momentum_matrices(U0)
@@ -316,28 +320,25 @@ def epsilon_prime(ws):
     return eps
 
 
-def _kbar_solve(ws, M0, rhs):
-    """Solve the constant-projected 0-fiber Kbar_0 = PiBar (-Lap + M_0) PiBar."""
-    K = M0.copy()
-    K[np.diag_indices_from(K)] += ws.basis.g_norm2
+def _kbar_solve(ws, Mk, rhs, k=None):
+    """Solve the constant-projected fiber Kbar_k = PiBar (|-i grad + k|^2 + M_k)
+    PiBar on the modes off the constant (k = 0 when None)."""
+    K = Mk.copy()
+    K[np.diag_indices_from(K)] += ws.basis.kinetic_diagonal(k)
     Kr = K[1:, 1:]
     try:
         sol = np.linalg.solve(Kr, rhs[1:])
     except np.linalg.LinAlgError as exc:
         cond = np.linalg.cond(Kr)
-        raise RuntimeError(f"Kbar_0 numerically singular (cond {cond:.3e})") from exc
+        raise RuntimeError(f"Kbar_k numerically singular (cond {cond:.3e})") from exc
     out = np.zeros_like(rhs)
     out[1:] = sol
     return out
 
 
-def epsilon_double_prime(ws, M0=None, rho_p=None):
-    """Local-field correction: eps''_ij = |Omega|^{-1} <rho'_i, Kbar_0^{-1} rho'_j>."""
-    ws = _as_workspace(ws)
-    if rho_p is None:
-        rho_p = rho_prime(ws)
-    if M0 is None:
-        M0 = m_fiber(ws, np.zeros(ws.basis.d))
+def epsilon_double_prime(ws, M0, rho_p):
+    """Local-field correction: eps''_ij = |Omega|^{-1} <rho'_i, Kbar_0^{-1} rho'_j>
+    from the 0-fiber M0 and rho'."""
     d = ws.basis.d
     eps = np.empty((d, d))
     sols = [_kbar_solve(ws, M0, f.coeffs) for f in rho_p]
@@ -348,15 +349,17 @@ def epsilon_double_prime(ws, M0=None, rho_p=None):
     return eps
 
 
+def _permittivity(ep, epp):
+    """eps = 1 + eps' - eps'', symmetrized."""
+    eps = np.eye(len(ep)) + ep - epp
+    return 0.5 * (eps + eps.T)
+
+
 def epsilon_matrix(ws):
     """(eps, eps', eps'') with eps = 1 + eps' - eps'', symmetrized."""
-    ws = _as_workspace(ws)
     ep = epsilon_prime(ws)
-    M0 = m_fiber(ws, np.zeros(ws.basis.d))
-    epp = epsilon_double_prime(ws, M0=M0)
-    eps = np.eye(ws.basis.d) + ep - epp
-    eps = 0.5 * (eps + eps.T)
-    return eps, ep, epp
+    epp = epsilon_double_prime(ws, ws.m0, rho_prime(ws))
+    return _permittivity(ep, epp), ep, epp
 
 
 def epsilon_zero_temperature(ws):
@@ -365,7 +368,6 @@ def epsilon_zero_temperature(ws):
     Only occupied/unoccupied band pairs contribute; refused when mu
     touches the 0-fiber spectrum (band edge).
     """
-    ws = _as_workspace(ws)
     e0, _ = ws.gamma
     if np.min(np.abs(e0 - ws.occ.mu)) < 1e-10:
         raise GaplessCrystalError("mu at a band edge: T = 0 limit undefined")
@@ -388,24 +390,22 @@ def b_function(ws, k, k_grid=None):
     M_k is the paper-form `m_fiber`, or with a k_grid the zone-averaged
     fiber of the density map on that grid.
     """
-    ws = _as_workspace(ws)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     Mk = m_fiber(ws, k) if k_grid is None else m_fiber_averaged(ws, k, k_grid)
-    v = Mk[:, 0].copy()  # M_k applied to the constant (coefficient vector)
-    K = Mk.copy()
-    K[np.diag_indices_from(K)] += ws.basis.kinetic_diagonal(k)
-    Kr = K[1:, 1:]
-    sol = np.linalg.solve(Kr, v[1:])
-    corr = np.vdot(v[1:], sol)
-    val = float(k @ k) + Mk[0, 0].real - corr.real
-    return float(val)
+    return _schur_symbol(ws, Mk, k)
+
+
+def _schur_symbol(ws, Mk, k):
+    """|k|^2 + M_k[0,0] - <v, Kbar_k^{-1} v>, v = M_k 1 off the constant mode."""
+    sol = _kbar_solve(ws, Mk, Mk[:, 0], k)
+    return float(float(k @ k) + Mk[0, 0].real - np.vdot(Mk[1:, 0], sol[1:]).real)
 
 
 def fit_b_expansion(ws, k_samples):
     """Least-squares even-polynomial fit b(k) ~ b0 + k.Ek + quartic.
 
     Args:
-        ws: workspace or crystal.
+        ws: response workspace.
         k_samples: (m, d) cartesian sample momenta, |k| small against
             the reciprocal cell (<= 0.2 of the shortest reciprocal
             vector) and spanning all d directions; at least 12 samples.
@@ -415,7 +415,6 @@ def fit_b_expansion(ws, k_samples):
         quadratic coefficient matrix, and the RMS size of the fitted
         quartic contribution over the samples.
     """
-    ws = _as_workspace(ws)
     ks, solve = _b_fit(ws, k_samples)
     return solve(np.array([b_function(ws, k) for k in ks]))
 
@@ -488,11 +487,19 @@ def _b_fit(ws, k_samples):
     return ks, solve
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomogenizedCoefficients:
-    """All homogenized outputs of one crystal at one scale ratio delta."""
+    """The homogenized outputs of one crystal at one scale ratio delta.
+
+    The fields are what the coefficient pass measures; nu and the regime
+    diagnostics follow from them, so `dataclasses.replace(coeffs,
+    delta=...)` gives the coefficients at another delta without any
+    recomputation.
+    """
 
     delta: float
+    T: float
+    eta0: float
     m: float
     V: PeriodicField
     rho_p: list
@@ -500,74 +507,64 @@ class HomogenizedCoefficients:
     eps_prime: np.ndarray
     eps_dprime: np.ndarray
     b0: float
-    nu: float
-    debye_length: float
-    c_T: float
-    s_beta: float
-    zeta: float
-    theta: float
-    regime_ok: dict = field(default_factory=dict)
+
+    @property
+    def nu(self):
+        """Screening coefficient nu = delta^{-2} b(0)."""
+        return self.b0 / self.delta**2
+
+    @property
+    def debye_length(self):
+        return 1.0 / np.sqrt(self.nu) if self.nu > 0 else np.inf
+
+    @property
+    def c_T(self):
+        return np.exp(-self.eta0 / self.T) / self.T
+
+    s_beta = c_T
+
+    @property
+    def zeta(self):
+        return self.delta / np.sqrt(self.m) if self.m > 0 else np.inf
+
+    @property
+    def theta(self):
+        return self.delta * self.m ** (-8.0 / 9.0) if self.m > 0 else np.inf
+
+    @property
+    def regime_ok(self):
+        c_T = self.c_T
+        return {
+            "c_T_small": bool(c_T <= ALPHA_THRESHOLD),
+            "c_T_delta_compatible": bool(
+                c_T > 0 and c_T ** (-8.0 / 9.0) * self.delta <= ALPHA_THRESHOLD
+            ),
+            "theta_small": bool(self.theta <= THETA_THRESHOLD),
+        }
 
 
-def nu_and_regime(ws, delta, eta0, theta_threshold=0.1, alpha_threshold=0.1):
-    """Screening coefficient nu = delta^{-2} b(0) and regime diagnostics.
+def homogenized_coefficients(ws, delta, eta0) -> HomogenizedCoefficients:
+    """The coefficient pass: V, m, rho', eps and b(0) of the workspace's
+    crystal, with M_0 and rho' built once and shared by eps'' and b(0).
 
     The correction to |Omega|^{-1} m inside b(0) is exactly
     -|Omega|^{-1} <V, Kbar_0^{-1} V> in this discretization, so nu
     carries no asymptotic truncation.
     """
-    ws = _as_workspace(ws)
-    b0 = b_function(ws, np.zeros(ws.basis.d))
-    nu = b0 / delta**2
-    m = screening_mass_m(ws)
-    T = ws.occ.T
-    c_T = np.exp(-eta0 / T) / T
-    zeta = delta / np.sqrt(m) if m > 0 else np.inf
-    theta = delta * m ** (-8.0 / 9.0) if m > 0 else np.inf
-    regime = {
-        "c_T_small": bool(c_T <= alpha_threshold),
-        "c_T_delta_compatible": bool(c_T ** (-8.0 / 9.0) * delta <= alpha_threshold)
-        if c_T > 0
-        else False,
-        "theta_small": bool(theta <= theta_threshold),
-    }
-    debye = 1.0 / np.sqrt(nu) if nu > 0 else np.inf
-    return {
-        "nu": nu,
-        "b0": b0,
-        "m": m,
-        "debye_length": debye,
-        "c_T": c_T,
-        "s_beta": c_T,
-        "zeta": zeta,
-        "theta": theta,
-        "regime": regime,
-    }
-
-
-def homogenized_coefficients(ws, delta, eta0) -> HomogenizedCoefficients:
-    ws = _as_workspace(ws)
-    V = screening_density_V(ws)
-    m = screening_mass_m(ws)
     rp = rho_prime(ws)
-    eps, ep, epp = epsilon_matrix(ws)
-    info = nu_and_regime(ws, delta, eta0)
+    ep = epsilon_prime(ws)
+    epp = epsilon_double_prime(ws, ws.m0, rp)
     return HomogenizedCoefficients(
         delta=delta,
-        m=m,
-        V=V,
+        T=ws.occ.T,
+        eta0=eta0,
+        m=screening_mass_m(ws),
+        V=screening_density_V(ws),
         rho_p=rp,
-        eps=eps,
+        eps=_permittivity(ep, epp),
         eps_prime=ep,
         eps_dprime=epp,
-        b0=info["b0"],
-        nu=info["nu"],
-        debye_length=info["debye_length"],
-        c_T=info["c_T"],
-        s_beta=info["s_beta"],
-        zeta=info["zeta"],
-        theta=info["theta"],
-        regime_ok=info["regime"],
+        b0=_schur_symbol(ws, ws.m0, np.zeros(ws.basis.d)),
     )
 
 
@@ -575,17 +572,8 @@ def homogenized_coefficients(ws, delta, eta0) -> HomogenizedCoefficients:
 # Contour-quadrature route (cross-check, not the hot path)
 
 
-def den_from_matrix(basis: PlaneWaveBasis, B):
-    """Fourier coefficients of den[B]: d(Q) = |Omega|^{-1} sum_G B[G+Q, G]."""
-    tab = _shift_table(basis)
-    pad = np.vstack([B, np.zeros((1, B.shape[1]), dtype=B.dtype)])
-    picked = pad[tab, np.arange(basis.n_pw)[None, :]]
-    return picked.sum(axis=1) / basis.lattice.volume
-
-
 def m_fiber_apply_contour(ws, k, w: PeriodicField, tol=1e-10):
     """Contour-quadrature evaluation of M_k w (dual route to m_fiber)."""
-    ws = _as_workspace(ws)
     H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
     Hk = assemble_fiber(ws.basis, ws.phi, k).matrix
     eye = np.eye(ws.basis.n_pw)
@@ -604,7 +592,6 @@ def m_fiber_apply_contour(ws, k, w: PeriodicField, tol=1e-10):
 
 
 def rho_prime_contour(ws, tol=1e-10):
-    ws = _as_workspace(ws)
     H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
     eye = np.eye(ws.basis.n_pw)
     e0, _ = ws.gamma
@@ -622,7 +609,6 @@ def rho_prime_contour(ws, tol=1e-10):
 
 
 def epsilon_prime_contour(ws, tol=1e-10):
-    ws = _as_workspace(ws)
     H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
     eye = np.eye(ws.basis.n_pw)
     e0, _ = ws.gamma
@@ -651,10 +637,6 @@ def epsilon_matrix_contour(ws, tol=1e-10):
     0-fiber of -Lap + M), so the divided-difference weights themselves
     are what this route cross-checks.
     """
-    ws = _as_workspace(ws)
     ep, _ = epsilon_prime_contour(ws, tol=tol)
-    rp = rho_prime_contour(ws, tol=tol)
-    M0 = m_fiber(ws, np.zeros(ws.basis.d))
-    epp = epsilon_double_prime(ws, M0=M0, rho_p=rp)
-    eps = np.eye(ws.basis.d) + ep - epp
-    return 0.5 * (eps + eps.T)
+    epp = epsilon_double_prime(ws, ws.m0, rho_prime_contour(ws, tol=tol))
+    return _permittivity(ep, epp)

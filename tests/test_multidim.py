@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from debye_forge import response as R
-from debye_forge.fibers import compute_bands, density_from_potential, spectral_gap
+from debye_forge.fibers import (
+    compute_bands,
+    density_from_potential,
+    shift_overlap_tensor,
+    spectral_gap,
+)
 from debye_forge.lattice import (
     Lattice,
     PeriodicField,
@@ -228,3 +233,70 @@ class TestCubic3D:
         assert eps[0, 0] == pytest.approx(eps[1, 1], rel=1e-9)
         assert eps[1, 1] == pytest.approx(eps[2, 2], rel=1e-9)
         assert np.abs(eps - np.diag(np.diag(eps))).max() < 1e-9
+
+
+def _mid_gap_workspace(basis, phi, kgrid, T):
+    bands = compute_bands(basis, phi, kgrid)
+    lo, hi = bands.band_ranges()
+    return R.ResponseWorkspace(basis, phi, OccupationModel(T=T, mu=float(0.5 * (hi[0] + lo[1]))))
+
+
+def _mathieu(beta):
+    lat = Lattice(np.array([[2 * np.pi]]))
+    basis = PlaneWaveBasis(lat, ecut=200.0)
+    phi = PeriodicField.from_callable(basis, lambda x: 2.0 * np.cos(x))
+    return _mid_gap_workspace(basis, phi, monkhorst_pack(lat, 16), 1.0 / beta)
+
+
+def _square():
+    lat = Lattice(2 * np.pi * np.eye(2))
+    basis = PlaneWaveBasis(lat, ecut=8.0)
+    phi = PeriodicField.from_callable(
+        basis, lambda x: 2.0 * (np.cos(x[..., 0]) + np.cos(x[..., 1]))
+    )
+    return _mid_gap_workspace(basis, phi, monkhorst_pack(lat, [4, 4]), 0.05)
+
+
+def _hexagonal():
+    a = 2 * np.pi
+    lat = Lattice(a * np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]]))
+    basis = PlaneWaveBasis(lat, ecut=6.0)
+    coeffs = np.zeros(basis.n_pw, dtype=complex)
+    for n in ([1, 0], [-1, 0], [0, 1], [0, -1], [1, -1], [-1, 1]):
+        coeffs[basis.index_of(n)] = 0.6
+    phi = PeriodicField(basis, coeffs, realness=True)
+    kgrid = monkhorst_pack(lat, [3, 3])
+    mu = float(compute_bands(basis, phi, kgrid).eigenvalues[:, 0].max()) + 0.2
+    return R.ResponseWorkspace(basis, phi, OccupationModel(T=0.2, mu=mu))
+
+
+def _cubic():
+    lat = Lattice(2 * np.pi * np.eye(3))
+    basis = PlaneWaveBasis(lat, ecut=1.6)
+    phi = PeriodicField.from_callable(
+        basis, lambda x: 1.5 * (np.cos(x[..., 0]) + np.cos(x[..., 1]) + np.cos(x[..., 2]))
+    )
+    return _mid_gap_workspace(basis, phi, monkhorst_pack(lat, [2, 2, 2]), 0.1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _mathieu(20), lambda: _mathieu(40), lambda: _mathieu(60), _square, _hexagonal,
+     _cubic],
+    ids=["mathieu-beta20", "mathieu-beta40", "mathieu-beta60", "square", "hexagonal", "cubic"],
+)
+def test_rho_prime_matches_shift_tensor_contraction(build):
+    """rho' as the density of U0 (D2 o P_j) U0^dagger against the contraction
+    of the (n_pw, n_pw, n_pw) shift-overlap tensor, kept as the oracle."""
+    ws = build()
+    e0, U0 = ws.gamma
+    A = shift_overlap_tensor(ws.basis, U0, U0)
+    D2 = ws.weights(2, e0, e0, ws.occ)
+    oracle = [
+        -2.0 * np.einsum("pnm,nm->p", A.conj(), D2 * P) / ws.basis.lattice.volume
+        for P in ws.momentum_matrices(U0)
+    ]
+    got = [f.coeffs for f in R.rho_prime(ws)]
+    scale = max(np.abs(c).max() for c in oracle)
+    assert scale > 0.0
+    assert max(np.abs(g - c).max() for g, c in zip(got, oracle)) <= 1e-13 * scale

@@ -82,6 +82,16 @@ class TestBuildDeformed:
         with pytest.raises(ValueError, match="1/N"):
             build_deformed_kappa(st, 0.3, bump(8))
 
+    def test_foreign_grid_refused(self):
+        # kappa' must be sampled on the supercell grid; no resampling
+        st = make_crystal()
+        coarse = gaussian_source(
+            macro_box(), (BASIS.fft_shape[0] * 4,), center=[np.pi], width=0.35,
+            amplitude=0.01, mean_free=True,
+        )
+        with pytest.raises(ValueError, match="supercell grid"):
+            build_deformed_kappa(st, 1 / 8, coarse)
+
     def test_wide_support_refused(self):
         st = make_crystal()
         src = bump(8, amplitude=0.02, width=2.0, mean_free=False)
@@ -145,6 +155,32 @@ class TestSupercellSolver:
             fd = (Rp - Rm) / (2 * h)
             Jv = sol.apply_jacobian(vc)
             assert np.abs(fd - Jv).max() <= 1e-6 * np.abs(Jv).max()
+
+
+    def test_stacked_blocks_match_per_block_loop(self):
+        # the per-fiber loop kept as the reference for the batched matmul
+        # and the batched solve (with the Gamma block pinned)
+        st = make_crystal()
+        sol = SupercellSolver(st, 8)
+        blocks = sol.jacobian_blocks()
+        nf, n, _ = blocks.shape
+        assert nf == sol.basis.n_fibers and nf * n == sol.basis.n_pw
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(nf * n) + 1j * rng.standard_normal(nf * n)
+        cols = x.reshape(nf, n)
+        applied = np.concatenate([B @ c for B, c in zip(blocks, cols)])
+        assert np.abs(sol.apply_jacobian(x) - applied).max() <= 1e-14 * np.abs(applied).max()
+        gamma = int(np.argmin(np.einsum("ij,ij->i", sol.basis.k_points, sol.basis.k_points)))
+        solved = []
+        for j, (B, c) in enumerate(zip(blocks, cols)):
+            if j == gamma:  # the mean is pinned on this crystal
+                B, c = B.copy(), c.copy()
+                B[0, :] = B[:, 0] = 0.0
+                B[0, 0] = 1.0
+                c[0] = 0.0
+            solved.append(np.linalg.solve(B, c))
+        solved = np.concatenate(solved)
+        assert np.abs(sol.solve_jacobian(x) - solved).max() <= 1e-13 * np.abs(solved).max()
 
 
 class TestMicroSolve:
@@ -314,6 +350,9 @@ def test_effective_coefficients_close_to_single_pair_form():
     # level on this crystal, no more
     assert abs(ceff.eps[0, 0] - coeffs.eps[0, 0]) / coeffs.eps[0, 0] < 0.05
     assert ceff.nu > 0
+    # every field derived from nu follows the effective nu
+    assert ceff.debye_length == 1 / np.sqrt(ceff.nu)
+    assert ceff.nu == ceff.b0 / (1 / 8) ** 2
 
 
 def test_oversized_split_radius_warns():
@@ -399,3 +438,56 @@ def test_multiscale_chain_diagonalizes_each_fiber_once(monkeypatch):
         micro_solve_perturbation(dc)
         effective_coefficients(dc, coeffs)
     assert len(seen) == len(set(seen))
+
+
+def test_run_multiscale_makes_one_coefficient_pass(tmp_path, monkeypatch):
+    """The stage sweeps its deltas over one homogenized-coefficient pass."""
+    import sys
+
+    from debye_forge import response as R
+    from debye_forge.config import parse_config
+    from debye_forge.pipeline import run_pipeline
+
+    passes = []
+    original = R.homogenized_coefficients
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("debye_forge") and getattr(mod, "homogenized_coefficients", None) is original:
+            monkeypatch.setattr(mod, "homogenized_coefficients", counted)
+    raw = json.loads((REPO / "configs" / "mathieu.json").read_text())
+    raw.update(ecut=50.0, output_dir=str(tmp_path))
+    raw["multiscale"]["delta_list"] = [0.125, 0.0625]
+    assert run_pipeline(parse_config(raw), {"crystal", "multiscale"}) == 0
+    assert len(passes) == 1
+    order = json.loads((tmp_path / "multiscale" / "order.json").read_text())
+    assert order["deltas"] == raw["multiscale"]["delta_list"]
+
+
+def test_newton_solve_does_not_import_scipy():
+    """The Jacobian solve is numpy only: a Newton solve at N = 8 loads no scipy."""
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import sys
+import numpy as np
+from debye_forge.acceptance import MathieuContext
+from debye_forge.macro import gaussian_source
+from debye_forge.multiscale import build_deformed_kappa, micro_solve_perturbation
+ctx = MathieuContext()
+src = gaussian_source(ctx.lattice, (ctx.basis.fft_shape[0] * 8,), center=[np.pi],
+                      width=0.35, amplitude=0.05 / 64, mean_free=True)
+_, _, info = micro_solve_perturbation(build_deformed_kappa(ctx.crystal(40), 1 / 8, src))
+assert info["iterations"] >= 1
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    path = os.pathsep.join([str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from debye_forge import response as R
-from debye_forge.fibers import compute_bands, den_coefficients, shift_overlap_tensor
+from debye_forge.fibers import compute_bands, den_from_matrix, shift_overlap_tensor
 from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, inner, monkhorst_pack
 from debye_forge.occupation import OccupationModel
 
@@ -119,7 +119,7 @@ class TestMFiber:
 
         Wm = potential_matrix(PeriodicField(BASIS, cW.astype(complex), realness=True))
         A = U0 @ (D * (U0.conj().T @ Wm @ U0)) @ U0.conj().T
-        dens = den_coefficients(BASIS, shift_overlap_tensor(BASIS, U0, U0), D * (U0.conj().T @ Wm @ U0))
+        dens = den_from_matrix(BASIS, A)
         f = PeriodicField(BASIS, rng.standard_normal(BASIS.n_pw).astype(complex))
         lhs = inner(f.conj(), PeriodicField(BASIS, dens))  # int f den[A]
         rhs = np.trace(potential_matrix(f) @ A)
@@ -291,12 +291,36 @@ class TestBFunction:
             R.fit_b_expansion(ws, big)
 
 
+def test_one_coefficient_pass_builds_m0_and_rho_prime_once(monkeypatch):
+    """M_0 and rho' are built once per pass and shared by eps'' and b(0)."""
+    w = R.ResponseWorkspace(BASIS, PHI, OccupationModel(T=1 / 20, mu=MU))
+    m0_builds, rho_builds = [], []
+    averaged, rho_prime = R.m_fiber_averaged, R.rho_prime
+
+    def counted_averaged(ws, k, k_grid):
+        if not np.any(np.asarray(k)):
+            m0_builds.append(1)
+        return averaged(ws, k, k_grid)
+
+    def counted_rho_prime(ws):
+        rho_builds.append(1)
+        return rho_prime(ws)
+
+    monkeypatch.setattr(R, "m_fiber_averaged", counted_averaged)
+    monkeypatch.setattr(R, "rho_prime", counted_rho_prime)
+    coeffs = R.homogenized_coefficients(w, 0.05, eta0=0.8)
+    assert (len(m0_builds), len(rho_builds)) == (1, 1)
+    assert coeffs.b0 == R.b_function(w, np.zeros(1))
+    eps, ep, epp = R.epsilon_matrix(w)
+    assert np.array_equal(coeffs.eps, eps) and np.array_equal(coeffs.eps_dprime, epp)
+
+
 class TestFeshbachEll:
     # the low-momentum symbol ell(k) = delta^-2 b(delta k)
     delta = 1.0 / 8.0
 
     def test_ell_chain(self, ws):
-        nu = R.nu_and_regime(ws, self.delta, eta0=0.8)["nu"]
+        nu = R.homogenized_coefficients(ws, self.delta, eta0=0.8).nu
         ell0 = self.delta**-2 * R.b_function(ws, [0.0])
         assert ell0 == pytest.approx(nu, rel=1e-12)
 
@@ -308,13 +332,13 @@ class TestFeshbachEll:
 
 class TestRegime:
     def test_nu_definition(self, ws):
-        info = R.nu_and_regime(ws, 0.05, eta0=0.8)
-        assert info["nu"] == pytest.approx(info["b0"] / 0.05**2, rel=1e-14)
-        assert info["debye_length"] == pytest.approx(1 / np.sqrt(info["nu"]), rel=1e-14)
+        info = R.homogenized_coefficients(ws, 0.05, eta0=0.8)
+        assert info.nu == pytest.approx(info.b0 / 0.05**2, rel=1e-14)
+        assert info.debye_length == pytest.approx(1 / np.sqrt(info.nu), rel=1e-14)
 
     def test_delta_one(self, ws):
-        info = R.nu_and_regime(ws, 1.0, eta0=0.8)
-        assert info["nu"] == pytest.approx(R.b_function(ws, np.zeros(1)), rel=1e-12)
+        info = R.homogenized_coefficients(ws, 1.0, eta0=0.8)
+        assert info.nu == pytest.approx(R.b_function(ws, np.zeros(1)), rel=1e-12)
 
     def test_m_within_cT_band(self):
         # 0 < c m_ratio <= m/(c_T) <= C over the beta sweep
@@ -323,8 +347,8 @@ class TestRegime:
             w = R.ResponseWorkspace(BASIS, PHI, OccupationModel(T=1 / beta, mu=MU))
             e0, _ = w.gamma
             eta0 = float(np.min(np.abs(e0 - MU)))
-            info = R.nu_and_regime(w, 0.1, eta0=eta0)
-            ratios.append(info["m"] / info["c_T"])
+            info = R.homogenized_coefficients(w, 0.1, eta0=eta0)
+            ratios.append(info.m / info.c_T)
         assert min(ratios) > 0.02
         assert max(ratios) < 50.0
 
@@ -332,17 +356,28 @@ class TestRegime:
         nus = []
         for beta in (10, 20, 40, 80):
             w = R.ResponseWorkspace(BASIS, PHI, OccupationModel(T=1 / beta, mu=MU))
-            nus.append(R.nu_and_regime(w, 0.1, eta0=0.8)["nu"])
+            nus.append(R.homogenized_coefficients(w, 0.1, eta0=0.8).nu)
         assert all(nus[i + 1] < nus[i] for i in range(len(nus) - 1))
 
     def test_nu_vanishes_at_high_T(self):
         # nu -> 0 on the hot side as well (|f_T'| <= 1/4T kills m)
         def nu_at(beta):
             w = R.ResponseWorkspace(BASIS, PHI, OccupationModel(T=1 / beta, mu=MU))
-            return R.nu_and_regime(w, 0.1, eta0=0.8)["nu"]
+            return R.homogenized_coefficients(w, 0.1, eta0=0.8).nu
 
         assert nu_at(0.01) < nu_at(1.0)
         assert nu_at(0.001) < nu_at(0.01)
+
+    def test_other_delta_by_replace(self, ws):
+        # nu and the regime diagnostics follow delta; the measured fields stay
+        from dataclasses import replace
+
+        coeffs = R.homogenized_coefficients(ws, 0.05, eta0=0.8)
+        other = R.homogenized_coefficients(ws, 0.1, eta0=0.8)
+        moved = replace(coeffs, delta=0.1)
+        for name in ("nu", "debye_length", "c_T", "s_beta", "zeta", "theta", "regime_ok",
+                     "b0", "m"):
+            assert getattr(moved, name) == getattr(other, name), name
 
     def test_gapless_crystal_refused(self):
         class FakeCrystal:
