@@ -56,6 +56,7 @@ class MathieuContext:
         self.mu = float(0.5 * (hi[0] + lo[1]))
         self._bands = bands
         self._crystals = {}
+        self._epsilon = {}
 
     def crystal(self, beta) -> CrystalState:
         if beta not in self._crystals:
@@ -66,6 +67,12 @@ class MathieuContext:
 
     def workspace(self, beta) -> R.ResponseWorkspace:
         return R.ResponseWorkspace.of(self.crystal(beta))
+
+    def epsilon(self, beta):
+        """(eps, eps', eps'') from `response.epsilon_matrix`, once per beta."""
+        if beta not in self._epsilon:
+            self._epsilon[beta] = R.epsilon_matrix(self.workspace(beta))
+        return self._epsilon[beta]
 
     def s_beta(self, beta):
         eta0 = self.crystal(beta).eta0
@@ -174,7 +181,7 @@ def crit_07_eps_three_way(ctx):
     """Eigen, contour, and b-fit routes to eps agree pairwise within
     max(1e-6, 10 s_beta kmax^2) at beta = 40, kmax = 0.1."""
     ws = ctx.workspace(40)
-    eps_eig = R.epsilon_matrix(ws)[0][0, 0]
+    eps_eig = ctx.epsilon(40)[0][0, 0]
     eps_con = R.epsilon_matrix_contour(ws, tol=1e-9)[0, 0]
     kmax = 0.1
     kv = kmax * np.geomspace(1 / 64, 1, 16)
@@ -197,7 +204,7 @@ def crit_08_eps_lower_bound(ctx):
     (s_beta^2 is ~1e-21 or smaller here, so the content is eps >= 1)."""
     deficits, cs = [], []
     for beta in (20, 40, 60):
-        eps = R.epsilon_matrix(ctx.workspace(beta))[0]
+        eps = ctx.epsilon(beta)[0]
         lam = float(np.linalg.eigvalsh(eps).min())
         deficit = max(0.0, 1.0 - lam)
         deficits.append(deficit)
@@ -219,7 +226,7 @@ def crit_09_zero_temperature_limit(ctx):
     eps0 = R.epsilon_zero_temperature(ctx.workspace(40))
     gaps, cold = [], None
     for beta in (20, 40, 60):
-        eps = R.epsilon_matrix(ctx.workspace(beta))[0]
+        eps = ctx.epsilon(beta)[0]
         gap = float(np.abs(eps - eps0).max())
         gaps.append(gap)
         if beta * ctx.crystal(beta).eta0 >= 40.0:

@@ -40,6 +40,10 @@ class ContourGeometryError(RuntimeError):
     pass
 
 
+class ContourConvergenceError(RuntimeError):
+    pass
+
+
 class EigensolverError(RuntimeError):
     pass
 
@@ -294,98 +298,146 @@ def shift_overlap_tensor(basis: PlaneWaveBasis, U_row, U_col, offset=None):
     return np.matmul(rows.conj().transpose(0, 2, 1), U_col)
 
 
-def _contour_nodes(segments, n_per):
-    """Composite trapezoid nodes and weights, per polygon segment."""
-    zs, ws = [], []
-    for (za, zb), n in zip(segments, n_per):
-        t = np.arange(n + 1) / n
-        w = np.full(n + 1, (zb - za) / n)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        zs.append(za + (zb - za) * t)
-        ws.append(w)
-    return np.concatenate(zs), np.concatenate(ws)
+# HHT rule: node count N of the first level, and the cap past which the
+# doubling gives up
+_N_START = 16
+_N_MAX = 2048
 
 
-def _fermi_complex(z, T):
-    """f_FD(z / T) for complex z, overflow-safe in the real part."""
-    w = z / T
-    if w.real >= 0.0:
-        e = np.exp(-w)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + np.exp(w))
+def _agm(m, m1):
+    """Descending Landen sequences a_n, c_n of A&S 16.4 for parameter m.
 
-
-def contour_quadrature(
-    integrand,
-    occ: OccupationModel,
-    spectrum,
-    tol: float = 1e-10,
-    n_start: int = 256,
-    max_nodes: int = 600_000,
-):
-    """(2 pi i)^{-1} oint_Gamma f_T(z - mu) integrand(z) dz on the spectral contour.
-
-    Gamma is the positively oriented rectangle enclosing the spectrum
-    with half-height eps_c = min(pi T / 2, eta / 2) (strictly below the
-    first Matsubara pole at pi T), left end at min(spectrum) - 5, and the
-    right arm truncated where |f_T(z - mu)| < 1e-16, nudged away from
-    eigenvalues. Composite midpoint/trapezoid evaluation with node
-    doubling; returns (value, error_estimate) with the estimate taken
-    from the last doubling step.
+    a_0 = 1, b_0 = sqrt(m1), c_0 = sqrt(m); the complement m1 = 1 - m is
+    passed on its own so that it stays exact near m = 1.
     """
-    spectrum = np.sort(np.asarray(spectrum, dtype=float).ravel())
+    a, b, c = [1.0], np.sqrt(m1), [np.sqrt(m)]
+    while len(a) == 1 or (c[-1] > 1e-16 * a[-1] and len(a) < 20):
+        ap = a[-1]
+        a.append(0.5 * (ap + b))
+        c.append(0.5 * (ap - b))
+        b = np.sqrt(ap * b)
+    return a, c
+
+
+def _ellipk(m, m1):
+    """Complete elliptic integral K(m) = pi / (2 AGM(1, sqrt(1 - m)))."""
+    return np.pi / (2.0 * _agm(m, m1)[0][-1])
+
+
+def _landen(u, a, c):
+    """Amplitudes phi_0 and phi_1 of real u by descending Landen (A&S 16.4.3)."""
+    phi = 2.0 ** (len(a) - 1) * a[-1] * u
+    for n in range(len(a) - 1, 0, -1):
+        phi1 = phi
+        phi = 0.5 * (phi + np.arcsin(c[n] / a[n] * np.sin(phi)))
+    return phi, phi1
+
+
+def _jacobi_real(u, m, m1):
+    """sn, cn, dn(u | m) for real u in [-K, K]."""
+    a, c = _agm(m, m1)
+    K = np.pi / (2.0 * a[-1])
+    phi, phi1 = _landen(u, a, c)
+    # dn = cos phi_0 / cos(phi_1 - phi_0) is 0/0 at u = +-K; there
+    # dn(u) = k' / dn(|u| - K) (A&S 16.8) is evaluated near 0 instead
+    near, near1 = _landen(np.abs(u) - K, a, c)
+    dn = np.where(
+        np.abs(u) <= 0.5 * K,
+        np.cos(phi) / np.cos(phi1 - phi),
+        np.sqrt(m1) * np.cos(near1 - near) / np.cos(near),
+    )
+    return np.sin(phi), np.cos(phi), dn
+
+
+def _jacobi(t, m, m1):
+    """sn, cn, dn(t | m) for complex t, from real arguments by Jacobi's
+    imaginary transformation (A&S 16.21)."""
+    s, c, d = _jacobi_real(t.real, m, m1)
+    s1, c1, d1 = _jacobi_real(t.imag, m1, m)
+    den = c1**2 + m * (s * s1) ** 2
+    sn = (s * d1 + 1j * c * d * s1 * c1) / den
+    cn = (c * c1 - 1j * s * d * s1 * d1) / den
+    dn = (d * c1 * d1 - 1j * m * s * c * s1) / den
+    return sn, cn, dn
+
+
+def _hht_nodes(x, N):
+    """Nodes xi and weights c of sum_l c_l F(xi_l) ~ (2 pi i)^{-1} oint F(xi) dxi.
+
+    The contour encloses the real points x (none zero) and no point of the
+    imaginary axis. Under w = xi^2 the imaginary axis goes to w <= 0 and
+    the points to [m, M], m = min x^2; the w-contour is the N-point
+    trapezoid rule on the conformal map of Hale, Higham and Trefethen,
+    SIAM J. Numer. Anal. 46, 2505 (2008), and each w gives the two nodes
+    +-sqrt(w) with dxi = +-dw / (2 sqrt(w)).
+    """
+    x2 = x * x
+    m = float(x2.min())
+    M = max(float(x2.max()), 4.0 * m)
+    r = np.sqrt(M / m)
+    k = (r - 1.0) / (r + 1.0)
+    k2, k2c = k * k, 4.0 * r / (r + 1.0) ** 2  # k^2 and 1 - k^2
+    K, Kp = _ellipk(k2, k2c), _ellipk(k2c, k2)
+    h = 2.0 * K / N
+    t = -K + (np.arange(N) + 0.5) * h + 0.5j * Kp
+    u, cn, dn = _jacobi(t, k2, k2c)
+    scale = np.sqrt(m * M)
+    w = scale * (1.0 / k + u) / (1.0 / k - u)
+    dw = scale * (2.0 / k) * cn * dn / (1.0 / k - u) ** 2 * h
+    # the image of t runs clockwise above [m, M]; its mirror closes it
+    w = np.concatenate([w, w.conj()])
+    c = np.concatenate([-dw, dw.conj()]) / (2j * np.pi)
+    root = np.sqrt(w)
+    half = c / (2.0 * root)
+    return np.concatenate([root, -root]), np.concatenate([half, -half])
+
+
+def _fermi_complex(xi, T):
+    """f_FD(xi / T) for complex xi, overflow-safe in the real part."""
+    sign = np.where(xi.real >= 0.0, 1.0, -1.0)
+    e = np.exp(-sign * xi / T)
+    return np.where(sign > 0, e / (1.0 + e), 1.0 / (1.0 + e))
+
+
+def contour_quadrature(integrand, occ: OccupationModel, spectrum, tol: float = 1e-10):
+    """(2 pi i)^{-1} oint_Gamma f_T(z - mu) integrand(z) dz around the spectrum.
+
+    `spectrum` must hold every eigenvalue of every resolvent in the
+    integrand: Gamma encloses exactly these points and no Matsubara pole
+    mu + i pi T (2n + 1). It is the Hale-Higham-Trefethen contour in
+    w = (z - mu)^2 (`_hht_nodes`), whose trapezoid rule converges
+    geometrically at a rate set by log(max/min of (e - mu)^2), whatever
+    T. The node count N doubles from 16 until two levels agree to
+    tol * max(1, |Q|); the integrand is called once per node of nonzero
+    weight, with one complex z, and returns an array. Returns (value,
+    error_estimate), the estimate being max |Q_2N - Q_N|. Raises
+    ContourGeometryError when mu lies on the spectrum and
+    ContourConvergenceError when N reaches its cap above tol.
+    """
     T, mu = occ.T, occ.mu
-    eta = float(np.min(np.abs(spectrum - mu)))
-    if eta <= 0:
+    x = np.asarray(spectrum, dtype=float).ravel() - mu
+    if float(np.min(np.abs(x))) <= 0.0:
         raise ContourGeometryError("mu lies on the spectrum; no contour exists")
-    h = min(np.pi * T / 2.0, eta / 2.0)
 
-    x_left = spectrum[0] - 5.0
-    x_right = mu + T * np.log(1e16)
-    if x_right < spectrum[-1]:
-        # place the right edge in the widest nearby eigenvalue-free window
-        lo, hi = x_right - T, x_right + 4.0 * T
-        pts = spectrum[(spectrum > lo) & (spectrum < hi)]
-        cuts = np.concatenate([[lo], pts, [hi]])
-        widths = np.diff(cuts)
-        j = int(np.argmax(widths))
-        x_right = 0.5 * (cuts[j] + cuts[j + 1])
-    else:
-        x_right = spectrum[-1] + 5.0
+    def evaluate(N):
+        xi, c = _hht_nodes(x, N)
+        weights = c * _fermi_complex(xi, T)
+        # nodes far right of mu, where f_T underflows to 0, add nothing
+        live = weights != 0.0
+        acc = 0.0
+        for z, wt in zip(mu + xi[live], weights[live]):
+            acc = acc + wt * np.asarray(integrand(z))
+        return acc
 
-    segments = [
-        (complex(x_left, -h), complex(x_right, -h)),
-        (complex(x_right, -h), complex(x_right, h)),
-        (complex(x_right, h), complex(x_left, h)),
-        (complex(x_left, h), complex(x_left, -h)),
-    ]
-    lengths = np.array([abs(b - a) for a, b in segments])
-
-    def evaluate(n_total):
-        n_per = np.maximum(8, (n_total * lengths / lengths.sum()).astype(int))
-        zs, ws = _contour_nodes(segments, n_per)
-        spacing = float(np.max(lengths / n_per))
-        pole_dist = np.pi * T - h
-        if pole_dist < 0.5 * spacing:
-            raise ContourGeometryError(
-                f"Matsubara poles at distance {pole_dist:.3e} are closer than "
-                f"half the node spacing {spacing:.3e}"
-            )
-        acc = None
-        for z, w in zip(zs, ws):
-            fz = _fermi_complex(z - mu, T)
-            term = (w * fz) * np.asarray(integrand(z))
-            acc = term if acc is None else acc + term
-        return acc / (2j * np.pi)
-
-    n = n_start
-    prev = evaluate(n)
-    while True:
-        n *= 2
-        cur = evaluate(n)
+    N = _N_START
+    prev = evaluate(N)
+    while N < _N_MAX:
+        N *= 2
+        cur = evaluate(N)
         err = float(np.max(np.abs(cur - prev)))
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        if err <= tol * scale or 2 * n > max_nodes:
+        if err <= tol * max(1.0, float(np.max(np.abs(cur)))):
             return cur, err
         prev = cur
+    raise ContourConvergenceError(
+        f"contour quadrature not converged at N = {N}: estimate {err:.3e} above tol {tol:.1e}"
+    )

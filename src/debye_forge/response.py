@@ -592,38 +592,36 @@ def m_fiber_apply_contour(ws, k, w: PeriodicField, tol=1e-10):
 
 
 def rho_prime_contour(ws, tol=1e-10):
+    """Contour-quadrature rho' (dual route to rho_prime): component j is
+    -2 den[oint f_T R^2 P_j R], all d components from one quadrature."""
     H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
     eye = np.eye(ws.basis.n_pw)
     e0, _ = ws.gamma
-    Pmats = [np.diag(ws.basis.g_cart[:, j]) for j in range(ws.basis.d)]
-
-    out = []
-    for P in Pmats:
-        def integrand(z):
-            R = np.linalg.solve(z * eye - H0, eye)
-            return den_from_matrix(ws.basis, R @ R @ P @ R)
-
-        val, err = contour_quadrature(integrand, ws.occ, e0, tol=tol)
-        out.append(PeriodicField(ws.basis, -2.0 * val, realness=False))
-    return out
-
-
-def epsilon_prime_contour(ws, tol=1e-10):
-    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
-    eye = np.eye(ws.basis.n_pw)
-    e0, _ = ws.gamma
-    d = ws.basis.d
-    vol = ws.basis.lattice.volume
-    Pmats = [np.diag(ws.basis.g_cart[:, j]) for j in range(d)]
+    g = ws.basis.g_cart
 
     def integrand(z):
         R = np.linalg.solve(z * eye - H0, eye)
         RR = R @ R
-        out = np.empty((d, d), dtype=complex)
-        for i in range(d):
-            for j in range(i, d):
-                out[i, j] = out[j, i] = np.trace(RR @ Pmats[i] @ R @ Pmats[j] @ R)
-        return out
+        return np.array([den_from_matrix(ws.basis, (RR * gj) @ R) for gj in g.T])
+
+    val, err = contour_quadrature(integrand, ws.occ, e0, tol=tol)
+    return [PeriodicField(ws.basis, -2.0 * v, realness=False) for v in val]
+
+
+def epsilon_prime_contour(ws, tol=1e-10):
+    """Contour-quadrature eps' (dual route to epsilon_prime), with
+    Tr R^2 P_i R P_j R = g_i^T (R o (R^3)^T) g_j for the diagonal P."""
+    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
+    eye = np.eye(ws.basis.n_pw)
+    e0, _ = ws.gamma
+    g = ws.basis.g_cart
+    vol = ws.basis.lattice.volume
+
+    def integrand(z):
+        R = np.linalg.solve(z * eye - H0, eye)
+        out = g.T @ (R * (R @ R @ R).T) @ g
+        # the i <= j traces, mirrored
+        return np.triu(out) + np.triu(out, 1).T
 
     val, err = contour_quadrature(integrand, ws.occ, e0, tol=tol)
     return -(4.0 / vol) * val.real, err

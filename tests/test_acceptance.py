@@ -8,6 +8,7 @@ multiscale order criterion dominates.
 
 import pytest
 
+from debye_forge import response as R
 from debye_forge.acceptance import CRITERIA, MathieuContext
 
 
@@ -29,3 +30,22 @@ def test_criterion(ctx, index, name, fn):
     status = "PASS" if passed else "FAIL"
     print(f"\n[{status}] {index:2d} {name}: {detail} ({time.perf_counter() - t0:.1f}s)")
     assert passed, f"criterion {index} ({name}): {detail}"
+
+
+def test_permittivity_built_once_per_beta_over_criteria_7_to_9(monkeypatch):
+    # criteria 7, 8 and 9 read one memoised eps per beta; only the T = 0
+    # limit of criterion 9 builds its own
+    calls = {}
+    orig = R.epsilon_prime
+
+    def counted(ws):
+        calls[id(ws)] = calls.get(id(ws), 0) + 1
+        return orig(ws)
+
+    monkeypatch.setattr(R, "epsilon_prime", counted)
+    ctx = MathieuContext()
+    for index in (7, 8, 9):
+        passed, detail = CRITERIA[index - 1][1](ctx)
+        assert passed, detail
+    assert [calls.get(id(ctx.workspace(beta)), 0) for beta in (20, 40, 60)] == [1, 1, 1]
+    assert sum(calls.values()) == 4

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from debye_forge.fibers import (
+    ContourConvergenceError,
     ContourGeometryError,
     EigensolverError,
     assemble_fiber,
@@ -12,6 +13,8 @@ from debye_forge.fibers import (
     spectral_gap,
     shift_overlap_tensor,
     _difference_table,
+    _ellipk,
+    _jacobi,
     _shift_table,
 )
 from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, _fiber_basis, monkhorst_pack
@@ -220,6 +223,43 @@ class TestContour:
         occ = OccupationModel(T=0.05, mu=0.0)
         with pytest.raises(ContourGeometryError):
             contour_quadrature(lambda z: np.eye(1), occ, np.array([0.0]))
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+    def test_estimate_bounds_true_error(self, tol):
+        (ev, U), basis = self.gapped_fiber()
+        H = U @ np.diag(ev) @ U.conj().T
+        eye = np.eye(len(ev))
+
+        val, err = contour_quadrature(
+            lambda z: np.linalg.solve(z * eye - H, eye), self.occ, ev, tol=tol
+        )
+        ref = U @ np.diag(self.occ.occ(ev)) @ U.conj().T
+        assert np.abs(val - ref).max() <= err
+
+    def test_unreachable_tol_raises(self):
+        occ = OccupationModel(T=0.05, mu=1.0)
+        with pytest.raises(ContourConvergenceError):
+            contour_quadrature(
+                lambda z: np.array([[1.0 / z]]), occ, np.array([0.0]), tol=1e-30
+            )
+
+
+@pytest.mark.parametrize("k", [0.3, 0.9, 0.99, 0.999, 0.9999])
+def test_elliptic_functions_match_mpmath_at_contour_nodes(k):
+    # K(k^2), K(1 - k^2) and sn, cn, dn(t | k^2) on the contour line
+    # Im t = K'/2 at the midpoint nodes of N = 16 and N = 128
+    mp = pytest.importorskip("mpmath")
+    m = k * k
+    m1 = 1.0 - m
+    K, Kp = _ellipk(m, m1), _ellipk(m1, m)
+    assert K == pytest.approx(float(mp.ellipk(m)), rel=1e-15)
+    assert Kp == pytest.approx(float(mp.ellipk(m1)), rel=1e-15)
+    with mp.workdps(30):
+        for N in (16, 128):
+            t = -K + (np.arange(N) + 0.5) * 2.0 * K / N + 0.5j * Kp
+            for name, got in zip(("sn", "cn", "dn"), _jacobi(t, m, m1)):
+                ref = np.array([complex(mp.ellipfun(name, mp.mpc(z.real, z.imag), m=m)) for z in t])
+                assert np.abs(got - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
 
 
 def test_threaded_bands_bitwise_deterministic():

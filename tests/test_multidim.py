@@ -103,6 +103,11 @@ class TestSquareLattice:
         assert np.abs(eps_fit - eps).max() < 5e-4  # coarse cutoff, coarse tol
         assert quart >= 0
 
+    def test_contour_route_matches_eigen_route_2d(self, square_ws):
+        eps = R.epsilon_matrix(square_ws)[0]
+        eps_con = R.epsilon_matrix_contour(square_ws, tol=1e-10)
+        assert np.abs(eps_con - eps).max() < 1e-8
+
     def test_zero_temperature_limit_2d(self, square_ws):
         eps0 = R.epsilon_zero_temperature(square_ws)
         assert eps0.shape == (2, 2)
