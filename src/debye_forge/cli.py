@@ -2,7 +2,8 @@
 bands / verify subcommands.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure,
-4 regime violation (with --strict-regime).
+4 regime violation or a multiscale Newton status other than "converged"
+(with --strict-regime).
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ def _add_common(p):
     p.add_argument(
         "--strict-regime",
         action="store_true",
-        help="fail (exit 4) when the asymptotic regime conditions are violated",
+        help="fail (exit 4) when the asymptotic regime conditions are violated "
+        "or a multiscale Newton solve ends short of 'converged'",
     )
 
 

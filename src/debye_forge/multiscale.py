@@ -34,6 +34,7 @@ __all__ = [
     "DeformedCrystal",
     "MultiscaleReport",
     "MultiscaleSweep",
+    "SubspaceConvergenceError",
     "SupercellSolver",
     "build_deformed_kappa",
     "micro_solve_perturbation",
@@ -43,10 +44,19 @@ __all__ = [
 ]
 
 MAX_NEWTON_ITER = 60
+# Chebyshev-filtered subspace iteration of the supercell density
+FILTER_DEGREE = 40        # polynomial degree of one filter pass
+MAX_FILTER_PASSES = 12    # filter passes allowed per density
+MAX_SUBSPACE_GROWTH = 4   # guard refills allowed per density
+SUBSPACE_TOL = 2.0        # stopping bound, in units of n eps (1 + ||rho||_L2)
 
 
 class RegimeViolationError(RuntimeError):
     pass
+
+
+class SubspaceConvergenceError(RuntimeError):
+    """The filtered subspace iteration hit its pass or growth cap."""
 
 
 @dataclass
@@ -153,16 +163,17 @@ class SupercellPWBasis(GridTransforms):
             self.q_ints, tuple(int(s * n) for s, n in zip(micro_basis.fft_shape, factors))
         )
         self._diff_pos = None
+        self._block_pos = None
+
+    def _positions(self, pts):
+        return np.ravel_multi_index(tuple(np.mod(pts, self.fft_shape).T), self.fft_shape)
 
     def diff_pos(self):
         """(n_pw, n_pw) flat FFT positions of Q_i - Q_j, built once."""
         if self._diff_pos is None:
-            shape = self.fft_shape
-
-            def position(pts):
-                return np.ravel_multi_index(tuple(np.mod(pts, shape).T), shape)
-
-            self._diff_pos = lattice_index_table(self.q_ints, self.q_ints, position, sign=-1)
+            self._diff_pos = lattice_index_table(
+                self.q_ints, self.q_ints, self._positions, sign=-1
+            )
         return self._diff_pos
 
     def potential_matrix(self, field: SupercellField):
@@ -171,6 +182,28 @@ class SupercellPWBasis(GridTransforms):
             self.fft_shape
         )
         return vhat.flat[self.diff_pos()]
+
+    def fiber_block(self, values):
+        """The (n_micro, n_micro) block vhat(Q - Q') shared by every fiber:
+        within one fiber Q - Q' = N (G - G'), whatever k_j."""
+        if self._block_pos is None:
+            fiber0 = self.q_ints[: self.micro.n_pw]  # k_0 = 0: Q = N G
+            self._block_pos = lattice_index_table(fiber0, fiber0, self._positions, sign=-1)
+        vhat = np.fft.fftn(np.asarray(values, dtype=complex)) / np.prod(self.fft_shape)
+        return vhat.flat[self._block_pos]
+
+    def multiply_rows(self, values, rows):
+        """Coefficients of v(x) psi_r(x) for each row r of plane-wave
+        coefficients, i.e. rows @ V^T with V = potential_matrix(v): the
+        same cyclic convolution, by one inverse and one forward FFT per row.
+        `values` is v on the supercell grid, `rows` has shape (m, n_pw)."""
+        m = rows.shape[0]
+        arr = np.zeros((m,) + self.fft_shape, dtype=complex)
+        arr.reshape(m, -1)[:, self._fft_pos] = rows
+        axes = tuple(range(1, arr.ndim))
+        arr = np.fft.ifftn(arr, axes=axes)
+        arr *= values
+        return np.fft.fftn(arr, axes=axes).reshape(m, -1)[:, self._fft_pos]
 
 
 class SupercellSolver:
@@ -183,7 +216,14 @@ class SupercellSolver:
         self.phi_tiled = SupercellField.from_periodic(base.phi, self.basis.factors)
         eps = np.finfo(float).eps
         self._e_hi = self.occ.mu + self.occ.T * np.log(self.basis.n_pw / eps**2)
-        self.density_window = {"kept": 0, "of": self.basis.n_pw, "dropped_bound": 0.0}
+        self.density_window = {
+            "kept": 0,
+            "of": self.basis.n_pw,
+            "dropped_bound": 0.0,
+            "subspace_bound": 0.0,
+            "filter_passes": [],
+        }
+        self._ritz_rows = None
         self._rho_ref = None
         self._jac_blocks = None
         self._jac_pinned = None
@@ -200,40 +240,204 @@ class SupercellSolver:
     # -- density map ---------------------------------------------------
 
     def hamiltonian(self, phi_field: SupercellField):
+        """Dense h^phi = |Q|^2 - vhat(Q - Q'); the test oracle of `density`."""
         H = -self.basis.potential_matrix(phi_field)
         H[np.diag_indices_from(H)] += self.basis.q_norm2
         return H
 
+    def apply_hamiltonian(self, values, rows):
+        """h^phi applied to each row of coefficients, phi given on the grid."""
+        return self.basis.q_norm2 * rows - self.basis.multiply_rows(values, rows)
+
+    def _subspace_size(self, kept):
+        """Kept window plus a guard of max(8, kept / 4) states above e_hi."""
+        return min(self.basis.n_pw, kept + max(8, kept // 4))
+
+    def _fiber_eigh(self, values):
+        """Eigenpairs (e, U) of the fiber-diagonal blocks of h^phi, of shapes
+        (n_fibers, n_micro) and (n_fibers, n_micro, n_micro), and the flat
+        fiber-major state indices j * n_micro + b in ascending energy."""
+        sb = self.basis
+        nf = sb.micro.n_pw
+        blocks = np.broadcast_to(-sb.fiber_block(values), (sb.n_fibers, nf, nf)).copy()
+        diag = np.arange(nf)
+        blocks[:, diag, diag] += sb.q_norm2.reshape(sb.n_fibers, nf)
+        e, U = np.linalg.eigh(blocks)
+        return e, U, np.argsort(e.ravel(), kind="stable")
+
+    def _fiber_rows(self, U, states):
+        """Supercell coefficient rows of the fiber states with flat indices `states`."""
+        nf = self.basis.micro.n_pw
+        fib, band = np.divmod(states, nf)
+        rows = np.zeros((states.size, self.basis.n_pw), dtype=complex)
+        rows[np.arange(states.size)[:, None], fib[:, None] * nf + np.arange(nf)] = U[fib, :, band]
+        return rows
+
+    def _corrected(self, values, fiber, rows):
+        """Orthonormal rows after Rayleigh-Ritz, each kept Ritz vector x_i
+        corrected to first order through the fiber-block eigenpairs
+        (e_k, u_k) of h^phi: x_i - sum_k u_k (u_k^H r_i) / (e_k - theta_i)
+        with r_i = h^phi x_i - theta_i x_i, over the fiber states k outside
+        the lowest rows.shape[0] (couplings inside are left to
+        Rayleigh-Ritz). For fiber states as rows this is first-order
+        perturbation theory in the off-block part of h^phi, which vanishes
+        at psi = 0."""
+        sb = self.basis
+        nfib, nf = sb.n_fibers, sb.micro.n_pw
+        e, U, order = fiber
+        theta, rows, H_rows = self._rayleigh_ritz(values, rows)
+        kept = int(np.searchsorted(theta, self._e_hi, side="right"))
+        r = H_rows[:kept] - theta[:kept, None] * rows[:kept]
+        c = np.einsum("jab,ija->ijb", U.conj(), r.reshape(kept, nfib, nf)).reshape(kept, -1)
+        gap = e.ravel()[None, :] - theta[:kept, None]
+        gap[:, order[: rows.shape[0]]] = np.inf
+        c = (c / gap).reshape(kept, nfib, nf)
+        rows[:kept] -= np.einsum("jab,ijb->ija", U, c).reshape(kept, -1)
+        return np.linalg.qr(rows.T)[0].T
+
+    def _grow(self, fiber, rows, size):
+        """Orthonormal rows extended to `size`: the added rows are the
+        leading directions of the lowest `size` fiber states outside the
+        span of `rows` (the fiber states themselves would duplicate the
+        ones `rows` already holds, in whatever order ties fall)."""
+        _, U, order = fiber
+        states = self._fiber_rows(U, order[:size])
+        outside = states - (states @ rows.conj().T) @ rows
+        extra = np.linalg.svd(outside, full_matrices=False)[2][: size - rows.shape[0]]
+        return np.linalg.qr(np.concatenate([rows, extra]).T)[0].T
+
+    def _rayleigh_ritz(self, values, rows):
+        """Ritz values (ascending), Ritz vectors and h^phi applied to them,
+        from orthonormal rows."""
+        H_rows = self.apply_hamiltonian(values, rows)
+        G = rows.conj() @ H_rows.T
+        theta, W = np.linalg.eigh(0.5 * (G + G.conj().T))
+        return theta, W.T @ rows, W.T @ H_rows
+
+    def _chebyshev_filter(self, values, rows, low, a, b):
+        """p(h^phi) rows for the degree-FILTER_DEGREE Chebyshev polynomial
+        that damps [a, b], scaled to p(low) = 1 (Zhou, Saad, Tiago,
+        Chelikowsky, J. Comput. Phys. 219, 172 (2006), Algorithm 3.2)."""
+        e, c = 0.5 * (b - a), 0.5 * (b + a)
+        sigma = e / (low - c)
+        tau = 2.0 / sigma
+        X, Y = rows, (self.apply_hamiltonian(values, rows) - c * rows) * (sigma / e)
+        for _ in range(FILTER_DEGREE - 1):
+            s = 1.0 / (tau - sigma)
+            X, Y = Y, (self.apply_hamiltonian(values, Y) - c * Y) * (2.0 * s / e) - (sigma * s) * X
+            sigma = s
+        return Y
+
+    def _ritz_window(self, values, fiber, rows):
+        """Rayleigh-Ritz of h^phi on orthonormal rows, and the density of
+        the Ritz pairs with theta <= e_hi.
+
+        While fewer than the guard of Ritz values lie above e_hi, the rows
+        are refilled from the fiber states (`fiber` as `_fiber_eigh`
+        returns it), at most MAX_SUBSPACE_GROWTH times. Returns (rows,
+        theta, kept, occs, density, bound): the Ritz vectors and values,
+        the kept count, the occupations of the kept pairs and of the first
+        dropped one, the density and its `subspace_bound` (see `density`).
+        """
+        sb = self.basis
+        n, vol = sb.n_pw, sb.lattice.volume
+        for growth in range(MAX_SUBSPACE_GROWTH + 1):
+            theta, rows, H_rows = self._rayleigh_ritz(values, rows)
+            kept = int(np.searchsorted(theta, self._e_hi, side="right"))
+            if theta.size >= self._subspace_size(kept):
+                break
+            if growth == MAX_SUBSPACE_GROWTH:
+                raise SubspaceConvergenceError(
+                    f"{kept} Ritz values below e_hi after {growth} subspace refills"
+                )
+            rows = self._grow(fiber, rows, self._subspace_size(kept))
+        occs = self.occ.occ(theta[: kept + 1])
+        grids = sb.columns_to_grids(rows[:kept].T)
+        dens2 = np.abs(grids) ** 2
+        dens = np.einsum("n,n...->...", occs[:kept], dens2).real / vol
+        x_inf = np.sqrt(dens2.reshape(kept, values.size).max(axis=1) / vol)
+        r = np.linalg.norm(H_rows[:kept] - theta[:kept, None] * rows[:kept], axis=1)
+        theta_top = theta[-1] if theta.size < n else np.inf  # nothing outside
+        bound = float(np.sum(2.0 * occs[:kept] * x_inf * r / (theta_top - theta[:kept])))
+        return rows, theta, kept, occs, dens, bound
+
     def density(self, phi_field: SupercellField):
         """Supercell density den[f_T(h^phi - mu)] at the base crystal's mu.
 
-        The dense eigh gives every eigenpair; the grid transforms and the
-        occupation sum run over the ascending eigenpairs with e <= e_hi =
-        mu + T ln(n / eps^2) only (n the basis size, eps machine epsilon).
-        A dropped state has occupation below eps^2 / n and sum_n
-        |psi_n(x)|^2 = n / |Omega|, so the dropped density is at most
-        n f_T(e_first_dropped - mu) / |Omega| <= eps^2 / |Omega| pointwise.
-        `density_window` keeps the largest kept count and bound over the
-        calls.
+        Chebyshev-filtered subspace iteration with FFT matvecs. The
+        subspace holds the states with e <= e_hi = mu + T ln(n / eps^2)
+        (n the basis size, eps machine epsilon) plus a guard of
+        max(8, kept / 4) states above e_hi. Two starts are tried: the
+        eigenvectors of the fiber-diagonal blocks of h^phi (exact at
+        psi = 0) and this solver's previous Ritz vectors (the Newton
+        iterates move little). Each gets one first-order correction
+        through the fiber-block eigenpairs (`_corrected`), and the one
+        with the smaller bound below is kept. Rayleigh-Ritz gives Ritz
+        pairs (theta_i, x_i) with residuals r_i; before each pass the
+        iteration stops once
+
+            subspace_bound = sum_{theta_i <= e_hi} 2 f_i |x_i|_inf |r_i| / (theta_top - theta_i)
+
+        is at most SUBSPACE_TOL n eps (1 + ||rho||_L2) (half the
+        dense-eigensolver noise floor of `micro_solve_perturbation`), and
+        raises SubspaceConvergenceError after MAX_FILTER_PASSES passes. To
+        first order in the residuals this bounds the L2 norm over the
+        supercell of the density error from the kept states: a residual
+        mixes x_i only with states outside the subspace, assumed above the
+        top Ritz value theta_top, with a weight at most
+        f_i / (theta_top - theta_i). A pass is a degree-FILTER_DEGREE filter
+        on [theta_top, Gershgorin bound of h^phi], then QR.
+
+        The grid transforms and the occupation sum run over the Ritz pairs
+        with theta <= e_hi only. A dropped state has occupation below
+        eps^2 / n and sum_n |psi_n(x)|^2 = n / |Omega|, so the dropped
+        density is at most n f_T(theta_first_dropped - mu) / |Omega| <=
+        eps^2 / |Omega| pointwise. `density_window` keeps the largest kept
+        count and both bounds over the calls, and the filter passes of
+        each call.
         """
-        H = self.hamiltonian(phi_field)
-        evals, evecs = np.linalg.eigh(H)
-        n = evals.size
-        kept = int(np.searchsorted(evals, self._e_hi, side="right"))
-        occs = self.occ.occ(evals[: kept + 1])
-        vol = self.basis.lattice.volume
-        grids = self.basis.columns_to_grids(evecs[:, :kept])
-        dens = np.einsum("n,n...->...", occs[:kept], np.abs(grids) ** 2).real / vol
+        sb = self.basis
+        n, vol = sb.n_pw, sb.lattice.volume
+        v = np.asarray(phi_field.values, dtype=float)
+        fiber = self._fiber_eigh(v)
+        e, U, order = fiber
+        in_window = int(np.searchsorted(e.ravel()[order], self._e_hi, side="right"))
+        starts = [self._fiber_rows(U, order[: self._subspace_size(in_window)])]
+        if self._ritz_rows is not None:
+            starts.append(self._ritz_rows)
+        state = min(
+            (self._ritz_window(v, fiber, self._corrected(v, fiber, rows)) for rows in starts),
+            key=lambda st: st[-1],
+        )
+        top = float(sb.q_norm2.max() + np.abs(np.fft.fftn(v)).sum() / v.size)
+        passes = 0
+        while True:
+            rows, theta, kept, occs, dens, bound = state
+            rho_l2 = np.sqrt(vol * np.mean(dens**2))
+            if bound <= SUBSPACE_TOL * n * np.finfo(float).eps * (1.0 + rho_l2):
+                break
+            if passes == MAX_FILTER_PASSES:
+                raise SubspaceConvergenceError(
+                    f"subspace bound {bound:.3e} after {passes} filter passes"
+                )
+            rows = self._chebyshev_filter(v, rows, theta[0], theta[-1], top)
+            state = self._ritz_window(v, fiber, np.linalg.qr(rows.T)[0].T)
+            passes += 1
+        self._ritz_rows = rows
         win = self.density_window
         win["kept"] = max(win["kept"], kept)
         if kept < n:
             win["dropped_bound"] = max(win["dropped_bound"], float(n * occs[kept] / vol))
+        win["subspace_bound"] = max(win["subspace_bound"], bound)
+        win["filter_passes"].append(passes)
         return SupercellField(self.basis.micro.lattice, self.basis.factors, dens)
 
     def delta_density(self, psi: SupercellField):
-        """rho(phi_per + psi) - rho(phi_per), the screening response."""
-        rho = self.density(self.phi_tiled + psi)
-        return rho - self.rho_tiled
+        """rho(phi_per + psi) - rho(phi_per), the screening response. The
+        reference density comes first, so that it starts from the exact
+        fiber states and every later density from nearby Ritz vectors."""
+        ref = self.rho_tiled
+        return self.density(self.phi_tiled + psi) - ref
 
     # -- frozen block Jacobian ------------------------------------------
 
@@ -301,9 +505,16 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
     damped by step halving, at most MAX_NEWTON_ITER of them.
 
     Convergence: residual <= tol * ||kappa'_delta|| whenever that is
-    attainable. For very small sources the dense-eigensolver noise in
-    the density difference sets an absolute floor (~n eps ||rho||); the
-    solve is accepted at the floor, which is recorded in the info dict.
+    attainable. For very small sources the density map itself sets an
+    absolute floor, the larger of the dense-eigensolver noise
+    4 n eps (1 + ||rho||) and twice the largest `subspace_bound` of the
+    supercell densities (the residual holds the difference of two); the
+    solve is accepted at the floor. A step that no damping makes
+    descend is accepted when the residual is within
+    max(10 floor, 1e-6 ||kappa'_delta||) and raises otherwise.
+    info["status"] says which test accepted the result: "converged"
+    (residual <= tol ||kappa'_delta||), "noise-floor" (above that, within
+    10 floor) or "stagnated" (only the 1e-6 stall clause).
 
     Returns (phi_delta, psi_micro, info); info holds plain data only.
     """
@@ -313,10 +524,16 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
     kp_coeffs = sb.grid_to_coeffs(kp.values)
     kp_norm = float(np.sqrt(sb.lattice.volume * np.sum(np.abs(kp_coeffs) ** 2)))
     zero = SupercellField(sb.micro.lattice, sb.factors, np.zeros(sb.fft_shape))
+
+    def window():
+        win = solver.density_window
+        return {**win, "filter_passes": list(win["filter_passes"])}
+
     if kp_norm == 0.0:
         # psi = 0 solves the equation exactly and no supercell density
         # enters its residual, so no eigensolver noise floor either
         info = {
+            "status": "converged",
             "iterations": 0,
             "residuals": [0.0],
             "relative_residual": 0.0,
@@ -324,11 +541,18 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
             "neutrality_defect": 0.0,
             "nonlinearity_l2": 0.0,
             "nonlinearity_share": 0.0,
-            "density_window": dict(solver.density_window),
+            "density_window": window(),
         }
         return solver.phi_tiled, zero, info
-    noise_floor = 4.0 * sb.n_pw * np.finfo(float).eps * (1.0 + solver.rho_tiled.l2_norm())
-    tol_abs = max(tol * kp_norm, noise_floor)
+    eigh_floor = 4.0 * sb.n_pw * np.finfo(float).eps * (1.0 + solver.rho_tiled.l2_norm())
+
+    def noise_floor():
+        return max(eigh_floor, 2.0 * solver.density_window["subspace_bound"])
+
+    def status(res):
+        if res <= tol * kp_norm:
+            return "converged"
+        return "noise-floor" if res <= 10.0 * noise_floor() else "stagnated"
 
     def residual(psi_c):
         psi_f = SupercellField.from_coeffs(
@@ -347,7 +571,7 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
     psi_f = drho = zero
     r = -kp_coeffs
     history = [rnorm(r)]
-    converged = history[-1] <= tol_abs
+    converged = history[-1] <= max(tol * kp_norm, noise_floor())
     it = 0
     while not converged and it < MAX_NEWTON_ITER:
         it += 1
@@ -365,7 +589,7 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
             # stagnation: accept the current iterate (and its density) if
             # it is at the numerical floor of the density map, otherwise
             # this is a genuine regime failure
-            if history[-1] <= max(10.0 * noise_floor, 1e-6 * kp_norm):
+            if history[-1] <= max(10.0 * noise_floor(), 1e-6 * kp_norm):
                 converged = True
                 break
             raise RegimeViolationError(
@@ -373,7 +597,7 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
             )
         psi_c, r, psi_f, drho = trial, r_new, psi_new, drho_new
         history.append(rnorm(r))
-        converged = history[-1] <= tol_abs
+        converged = history[-1] <= max(tol * kp_norm, noise_floor())
 
     if not converged:
         raise RegimeViolationError(
@@ -387,14 +611,15 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
     nl_norm = rnorm(solver.nonlinearity(psi_c, drho).flat[sb._fft_pos])
     drho_norm = rnorm(sb.grid_to_coeffs(drho.values))
     info = {
+        "status": status(history[-1]),
         "iterations": it,
         "residuals": history,
         "relative_residual": history[-1] / kp_norm,
-        "noise_floor": noise_floor,
+        "noise_floor": noise_floor(),
         "neutrality_defect": defect,
         "nonlinearity_l2": nl_norm,
         "nonlinearity_share": nl_norm / max(drho_norm, 1e-300),
-        "density_window": dict(solver.density_window),
+        "density_window": window(),
     }
     phi_delta = solver.phi_tiled + psi_f
     return phi_delta, psi_f, info
@@ -404,8 +629,8 @@ def nonlinearity_N(solver: SupercellSolver, psi: SupercellField):
     """N(psi) = [rho(phi_per+psi) - rho(phi_per)] - M psi on the solver's
     supercell.
 
-    Evaluated by full functional calculus (supercell diagonalization),
-    not by the resolvent series; the linear part M psi uses the exact
+    Evaluated by full functional calculus (the supercell density of
+    `SupercellSolver.density`), not by the resolvent series; the linear part M psi uses the exact
     zone-averaged Jacobian blocks, so N is quadratically small. Calls on
     one solver share its reference density and its Jacobian blocks.
     """

@@ -334,6 +334,9 @@ def run_multiscale(cfg, state=None, strict_regime=False):
                     exit_code=4,
                 )
             warnings.warn(f"regime conditions violated: {regime_flags}")
+        status = rep.newton["status"]
+        if strict_regime and status != "converged":
+            raise StageError(f"Newton status {status!r} at delta={delta}", exit_code=4)
         jpath = os.path.join(out, f"multiscale_N{int(round(1.0 / delta))}.json")
         dfio.dump_json(
             jpath,

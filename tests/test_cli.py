@@ -176,6 +176,26 @@ class TestPipeline:
         rc = cli_main(["multiscale", "--config", str(path), "--strict-regime"])
         assert rc == 4
 
+    def test_strict_regime_fails_on_newton_status(self, tmp_path, monkeypatch, capsys):
+        # regime conditions forced to hold: the Newton status alone decides
+        import functools
+
+        from debye_forge import multiscale
+        from debye_forge.response import HomogenizedCoefficients
+
+        monkeypatch.setattr(HomogenizedCoefficients, "regime_ok", property(lambda self: {"ok": True}))
+        path, cfg = fast_config(tmp_path)
+        assert cli_main(["crystal", "--config", str(path)]) == 0
+        solve = multiscale.micro_solve_perturbation
+        monkeypatch.setattr(multiscale, "micro_solve_perturbation", functools.partial(solve, tol=1e-16))
+        assert cli_main(["multiscale", "--config", str(path), "--strict-regime"]) == 4
+        assert "Newton status 'noise-floor'" in capsys.readouterr().err
+        assert cli_main(["multiscale", "--config", str(path)]) == 0
+        monkeypatch.setattr(multiscale, "micro_solve_perturbation", functools.partial(solve, tol=1e-6))
+        assert cli_main(["multiscale", "--config", str(path), "--strict-regime"]) == 0
+        info = load_json(tmp_path / "out" / "multiscale" / "multiscale_N4.json")
+        assert info["newton"]["status"] == "converged"
+
     def test_atomic_manifest(self, tmp_path, monkeypatch):
         # interrupting before the final rename leaves no partial manifest
         path, cfg = fast_config(tmp_path)

@@ -7,7 +7,9 @@ import pytest
 from debye_forge.fibers import compute_bands, spectral_gap
 from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, SupercellField, monkhorst_pack
 from debye_forge.macro import gaussian_source
+from debye_forge import multiscale as M
 from debye_forge.multiscale import (
+    SubspaceConvergenceError,
     SupercellSolver,
     build_deformed_kappa,
     effective_coefficients,
@@ -39,6 +41,23 @@ def make_crystal(beta=40.0, N=8):
 
 def macro_box():
     return Lattice(LAT.basis.copy())
+
+
+def dense_density(sol, phi):
+    """The oracle: every eigenpair of the dense supercell Hamiltonian."""
+    evals, evecs = np.linalg.eigh(sol.hamiltonian(phi))
+    grids = sol.basis.columns_to_grids(evecs)
+    full = np.einsum("n,n...->...", sol.occ.occ(evals), np.abs(grids) ** 2).real
+    return full / sol.basis.lattice.volume
+
+
+def wave(sol, amplitude=0.05):
+    """A smooth real psi on the solver's supercell grid."""
+    sb = sol.basis
+    N = int(sb.factors[0])
+    x = np.arange(sb.fft_shape[0]) * (2 * np.pi * N / sb.fft_shape[0])
+    vals = amplitude * np.cos(x / N) + 0.4 * amplitude * np.sin(3 * x / N)
+    return SupercellField(LAT, np.full(1, N), vals)
 
 
 def bump(N, amplitude=0.01, width=0.35, mean_free=True):
@@ -107,23 +126,82 @@ class TestSupercellSolver:
         drho = sol.delta_density(zero)
         assert np.abs(drho.values).max() < 1e-13
 
-    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("N", [8, 16, 32])
     def test_windowed_density_against_full_eigh(self, N):
         st = make_crystal(N=N)
         sol = SupercellSolver(st, N)
         sb = sol.basis
-        x = np.arange(sb.fft_shape[0]) * (2 * np.pi * N / sb.fft_shape[0])
-        psi = SupercellField(LAT, np.full(1, N), 0.05 * np.cos(x / N) + 0.02 * np.sin(3 * x / N))
-        phi = sol.phi_tiled + psi
+        phi = sol.phi_tiled + wave(sol)
         got = sol.density(phi).values
-        evals, evecs = np.linalg.eigh(sol.hamiltonian(phi))
-        grids = sb.columns_to_grids(evecs)
-        full = np.einsum("n,n...->...", sol.occ.occ(evals), np.abs(grids) ** 2).real
-        full /= sb.lattice.volume
+        full = dense_density(sol, phi)
         win = sol.density_window
         assert win["of"] == sb.n_pw and 0 < win["kept"] < sb.n_pw
         assert 0.0 < win["dropped_bound"] <= np.finfo(float).eps ** 2 / sb.lattice.volume
+        assert win["filter_passes"][0] >= 1
         assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+
+    @pytest.mark.parametrize("N", [8, 32])
+    def test_reference_density_takes_no_filter_pass(self, N):
+        # the fiber-block start is exact at psi = 0
+        sol = SupercellSolver(make_crystal(N=N), N)
+        rho = sol.rho_tiled.values
+        full = dense_density(sol, sol.phi_tiled)
+        assert sol.density_window["filter_passes"] == [0]
+        assert np.abs(rho - full).max() <= 1e-13 * np.abs(full).max()
+
+    def test_warm_start_takes_fewer_passes_than_cold(self):
+        sol = SupercellSolver(make_crystal(), 8)
+        psi = wave(sol)
+        sol.density(sol.phi_tiled + psi)  # cold: no Ritz vectors yet
+        sol.density(sol.phi_tiled + psi * (1.0 + 1e-4))  # warm: the last Ritz vectors
+        cold, warm = sol.density_window["filter_passes"]
+        assert warm < cold
+
+    def test_fresh_solvers_give_bit_identical_densities(self):
+        st = make_crystal()
+        runs = []
+        for _ in range(2):
+            sol = SupercellSolver(st, 8)
+            psi = wave(sol)
+            runs.append([sol.density(sol.phi_tiled + psi * t).values for t in (0.0, 1.0, 0.5)])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tol", [1e4, 1e8])
+    def test_subspace_bound_covers_error(self, monkeypatch, tol):
+        # a loose stop, so that the iterate's error stands well above the
+        # oracle's own round-off: the reported bound must still cover it
+        monkeypatch.setattr(M, "SUBSPACE_TOL", tol)
+        for N in (8, 32):
+            sol = SupercellSolver(make_crystal(N=N), N)
+            phi = sol.phi_tiled + wave(sol)
+            err = sol.density(phi).values - dense_density(sol, phi)
+            err_l2 = np.sqrt(sol.basis.lattice.volume * np.mean(err**2))
+            assert 1e-13 < err_l2 <= sol.density_window["subspace_bound"]
+
+    def test_pass_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(M, "MAX_FILTER_PASSES", 1)
+        sol = SupercellSolver(make_crystal(), 8)
+        with pytest.raises(SubspaceConvergenceError, match="filter passes"):
+            sol.density(sol.phi_tiled + wave(sol))
+
+    @pytest.mark.parametrize("N", [8, 32])
+    def test_constant_shift_grows_the_subspace(self, monkeypatch, N):
+        # phi + c lowers every level by c: more states fall below e_hi than
+        # the subspace of the previous call holds
+        sol = SupercellSolver(make_crystal(N=N), N)
+        sol.rho_tiled
+        kept0 = sol.density_window["kept"]
+        phi = sol.phi_tiled.copy_with(sol.phi_tiled.values + 2.0)
+        got = sol.density(phi).values
+        full = dense_density(sol, phi)
+        assert sol.density_window["kept"] > 1.5 * kept0
+        assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+        monkeypatch.setattr(M, "MAX_SUBSPACE_GROWTH", 1)
+        sol = SupercellSolver(make_crystal(N=N), N)
+        sol.rho_tiled
+        with pytest.raises(SubspaceConvergenceError, match="refills"):
+            sol.density(phi)
 
     def test_frozen_jacobian_matches_fd(self):
         # directions must be band-limited to the plane-wave ball: that is
@@ -190,6 +268,61 @@ class TestMicroSolve:
         phid, psim, info = micro_solve_perturbation(dc)
         assert np.abs(psim.values).max() == 0.0
         assert info["iterations"] == 0
+        assert info["status"] == "converged"
+
+    @pytest.mark.parametrize(
+        "amplitude, tol, status",
+        [(0.01, 1e-6, "converged"), (0.01, 1e-10, "converged"), (0.01, 1e-16, "noise-floor")],
+    )
+    def test_status(self, amplitude, tol, status):
+        st = make_crystal()
+        dc = build_deformed_kappa(st, 1 / 8, bump(8, amplitude=amplitude))
+        _, _, info = micro_solve_perturbation(dc, tol=tol)
+        assert info["status"] == status
+        res = info["residuals"][-1]
+        if status == "converged":
+            assert info["relative_residual"] <= tol
+        else:
+            assert info["relative_residual"] > tol and res <= info["noise_floor"]
+        # the floor is never below what the density route resolves
+        assert info["noise_floor"] >= 2 * info["density_window"]["subspace_bound"]
+
+    def test_floor_follows_a_loose_subspace_bound(self, monkeypatch):
+        # densities stopped far above the dense-eigensolver noise: the floor
+        # must rise with them, or Newton would chase their error
+        monkeypatch.setattr(M, "SUBSPACE_TOL", 1e6)
+        st = make_crystal()
+        dc = build_deformed_kappa(st, 1 / 8, bump(8, amplitude=0.01))
+        _, _, info = micro_solve_perturbation(dc, tol=1e-16)
+        ref = SupercellSolver(st, 8)
+        eigh_floor = 4 * ref.basis.n_pw * np.finfo(float).eps * (1 + ref.rho_tiled.l2_norm())
+        assert info["noise_floor"] == 2 * info["density_window"]["subspace_bound"] > eigh_floor
+        assert info["status"] == "noise-floor"
+
+    def test_stall_clause_reports_stagnated(self, monkeypatch):
+        """Density noise that grows with every call: no damped step descends
+        once the true residual is below it, and the stall clause accepts a
+        residual above 10 noise floors but within 1e-6 ||kappa'||."""
+        st = make_crystal()
+        dc = build_deformed_kappa(st, 1 / 8, bump(8, amplitude=0.01))
+        sb = SupercellSolver(st, 8).basis
+        kp = sb.grid_to_coeffs(dc.kappa_prime_delta.values)
+        kp_norm = np.sqrt(sb.lattice.volume * np.sum(np.abs(kp) ** 2))
+        x = np.arange(sb.fft_shape[0]) * (2 * np.pi / sb.fft_shape[0])
+        pattern = np.cos(x)  # the longest supercell wave, unit L2 norm
+        pattern /= np.sqrt(sb.lattice.volume * np.mean(pattern**2))
+        calls = []
+        delta_density = SupercellSolver.delta_density
+
+        def noisy(self, psi):
+            calls.append(1)
+            drho = delta_density(self, psi)
+            return drho.copy_with(drho.values + 1e-7 * kp_norm * (1 + 0.1 * len(calls)) * pattern)
+
+        monkeypatch.setattr(SupercellSolver, "delta_density", noisy)
+        _, _, info = micro_solve_perturbation(dc)
+        assert info["status"] == "stagnated"
+        assert 10 * info["noise_floor"] < info["residuals"][-1] <= 1e-6 * kp_norm
 
     def test_linear_regime_richardson(self):
         st = make_crystal()
