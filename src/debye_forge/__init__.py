@@ -12,4 +12,4 @@ from .lattice import (  # noqa: F401
     monkhorst_pack,
     reciprocal_lattice,
 )
-from .occupation import OccupationModel, divided_difference, fermi_dirac  # noqa: F401
+from .occupation import OccupationModel  # noqa: F401

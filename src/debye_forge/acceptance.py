@@ -24,6 +24,7 @@ from .lattice import (
     SupercellField,
     monkhorst_pack,
 )
+from .pipeline import first_gap_mu
 from .scf import CrystalState, SCFConfig, designer_crystal, scf_solve
 
 
@@ -52,8 +53,7 @@ class MathieuContext:
         self.phi = PeriodicField.from_callable(self.basis, lambda x: 2.0 * np.cos(x))
         self.kgrid = monkhorst_pack(self.lattice, self.NK)
         bands = compute_bands(self.basis, self.phi, self.kgrid)
-        lo, hi = bands.band_ranges()
-        self.mu = float(0.5 * (hi[0] + lo[1]))
+        self.mu = float(first_gap_mu(bands))
         self._bands = bands
         self._crystals = {}
         self._epsilon = {}

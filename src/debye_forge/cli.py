@@ -45,7 +45,6 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
     for name, desc in [
         ("crystal", "solve or construct the periodic crystal state"),
         ("bands", "export the band structure and gap report"),
@@ -55,21 +54,10 @@ def build_parser():
     ]:
         p = sub.add_parser(name, help=desc)
         _add_common(p)
-        parsers[name] = p
-    for name in ("bands", "response", "multiscale"):
-        parsers[name].add_argument(
-            "--state", help="crystal bundle directory (defaults to <out>/crystal)"
-        )
-    parsers["response"].add_argument("--delta", type=float, help="scale ratio override")
-    parsers["response"].add_argument("--kmax", type=float, help="b(k) sample radius override")
-    parsers["response"].add_argument("--ksamples", type=int, help="b(k) sample count override")
-    parsers["macro"].add_argument("--nu", type=float, help="screening mass override")
-    parsers["macro"].add_argument(
-        "--eps", help="permittivity override, JSON matrix (e.g. '[[1.0]]')"
-    )
-    parsers["multiscale"].add_argument(
-        "--delta-list", help="comma-separated scale ratios (e.g. 0.125,0.0625)"
-    )
+        if name in ("bands", "response", "multiscale"):
+            p.add_argument(
+                "--state", help="crystal bundle directory (defaults to <out>/crystal)"
+            )
     v = sub.add_parser("verify", help="run the acceptance suite")
     v.add_argument("--quick", action="store_true", help="skip the slow criteria")
     return parser
@@ -99,22 +87,6 @@ def main(argv=None):
         cfg["threads"] = int(os.environ["DEBYE_FORGE_THREADS"])
     if getattr(args, "state", None):
         cfg["_crystal_bundle"] = args.state
-    if getattr(args, "delta", None):
-        cfg["response"]["delta"] = args.delta
-    if getattr(args, "kmax", None):
-        cfg["response"]["kmax"] = args.kmax
-    if getattr(args, "ksamples", None):
-        cfg["response"]["ksamples"] = args.ksamples
-    if getattr(args, "nu", None):
-        cfg["macro"]["nu"] = args.nu
-    if getattr(args, "eps", None):
-        import json as _json
-
-        cfg["macro"]["eps"] = _json.loads(args.eps)
-    if getattr(args, "delta_list", None):
-        cfg["multiscale"]["delta_list"] = [
-            float(x) for x in args.delta_list.split(",")
-        ]
 
     from .pipeline import StageError, run_pipeline
 

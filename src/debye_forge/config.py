@@ -24,7 +24,7 @@ _FIELD_SPEC = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "family": {"enum": ["cosine", "gaussians", "file"]},
+        "family": {"enum": ["cosine", "file"]},
         "terms": {
             "type": "array",
             "items": {
@@ -33,8 +33,6 @@ _FIELD_SPEC = {
                 "properties": {
                     "n": {"type": "array", "items": {"type": "integer"}},
                     "amplitude": {"type": "number"},
-                    "center": {"type": "array", "items": {"type": "number"}},
-                    "width": {"type": "number", "exclusiveMinimum": 0},
                 },
             },
         },
@@ -280,25 +278,6 @@ def build_potential(basis: PlaneWaveBasis, spec) -> PeriodicField:
             coeffs[i] += 0.5 * amp
             coeffs[j] += 0.5 * amp
         return PeriodicField(basis, coeffs, realness=True)
-    if fam == "gaussians":
-        pts = basis.grid_points()
-        vals = np.full(basis.fft_shape, float(spec.get("offset", 0.0)))
-        lat = basis.lattice
-        import itertools
-
-        for term in spec.get("terms", []):
-            center = np.asarray(
-                term.get("center", [0.0] * basis.d), dtype=float
-            )
-            width = term.get("width", 0.5)
-            amp = term.get("amplitude", 1.0)
-            norm = amp / ((2 * np.pi) ** (basis.d / 2.0) * width**basis.d)
-            for shift in itertools.product(range(-2, 3), repeat=basis.d):
-                offs = np.asarray(shift, dtype=float) @ lat.basis
-                delta = pts - center - offs
-                r2 = np.einsum("...i,...i->...", delta, delta)
-                vals += norm * np.exp(-0.5 * r2 / width**2)
-        return PeriodicField.from_grid(basis, vals)
     if fam == "file":
         from .io import read_field
 

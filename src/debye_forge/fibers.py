@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .lattice import PeriodicField, PlaneWaveBasis
 from .occupation import OccupationModel
 
 __all__ = [
-    "FiberHamiltonian",
     "BandStructure",
     "GapReport",
     "assemble_fiber",
@@ -67,18 +66,6 @@ def _kmap(fn, items, threads=None):
         return list(pool.map(fn, items))
 
 
-def _reduce_k_point(basis: PlaneWaveBasis, k):
-    """Map k into the reciprocal cell (fractional coords in [-1/2, 1/2))."""
-    wstar = basis.lattice.reciprocal
-    frac = np.atleast_1d(np.asarray(k, dtype=float)) @ basis.lattice.reciprocal_inverse
-    wrapped = frac - np.round(frac)
-    # np.round sends 0.5 to 0, leaving +1/2; fold it to -1/2
-    wrapped = np.where(wrapped >= 0.5 - 1e-12, wrapped - 1.0, wrapped)
-    if np.max(np.abs(wrapped - frac)) > 1e-12:
-        warnings.warn("k outside the reciprocal cell; reduced modulo the lattice")
-    return wrapped @ wstar
-
-
 def _difference_table(basis: PlaneWaveBasis):
     """table[i, j] = basis index of G_i - G_j, or n_pw when outside the set."""
     tab = getattr(basis, "_diff_table", None)
@@ -111,44 +98,23 @@ def potential_matrix(phi: PeriodicField):
     return padded[tab]
 
 
-@dataclass
-class FiberHamiltonian:
-    """Dense fiber matrix at one Bloch momentum."""
+def assemble_fiber(basis: PlaneWaveBasis, phi: PeriodicField, k):
+    """H_k = diag(|G+k|^2) - phihat(G-G') for a real potential phi.
 
-    basis: PlaneWaveBasis
-    k: np.ndarray
-    phi: PeriodicField
-    matrix: np.ndarray = field(repr=False)
-
-    def hermiticity_defect(self):
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
-
-
-def assemble_fiber(
-    basis: PlaneWaveBasis, phi: PeriodicField, k, reduce: bool = True
-) -> FiberHamiltonian:
-    """Build H_k = diag(|G+k|^2) - phihat(G-G') for a real potential phi.
-
-    k outside the reciprocal cell is reduced modulo the reciprocal
-    lattice (with a warning); the spectrum is unchanged by the
-    reduction. Pass reduce=False to keep the absolute momentum labels
-    (pair blocks of the averaged response must not relabel G across the
-    zone boundary).
+    k is the absolute momentum: it is not reduced into the reciprocal
+    cell, so that pair blocks of the averaged response keep their G
+    labels across the zone boundary.
     """
     if not phi.realness:
         raise ValueError("fiber assembly requires a real potential")
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    if reduce:
-        k = _reduce_k_point(basis, k)
     H = -potential_matrix(phi)
     H[np.diag_indices_from(H)] += basis.kinetic_diagonal(k)
-    return FiberHamiltonian(basis=basis, k=k, phi=phi, matrix=H)
+    return H
 
 
-def diagonalize_fiber(fiber: FiberHamiltonian):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a fiber."""
-    H = fiber.matrix
-    defect = fiber.hermiticity_defect()
+def diagonalize_fiber(H):
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a fiber matrix."""
+    defect = float(np.abs(H - H.conj().T).max())
     scale = max(1.0, float(np.abs(H).max()))
     if defect > 1e-12 * scale:
         raise EigensolverError(f"fiber is not Hermitian: defect {defect:.3e}")

@@ -426,28 +426,6 @@ class PeriodicField:
                 raise ValueError("fields live on different plane-wave bases")
 
 
-def inner(f: PeriodicField, g: PeriodicField):
-    """L^2_per inner product int_Omega conj(f) g."""
-    f._check(g)
-    return f.basis.lattice.volume * np.vdot(f.coeffs, g.coeffs)
-
-
-def transform(field: PeriodicField, direction: str):
-    """Round-trippable change of representation for a periodic field.
-
-    "to_grid" returns the real-space samples on the basis FFT grid;
-    "to_coeffs" returns the plane-wave coefficients. Forward followed by
-    backward is the identity to round-off, and the grid mean square
-    equals |Omega| times the coefficient sum of squares (cell-average
-    normalization).
-    """
-    if direction == "to_grid":
-        return field.values()
-    if direction == "to_coeffs":
-        return field.coeffs.copy()
-    raise ValueError("direction must be 'to_grid' or 'to_coeffs'")
-
-
 class SupercellField:
     """Function on an N-fold supercell stored on its FFT grid.
 

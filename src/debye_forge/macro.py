@@ -78,13 +78,6 @@ def solve_pb(problem: MacroProblem) -> SupercellField:
     return SupercellField.from_coeffs(src.micro, src.factors, psi_hat, real=real)
 
 
-def residual_norm(problem: MacroProblem, psi: SupercellField):
-    xi = psi.wavevectors()
-    denom = problem.nu + np.einsum("...i,ij,...j->...", xi, problem.eps, xi)
-    res = denom * psi.coeffs() - problem.source.coeffs()
-    return float(np.sqrt(psi.volume * np.sum(np.abs(res) ** 2)))
-
-
 def energy_identity_defect(problem: MacroProblem, psi: SupercellField):
     """Relative defect of <psi, kappa'> = nu ||psi||^2 + <grad psi, eps grad psi>."""
     c = psi.coeffs()

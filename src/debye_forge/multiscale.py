@@ -162,26 +162,10 @@ class SupercellPWBasis(GridTransforms):
         self._place_on_grid(
             self.q_ints, tuple(int(s * n) for s, n in zip(micro_basis.fft_shape, factors))
         )
-        self._diff_pos = None
         self._block_pos = None
 
     def _positions(self, pts):
         return np.ravel_multi_index(tuple(np.mod(pts, self.fft_shape).T), self.fft_shape)
-
-    def diff_pos(self):
-        """(n_pw, n_pw) flat FFT positions of Q_i - Q_j, built once."""
-        if self._diff_pos is None:
-            self._diff_pos = lattice_index_table(
-                self.q_ints, self.q_ints, self._positions, sign=-1
-            )
-        return self._diff_pos
-
-    def potential_matrix(self, field: SupercellField):
-        """Multiplication-operator matrix vhat(Q - Q') from supercell FFT data."""
-        vhat = np.fft.fftn(np.asarray(field.values, dtype=complex)) / np.prod(
-            self.fft_shape
-        )
-        return vhat.flat[self.diff_pos()]
 
     def fiber_block(self, values):
         """The (n_micro, n_micro) block vhat(Q - Q') shared by every fiber:
@@ -194,8 +178,8 @@ class SupercellPWBasis(GridTransforms):
 
     def multiply_rows(self, values, rows):
         """Coefficients of v(x) psi_r(x) for each row r of plane-wave
-        coefficients, i.e. rows @ V^T with V = potential_matrix(v): the
-        same cyclic convolution, by one inverse and one forward FFT per row.
+        coefficients, i.e. rows @ V^T with V the matrix vhat(Q - Q') of v,
+        by one inverse and one forward FFT per row (a cyclic convolution).
         `values` is v on the supercell grid, `rows` has shape (m, n_pw)."""
         m = rows.shape[0]
         arr = np.zeros((m,) + self.fft_shape, dtype=complex)
@@ -238,12 +222,6 @@ class SupercellSolver:
         return self._rho_ref
 
     # -- density map ---------------------------------------------------
-
-    def hamiltonian(self, phi_field: SupercellField):
-        """Dense h^phi = |Q|^2 - vhat(Q - Q'); the test oracle of `density`."""
-        H = -self.basis.potential_matrix(phi_field)
-        H[np.diag_indices_from(H)] += self.basis.q_norm2
-        return H
 
     def apply_hamiltonian(self, values, rows):
         """h^phi applied to each row of coefficients, phi given on the grid."""
@@ -378,8 +356,7 @@ class SupercellSolver:
 
             subspace_bound = sum_{theta_i <= e_hi} 2 f_i |x_i|_inf |r_i| / (theta_top - theta_i)
 
-        is at most SUBSPACE_TOL n eps (1 + ||rho||_L2) (half the
-        dense-eigensolver noise floor of `micro_solve_perturbation`), and
+        is at most SUBSPACE_TOL n eps (1 + ||rho||_L2), and
         raises SubspaceConvergenceError after MAX_FILTER_PASSES passes. To
         first order in the residuals this bounds the L2 norm over the
         supercell of the density error from the kept states: a residual
@@ -506,12 +483,11 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
 
     Convergence: residual <= tol * ||kappa'_delta|| whenever that is
     attainable. For very small sources the density map itself sets an
-    absolute floor, the larger of the dense-eigensolver noise
-    4 n eps (1 + ||rho||) and twice the largest `subspace_bound` of the
-    supercell densities (the residual holds the difference of two); the
-    solve is accepted at the floor. A step that no damping makes
-    descend is accepted when the residual is within
-    max(10 floor, 1e-6 ||kappa'_delta||) and raises otherwise.
+    absolute floor, twice the largest `subspace_bound` of the supercell
+    densities (the residual holds the difference of two); the solve is
+    accepted at the floor. A step that no damping makes descend is
+    accepted when the residual is within max(10 floor, 1e-6
+    ||kappa'_delta||) and raises otherwise.
     info["status"] says which test accepted the result: "converged"
     (residual <= tol ||kappa'_delta||), "noise-floor" (above that, within
     10 floor) or "stagnated" (only the 1e-6 stall clause).
@@ -531,7 +507,7 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
 
     if kp_norm == 0.0:
         # psi = 0 solves the equation exactly and no supercell density
-        # enters its residual, so no eigensolver noise floor either
+        # enters its residual, so no density noise floor either
         info = {
             "status": "converged",
             "iterations": 0,
@@ -544,10 +520,9 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
             "density_window": window(),
         }
         return solver.phi_tiled, zero, info
-    eigh_floor = 4.0 * sb.n_pw * np.finfo(float).eps * (1.0 + solver.rho_tiled.l2_norm())
 
     def noise_floor():
-        return max(eigh_floor, 2.0 * solver.density_window["subspace_bound"])
+        return 2.0 * solver.density_window["subspace_bound"]
 
     def status(res):
         if res <= tol * kp_norm:

@@ -16,8 +16,7 @@ For k = 2, 3 there is one threshold, |b - a| < TAYLOR_RADIUS * T: below
 it the Taylor series of f_T about a is summed, which has no cancellation
 (McCurdy, Ng and Parlett, Math. Comp. 43, 501 (1984)); above it one
 recursion step on k - 1 loses at most about eps / TAYLOR_RADIUS^2
-relative to T^-k. `divided_difference` uses the same closed form,
-threshold and series for any 2 to 4 nodes.
+relative to T^-k.
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ import numpy as np
 
 __all__ = [
     "OccupationModel",
-    "fermi_dirac",
     "dd",
-    "divided_difference",
     "step_dd",
 ]
 
@@ -131,16 +128,6 @@ def _fermi(lam, T, order):
     return u * _q(order, t) / T**order
 
 
-def fermi_dirac(lam, occ: OccupationModel, order: int = 0):
-    """f_T^(order)(lam) for order in {0, 1, 2}.
-
-    Note the argument is lam itself, not lam - mu; callers shift by mu.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    return _fermi(lam, occ.T, order)
-
-
 def _dd1(a, b, T, mu):
     """First divided difference f[a, b] of f_T(. - mu).
 
@@ -175,30 +162,26 @@ def _dd1(a, b, T, mu):
     return -(1.0 / T) * sinhc_scaled / ((1.0 + ea) * (1.0 + eb))
 
 
-def _taylor_dd(center, offsets, T, mu):
-    """f[center + d_0, ..., center + d_n] of f_T(. - mu) by its Taylor series.
+def _taylor_dd(center, k, h, T, mu):
+    """f[a x k, a + h] of f_T(. - mu), a = center, by its Taylor series.
 
-    f[...] = sum_{j >= n} f^(j)(center)/j! h_(j-n)(d_0, ..., d_n), with
-    h_m the complete homogeneous symmetric polynomial of degree m, which
-    holds every confluent limit. The poles of f_T nearest the real axis
-    are pi T away, so |f^(j)| T^j / j! <~ 2 / pi^(j+1) and the terms fall
-    like r^m, r = max|d| / (pi T) <= TAYLOR_RADIUS / pi; the sum stops
-    once r^m < 1e-17 (at most 22 terms past the leading one).
+    f[a x k, a + h] = sum_{m >= 0} f^(k+m)(a)/(k+m)! h^m, which holds the
+    confluent limit h -> 0. The poles of f_T nearest the real axis are
+    pi T away, so |f^(j)| T^j / j! <~ 2 / pi^(j+1) and the terms fall like
+    r^m, r = max|h| / (pi T) <= TAYLOR_RADIUS / pi; the sum stops once
+    r^m < 1e-17 (at most 22 terms past the leading one).
     """
-    n = len(offsets) - 1
-    r = max(float(np.max(np.abs(d), initial=0.0)) for d in offsets) / (np.pi * T)
+    r = float(np.max(np.abs(h), initial=0.0)) / (np.pi * T)
     terms = int(np.ceil(np.log(1e-17) / np.log(r))) if r > 0 else 0
     u, t = _u_t((center - mu) / T)
-    # h_m(d / T), m = 0..terms, one node at a time: h_m += y h_(m-1)
-    hm = [1.0] + [0.0] * terms
-    for d in offsets:
-        y = d / T
-        for m in range(1, terms + 1):
-            hm[m] = hm[m] + y * hm[m - 1]
+    y = h / T
+    hm = [1.0]  # (h/T)^m by repeated multiplication
+    for _ in range(terms):
+        hm.append(y * hm[-1])
     total = 0.0
     for m in range(terms, -1, -1):  # smallest terms first
-        total = total + _q(n + m, t) / factorial(n + m) * hm[m]
-    return u * total / T**n
+        total = total + _q(k + m, t) / factorial(k + m) * hm[m]
+    return u * total / T**k
 
 
 def dd(k, a, b, T, mu):
@@ -221,33 +204,8 @@ def dd(k, a, b, T, mu):
         out = (out - _fermi(a - mu, T, j) / factorial(j)) / safe
     out = np.asarray(out)
     if near.any():
-        out[near] = _taylor_dd(np.broadcast_to(a, h.shape)[near], [0.0] * k + [h[near]], T, mu)
+        out[near] = _taylor_dd(np.broadcast_to(a, h.shape)[near], k, h[near], T, mu)
     return out
-
-
-def divided_difference(occ: OccupationModel, nodes):
-    """Divided difference of f_T(. - mu) over 2 to 4 energy nodes.
-
-    Symmetric in its arguments. Two nodes use the closed form of `dd`;
-    more nodes recurse on the sorted set, except that a set spread less
-    than TAYLOR_RADIUS * T is summed from the Taylor series of `dd`,
-    which holds the confluent limits.
-    """
-    nodes = [float(x) for x in nodes]
-    if not all(np.isfinite(nodes)):
-        raise ValueError("divided difference nodes must be finite")
-    if not 2 <= len(nodes) <= 4:
-        raise ValueError("need between 2 and 4 nodes")
-    T, mu = occ.T, occ.mu
-
-    def rec(ns):
-        if len(ns) == 2:
-            return float(_dd1(ns[0], ns[1], T, mu))
-        if ns[-1] - ns[0] < TAYLOR_RADIUS * T:
-            return float(_taylor_dd(ns[0], [x - ns[0] for x in ns], T, mu))
-        return (rec(ns[:-1]) - rec(ns[1:])) / (ns[0] - ns[-1])
-
-    return rec(sorted(nodes))
 
 
 def step_dd(order, a, b, mu):

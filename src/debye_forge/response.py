@@ -31,7 +31,6 @@ from .fibers import (
     contour_quadrature,
     den_from_matrix,
     diagonalize_fiber,
-    potential_matrix,
     shift_overlap_tensor,
 )
 from .lattice import PeriodicField, PlaneWaveBasis
@@ -131,9 +130,7 @@ class ResponseWorkspace:
         """
         key = self._key(k)
         if key not in self._cache:
-            self._cache[key] = diagonalize_fiber(
-                assemble_fiber(self.basis, self.phi, k, reduce=False)
-            )
+            self._cache[key] = diagonalize_fiber(assemble_fiber(self.basis, self.phi, k))
         return self._cache[key]
 
     @property
@@ -572,29 +569,10 @@ def homogenized_coefficients(ws, delta, eta0) -> HomogenizedCoefficients:
 # Contour-quadrature route (cross-check, not the hot path)
 
 
-def m_fiber_apply_contour(ws, k, w: PeriodicField, tol=1e-10):
-    """Contour-quadrature evaluation of M_k w (dual route to m_fiber)."""
-    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
-    Hk = assemble_fiber(ws.basis, ws.phi, k).matrix
-    eye = np.eye(ws.basis.n_pw)
-    W = potential_matrix(w)
-    e0, _ = ws.gamma
-    ek, _ = ws.fiber(k)
-    spectrum = np.concatenate([e0, ek])
-
-    def integrand(z):
-        R0 = np.linalg.solve(z * eye - H0, eye)
-        Rk = np.linalg.solve(z * eye - Hk, eye)
-        return den_from_matrix(ws.basis, R0 @ W @ Rk)
-
-    val, err = contour_quadrature(integrand, ws.occ, spectrum, tol=tol)
-    return PeriodicField(ws.basis, -val, realness=False), err
-
-
 def rho_prime_contour(ws, tol=1e-10):
     """Contour-quadrature rho' (dual route to rho_prime): component j is
     -2 den[oint f_T R^2 P_j R], all d components from one quadrature."""
-    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
+    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d))
     eye = np.eye(ws.basis.n_pw)
     e0, _ = ws.gamma
     g = ws.basis.g_cart
@@ -611,7 +589,7 @@ def rho_prime_contour(ws, tol=1e-10):
 def epsilon_prime_contour(ws, tol=1e-10):
     """Contour-quadrature eps' (dual route to epsilon_prime), with
     Tr R^2 P_i R P_j R = g_i^T (R o (R^3)^T) g_j for the diagonal P."""
-    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d)).matrix
+    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d))
     eye = np.eye(ws.basis.n_pw)
     e0, _ = ws.gamma
     g = ws.basis.g_cart

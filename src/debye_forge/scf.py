@@ -24,7 +24,6 @@ __all__ = [
     "scf_solve",
     "construct_dielectric_kappa",
     "designer_crystal",
-    "verify_dielectricity",
     "UnreachableChargeError",
 ]
 
@@ -117,7 +116,10 @@ def solve_chemical_potential(
 
     The charge mean_k sum_n f_T(e_nk - mu) is strictly increasing in mu,
     so the root is unique once bracketed. Saturation (target at or above
-    the total number of basis states) is unreachable and raises.
+    the total number of basis states) is unreachable and raises, and so
+    does a bracket that closes to round-off before the charge is within
+    rel_tol of the target (occupations too close to a step for double
+    precision in mu).
     """
     if target_charge <= 0:
         raise UnreachableChargeError("target charge must be positive")
@@ -152,7 +154,10 @@ def solve_chemical_potential(
             hi = mid
         if hi - lo < 1e-15 * max(1.0, abs(mid)):
             break
-    return 0.5 * (lo + hi)
+    raise UnreachableChargeError(
+        f"charge {target_charge} not met to {tol:.1e}: the bracket closed at "
+        f"mu = {mid:.17g} with charge {c:.17g}"
+    )
 
 
 class _AndersonMixer:
@@ -305,19 +310,3 @@ def construct_dielectric_kappa(
     state = designer_crystal(phi, mu, T, k_points, threads)
     return state.kappa, state.rho
 
-
-def verify_dielectricity(state: CrystalState, lambda_bound: float):
-    """Definition-style report: gap data, size bound, and c_T."""
-    lam = state.lambda_per()
-    c_T = np.exp(-state.eta0 / state.occ.T) / state.occ.T
-    return {
-        "eta": state.eta,
-        "eta0": state.eta0,
-        "mu_in_gap": bool(state.gap.in_gap),
-        "lambda_per": lam,
-        "lambda_bound": lambda_bound,
-        "lambda_ok": bool(lam <= lambda_bound),
-        "c_T": float(c_T),
-        "converged": state.converged,
-        "dielectric": bool(state.dielectric_flag),
-    }

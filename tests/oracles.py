@@ -1,0 +1,66 @@
+"""Dense reference routes that the tests check the library against.
+
+None of these is on a path the library runs: each one builds the full
+matrix (or quadrature) that the production code avoids, so that a test
+can compare against it at small sizes.
+"""
+
+import numpy as np
+
+from debye_forge.fibers import assemble_fiber, contour_quadrature, den_from_matrix, potential_matrix
+from debye_forge.lattice import PeriodicField, lattice_index_table
+
+
+def diff_pos(sb):
+    """(n_pw, n_pw) flat FFT positions of Q_i - Q_j on a supercell basis."""
+    return lattice_index_table(sb.q_ints, sb.q_ints, sb._positions, sign=-1)
+
+
+def supercell_potential_matrix(sb, field):
+    """Multiplication-operator matrix vhat(Q - Q') from supercell FFT data."""
+    vhat = np.fft.fftn(np.asarray(field.values, dtype=complex)) / np.prod(sb.fft_shape)
+    return vhat.flat[diff_pos(sb)]
+
+
+def supercell_hamiltonian(sol, phi_field):
+    """Dense h^phi = |Q|^2 - vhat(Q - Q') on a solver's supercell basis."""
+    H = -supercell_potential_matrix(sol.basis, phi_field)
+    H[np.diag_indices_from(H)] += sol.basis.q_norm2
+    return H
+
+
+def dense_density(sol, phi):
+    """Every eigenpair of the dense supercell Hamiltonian, summed into
+    den[f_T(h^phi - mu)] on the supercell grid."""
+    evals, evecs = np.linalg.eigh(supercell_hamiltonian(sol, phi))
+    grids = sol.basis.columns_to_grids(evecs)
+    full = np.einsum("n,n...->...", sol.occ.occ(evals), np.abs(grids) ** 2).real
+    return full / sol.basis.lattice.volume
+
+
+def m_fiber_apply_contour(ws, k, w: PeriodicField, tol=1e-10):
+    """M_k w by contour quadrature of den[R_0(z) W R_k(z)]: the resolvent
+    route to `response.m_fiber`. Returns (M_k w, error estimate)."""
+    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d))
+    Hk = assemble_fiber(ws.basis, ws.phi, k)
+    eye = np.eye(ws.basis.n_pw)
+    W = potential_matrix(w)
+    e0, _ = ws.gamma
+    ek, _ = ws.fiber(k)
+    spectrum = np.concatenate([e0, ek])
+
+    def integrand(z):
+        R0 = np.linalg.solve(z * eye - H0, eye)
+        Rk = np.linalg.solve(z * eye - Hk, eye)
+        return den_from_matrix(ws.basis, R0 @ W @ Rk)
+
+    val, err = contour_quadrature(integrand, ws.occ, spectrum, tol=tol)
+    return PeriodicField(ws.basis, -val, realness=False), err
+
+
+def macro_residual_norm(problem, psi):
+    """L2 norm of (nu - div eps grad) psi - kappa' on the macro box."""
+    xi = psi.wavevectors()
+    denom = problem.nu + np.einsum("...i,ij,...j->...", xi, problem.eps, xi)
+    res = denom * psi.coeffs() - problem.source.coeffs()
+    return float(np.sqrt(psi.volume * np.sum(np.abs(res) ** 2)))

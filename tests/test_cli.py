@@ -128,6 +128,27 @@ class TestPipeline:
         for name in ("kappa.dbyf", "rho.dbyf", "phi.dbyf", "state.json"):
             assert man["outputs"][name] == sha256_file(out / name)
 
+    def test_file_potential_round_trip(self, tmp_path):
+        # the potential a crystal stage wrote, read back through the "file"
+        # family, gives the same crystal again
+        path, _ = fast_config(tmp_path)
+        assert cli_main(["crystal", "--config", str(path)]) == 0
+        first = tmp_path / "out" / "crystal"
+        spec = {"family": "file", "path": str(first / "phi.dbyf")}
+        again = tmp_path / "again"
+        again.mkdir()
+        path2, _ = fast_config(again, crystal={"potential": spec})
+        pot = parse_config(str(path2))["crystal"]["potential"]
+        assert (pot["family"], pot["path"]) == ("file", spec["path"])
+        assert cli_main(["crystal", "--config", str(path2)]) == 0
+        second = again / "out" / "crystal"
+        for name in ("phi.dbyf", "kappa.dbyf", "rho.dbyf"):
+            a, b = read_field(first / name), read_field(second / name)
+            assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(a).max())
+        assert load_json(second / "state.json")["mu"] == pytest.approx(
+            load_json(first / "state.json")["mu"], abs=1e-13
+        )
+
     def test_response_requires_crystal(self, tmp_path):
         path, cfg = fast_config(tmp_path)
         rc = cli_main(["response", "--config", str(path)])

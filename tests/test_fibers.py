@@ -20,6 +20,7 @@ from debye_forge.fibers import (
 from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, _fiber_basis, monkhorst_pack
 from debye_forge.multiscale import SupercellPWBasis
 from debye_forge.occupation import OccupationModel
+from oracles import diff_pos
 
 LAT = Lattice(np.array([[2 * np.pi]]))
 BASIS = PlaneWaveBasis(LAT, ecut=50.0)
@@ -40,13 +41,13 @@ def mathieu_reference_eigs(k, ecut, n=2):
 
 class TestAssembly:
     def test_free_gamma_diagonal(self):
-        H = assemble_fiber(BASIS, ZERO, [0.0]).matrix
+        H = assemble_fiber(BASIS, ZERO, [0.0])
         assert np.abs(H - np.diag(BASIS.g_norm2)).max() == 0.0
 
     def test_cosine_is_tridiagonal(self):
         A = 1.5
         phi = PeriodicField.from_callable(BASIS, lambda x: 2 * A * np.cos(x))
-        H = assemble_fiber(BASIS, phi, [0.0]).matrix
+        H = assemble_fiber(BASIS, phi, [0.0])
         order = np.argsort(BASIS.g_ints[:, 0])
         Hs = H[np.ix_(order, order)]
         assert np.allclose(np.diag(Hs, 1), -A, atol=1e-13)
@@ -63,11 +64,18 @@ class TestAssembly:
         ref = mathieu_reference_eigs(0.0, ecut=2000.0, n=2)
         assert np.abs(ev[:2] - ref).max() < 1e-8
 
-    def test_out_of_zone_reduction_warns(self):
-        with pytest.warns(UserWarning, match="reduced"):
-            fib = assemble_fiber(BASIS, MATHIEU, [1.3])
-        ref = assemble_fiber(BASIS, MATHIEU, [0.3])
-        assert np.abs(fib.matrix - ref.matrix).max() < 1e-12
+    def test_bands_match_response_fibers(self):
+        # one fiber convention: the band structure and the response
+        # workspace diagonalise the same matrix at every grid momentum
+        from debye_forge.response import ResponseWorkspace
+
+        kgrid = monkhorst_pack(LAT, 8)
+        bands = compute_bands(BASIS, MATHIEU, kgrid)
+        ws = ResponseWorkspace(BASIS, MATHIEU, OccupationModel(T=0.05, mu=0.0))
+        for i, k in enumerate(kgrid):
+            e, U = ws.fiber(k)
+            assert np.array_equal(bands.eigenvalues[i], e)
+            assert np.array_equal(bands.eigenvectors[i], U)
 
     def test_complex_potential_rejected(self):
         c = np.zeros(BASIS.n_pw, dtype=complex)
@@ -81,8 +89,8 @@ class TestAssembly:
         # the phase conjugation)
         k = np.array([0.17])
         G0 = np.array([1])
-        H1 = assemble_fiber(BASIS, MATHIEU, k + G0 @ LAT.reciprocal, reduce=False).matrix
-        H0 = assemble_fiber(BASIS, MATHIEU, k).matrix
+        H1 = assemble_fiber(BASIS, MATHIEU, k + G0 @ LAT.reciprocal)
+        H0 = assemble_fiber(BASIS, MATHIEU, k)
         perm = np.array([BASIS.index_of(g - G0) for g in BASIS.g_ints])
         keep = perm >= 0
         sub = np.ix_(keep, keep)
@@ -97,9 +105,8 @@ class TestDiagonalize:
         assert np.abs(U.conj().T @ U - np.eye(BASIS.n_pw)).max() < 1e-10
 
     def test_reconstruction(self):
-        fib = assemble_fiber(BASIS, MATHIEU, [0.11])
-        ev, U = diagonalize_fiber(fib)
-        H = fib.matrix
+        H = assemble_fiber(BASIS, MATHIEU, [0.11])
+        ev, U = diagonalize_fiber(H)
         assert np.abs(U @ np.diag(ev) @ U.conj().T - H).max() <= 1e-10 * np.abs(H).max()
 
     def test_free_degenerate_pair(self):
@@ -109,10 +116,10 @@ class TestDiagonalize:
         assert abs(ev[1] - 1.0) < 1e-13
 
     def test_non_hermitian_rejected(self):
-        fib = assemble_fiber(BASIS, MATHIEU, [0.0])
-        fib.matrix[0, 1] += 1.0
+        H = assemble_fiber(BASIS, MATHIEU, [0.0])
+        H[0, 1] += 1.0
         with pytest.raises(EigensolverError):
-            diagonalize_fiber(fib)
+            diagonalize_fiber(H)
 
 
 class TestDensity:
@@ -361,4 +368,4 @@ class TestIndexTables:
         for i, qi in enumerate(sb.q_ints):
             for j, qj in enumerate(sb.q_ints):
                 oracle[i, j] = np.ravel_multi_index(tuple(np.mod(qi - qj, shape)), shape)
-        assert np.array_equal(sb.diff_pos(), oracle)
+        assert np.array_equal(diff_pos(sb), oracle)

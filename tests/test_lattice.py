@@ -12,12 +12,10 @@ from debye_forge.lattice import (
     bloch_decompose,
     bloch_reconstruct,
     centred_k_grid,
-    inner,
     low_momentum_project,
     monkhorst_pack,
     reciprocal_lattice,
     rescale_field,
-    transform,
 )
 
 
@@ -102,19 +100,13 @@ def test_transform_round_trip_and_parseval(basis1d):
     c = rng.standard_normal(basis1d.n_pw) + 1j * rng.standard_normal(basis1d.n_pw)
     c = 0.5 * (c + np.conj(c[basis1d.negation_index]))
     f = PeriodicField(basis1d, c)
-    grid = transform(f, "to_grid")
+    grid = f.values()
     back = PeriodicField.from_grid(basis1d, grid)
     assert np.abs(back.coeffs - c).max() < 1e-12 * np.abs(c).max()
     # Parseval with the cell-average convention
     vol = basis1d.lattice.volume
     ms_grid = np.mean(np.abs(grid) ** 2) * vol
     assert abs(ms_grid - f.l2_norm() ** 2) < 1e-12 * f.l2_norm() ** 2
-
-
-def test_transform_direction_validation(basis1d):
-    f = PeriodicField.zeros(basis1d)
-    with pytest.raises(ValueError):
-        transform(f, "sideways")
 
 
 def test_field_shape_mismatch(basis1d):
@@ -310,7 +302,7 @@ def test_centred_k_grid_offsets(n):
 
 def test_inner_product_convention(basis1d):
     f = PeriodicField.from_callable(basis1d, np.cos)
-    val = inner(f, f)
+    val = f.l2_norm() ** 2
     assert abs(val - np.pi) < 1e-12  # int_0^{2pi} cos^2 = pi
 
 

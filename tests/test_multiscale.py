@@ -19,6 +19,7 @@ from debye_forge.multiscale import (
 )
 from debye_forge.occupation import OccupationModel
 from debye_forge.scf import CrystalState, construct_dielectric_kappa
+from oracles import dense_density
 
 REPO = Path(__file__).resolve().parent.parent
 LAT = Lattice(np.array([[2 * np.pi]]))
@@ -41,14 +42,6 @@ def make_crystal(beta=40.0, N=8):
 
 def macro_box():
     return Lattice(LAT.basis.copy())
-
-
-def dense_density(sol, phi):
-    """The oracle: every eigenpair of the dense supercell Hamiltonian."""
-    evals, evecs = np.linalg.eigh(sol.hamiltonian(phi))
-    grids = sol.basis.columns_to_grids(evecs)
-    full = np.einsum("n,n...->...", sol.occ.occ(evals), np.abs(grids) ** 2).real
-    return full / sol.basis.lattice.volume
 
 
 def wave(sol, amplitude=0.05):
@@ -286,6 +279,14 @@ class TestMicroSolve:
             assert info["relative_residual"] > tol and res <= info["noise_floor"]
         # the floor is never below what the density route resolves
         assert info["noise_floor"] >= 2 * info["density_window"]["subspace_bound"]
+
+    def test_floor_is_twice_the_subspace_bound(self):
+        # the residual holds the difference of two filtered densities, each
+        # within its subspace bound; no dense-eigensolver term props it up
+        st = make_crystal()
+        dc = build_deformed_kappa(st, 1 / 8, bump(8, amplitude=0.01))
+        _, _, info = micro_solve_perturbation(dc)
+        assert info["noise_floor"] == 2 * info["density_window"]["subspace_bound"] > 0.0
 
     def test_floor_follows_a_loose_subspace_bound(self, monkeypatch):
         # densities stopped far above the dense-eigensolver noise: the floor
@@ -556,13 +557,13 @@ def test_multiscale_chain_diagonalizes_each_fiber_once(monkeypatch):
 
     st = make_crystal(N=16)
     seen = []
-    diagonalize = R.diagonalize_fiber
+    assemble = R.assemble_fiber
 
-    def counted(fiber):
-        seen.append(tuple(np.round(fiber.k, 12)))
-        return diagonalize(fiber)
+    def counted(basis, phi, k):
+        seen.append(tuple(np.round(np.atleast_1d(k), 12)))
+        return assemble(basis, phi, k)
 
-    monkeypatch.setattr(R, "diagonalize_fiber", counted)
+    monkeypatch.setattr(R, "assemble_fiber", counted)
     ws = R.ResponseWorkspace.from_crystal(st)
     assert R.ResponseWorkspace.of(st) is ws
     for N in (8, 16):

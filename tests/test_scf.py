@@ -11,7 +11,6 @@ from debye_forge.scf import (
     construct_dielectric_kappa,
     scf_solve,
     solve_chemical_potential,
-    verify_dielectricity,
 )
 
 LAT = Lattice(np.array([[2 * np.pi]]))
@@ -60,6 +59,19 @@ class TestChemicalPotential:
     def test_saturation_unreachable(self):
         with pytest.raises(UnreachableChargeError):
             solve_chemical_potential(ZERO, T, float(BASIS.n_pw), KGRID)
+
+    def test_collapsed_bracket_raises(self):
+        # free electrons at k = 0 and T = 1e-9: the two degenerate states at
+        # |G|^2 = 1 fill over a width ~T, and at a bracket of 1e-15 around
+        # mu = 1 the charge still jumps by ~1e-6, far above the 1.7e-12
+        # tolerance; the bisection must say so instead of returning mu
+        gamma = monkhorst_pack(LAT, 1)
+        with pytest.raises(UnreachableChargeError, match="bracket closed"):
+            solve_chemical_potential(ZERO, 1e-9, 1.7, gamma)
+        # the same states at an ordinary temperature meet the tolerance, at
+        # mu just below 1 where each of the pair holds 0.35
+        mu = solve_chemical_potential(ZERO, T, 1.7, gamma)
+        assert mu == pytest.approx(1.0 + T * np.log(0.35 / 0.65), abs=1e-6)
 
     def test_nonpositive_target(self):
         with pytest.raises(UnreachableChargeError):
@@ -192,20 +204,23 @@ class TestSCF:
 
 
 class TestVerifyDielectricity:
+    """The dielectricity data of a solved state: its gap report, and the
+    c_T of its homogenized coefficients."""
+
     def test_free_below_spectrum(self):
-        occ = OccupationModel(T=T, mu=-1.0)
         kappa, rho = construct_dielectric_kappa(ZERO, -1.0, T, KGRID)
         st = scf_solve(kappa, SCFConfig(mu_mode="fixed-mu"), T, KGRID, mu=-1.0)
-        rep = verify_dielectricity(st, lambda_bound=10.0)
-        assert rep["mu_in_gap"]
-        assert rep["eta"] == pytest.approx(1.0, abs=1e-10)
+        assert st.gap.in_gap and st.dielectric_flag
+        assert st.eta == pytest.approx(1.0, abs=1e-10)
 
     def test_c_T_matches_scalar_formula(self):
+        from debye_forge.response import ResponseWorkspace, homogenized_coefficients
+
         mu = midgap_mu()
         kappa, _ = construct_dielectric_kappa(PHI, mu, T, KGRID)
         st = scf_solve(kappa, SCFConfig(), 0.02, monkhorst_pack(LAT, 8))
-        rep = verify_dielectricity(st, lambda_bound=10.0)
-        assert rep["c_T"] == pytest.approx(np.exp(-st.eta0 / 0.02) / 0.02, rel=1e-12)
+        coeffs = homogenized_coefficients(ResponseWorkspace.from_crystal(st), 0.1, st.eta0)
+        assert coeffs.c_T == pytest.approx(np.exp(-st.eta0 / 0.02) / 0.02, rel=1e-12)
 
 
 def test_scf_config_validation():
