@@ -177,11 +177,17 @@ _DEFAULTS = {
 }
 
 
-def _merge_defaults(cfg, defaults):
+# field specs that a config gives replace the default spec whole, so that
+# a `file` potential carries no stray default cosine `terms`
+_WHOLE_SPECS = {("crystal", "potential"), ("crystal", "kappa")}
+
+
+def _merge_defaults(cfg, defaults, path=()):
     out = copy.deepcopy(defaults)
     for key, val in cfg.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge_defaults(val, out[key])
+        where = path + (key,)
+        if isinstance(val, dict) and isinstance(out.get(key), dict) and where not in _WHOLE_SPECS:
+            out[key] = _merge_defaults(val, out[key], where)
         else:
             out[key] = copy.deepcopy(val)
     return out

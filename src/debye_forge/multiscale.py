@@ -420,11 +420,31 @@ class SupercellSolver:
 
     def jacobian_blocks(self):
         """(n_fibers, n_pw, n_pw) stack of the per-fiber dense blocks of
-        -Lap + M at psi = 0 (exact Jacobian), in fiber order."""
+        -Lap + M at psi = 0 (exact Jacobian), in fiber order.
+
+        `m_fiber_averaged` runs for one k of each +-k pair of the grid.
+        Swapping the row and column fiber of a pair block gives
+        Block(b, a)[P, P'] = conj(Block(a, b)[-P, -P']) for any potential,
+        and the zone average carries it to M_{-k}[P, P'] = conj(M_k[-P,
+        -P']). A point whose -k lies outside the centred grid (k = 0, and
+        the zone face of an even grid) is computed directly: there the
+        partner is -k folded by a reciprocal vector, whose ball of modes
+        is not the negated one. That is about N^2d / 2 pair blocks instead
+        of N^2d.
+        """
         if self._jac_blocks is None:
             ws = ResponseWorkspace.of(self.base)
             kpts = self.basis.k_points
-            blocks = np.array([m_fiber_averaged(ws, k, kpts) for k in kpts])
+            index = {tuple(j): i for i, j in enumerate(self.basis.j_ints.tolist())}
+            neg = self.base.basis.negation_index
+            n_pw = self.base.basis.n_pw
+            blocks = np.empty((len(kpts), n_pw, n_pw), dtype=complex)
+            for i, (j, k) in enumerate(zip(self.basis.j_ints.tolist(), kpts)):
+                p = index.get(tuple(-x for x in j), i)
+                if p < i:
+                    blocks[i] = blocks[p][np.ix_(neg, neg)].conj()
+                else:
+                    blocks[i] = m_fiber_averaged(ws, k, kpts)
             for B, k in zip(blocks, kpts):
                 B[np.diag_indices_from(B)] += self.base.basis.kinetic_diagonal(k)
             self._jac_blocks = blocks

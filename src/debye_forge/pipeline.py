@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from itertools import combinations
 
 import numpy as np
 
@@ -182,14 +183,12 @@ def run_response(cfg, state=None):
     kmax = rcfg["kmax"]
     nk = rcfg["ksamples"]
     d = state.basis.d
-    # the reciprocal axes, and for d >= 2 the diagonal of each pair of
-    # them, so that every k_i k_j column of the fit design is nonzero
+    # the reciprocal axes, then for d >= 2 the diagonal of each pair of
+    # them and for d >= 3 of each triple, so that every k_i k_j and
+    # k_i^2 k_j k_l column of the fit design is nonzero
     axes = [w / np.linalg.norm(w) for w in wstar]
-    dirs = axes + [
-        (axes[i] + axes[j]) / np.linalg.norm(axes[i] + axes[j])
-        for i in range(d)
-        for j in range(i + 1, d)
-    ]
+    sums = [np.sum([axes[i] for i in c], axis=0) for n in (2, 3) for c in combinations(range(d), n)]
+    dirs = axes + [e / np.linalg.norm(e) for e in sums]
     samples = []
     for e in dirs:
         for x in kmax * np.geomspace(1.0 / 64.0, 1.0, nk):

@@ -193,21 +193,43 @@ def _pair_block(ws: ResponseWorkspace, e_row, U_row, e_col, U_col, wrap=None):
     back into the zone by -W, the density bucket at output mode P gathers
     the shift-tensor entries at P + W (zero outside the cutoff ball),
     which reproduces the supercell umklapp bookkeeping exactly.
+
+    Only bands inside the window are gathered (pair-density bookkeeping
+    of Baroni et al., Rev. Mod. Phys. 73, 515 (2001)). The rows above
+    the window meet the c window columns through the swapped overlap
+    As = `shift_overlap_tensor`(U_col[:, :c], U_row[:, r:], -W), since
+
+        A_P,nm = sum_G conj(U_row[G+P+W, n]) U_col[G, m]
+               = conj(sum_G conj(U_col[G-P-W, m]) U_row[G, n])
+               = conj(As[-P, m, n]),
+
+    both sums running over the same pairs of ball vectors. Each gather
+    is n_pw^2 max(r, c) entries instead of n_pw^2 (n_pw - r). When the
+    row and column fiber are one (the k = 0 pairs, no wrap), As is the
+    slice A[:, :, r:] of the first overlap and nothing more is gathered.
     """
     e_w = ws.pair_window
     r = int(np.searchsorted(e_row, e_w, side="right"))
     c = int(np.searchsorted(e_col, e_w, side="right"))
-    n_pw = ws.basis.n_pw
+    basis = ws.basis
+    n_pw = basis.n_pw
     out = np.zeros((n_pw, n_pw), dtype=complex)
-    for rows, cols in ((slice(None, r), slice(None)), (slice(r, None), slice(None, c))):
-        U_r, U_c = U_row[:, rows], U_col[:, cols]
-        if U_r.shape[1] == 0 or U_c.shape[1] == 0:
-            continue
-        A = shift_overlap_tensor(ws.basis, U_r, U_c, offset=wrap)
-        D = ws.weights(1, e_row[rows], e_col[cols], ws.occ)
+    if r > 0:
+        A = shift_overlap_tensor(basis, U_row[:, :r], U_col, offset=wrap)
+        D = ws.weights(1, e_row[:r], e_col, ws.occ)
         B = A.reshape(n_pw, -1)
         out += (B.conj() * D.ravel()[None, :]) @ B.T
-    return -out / ws.basis.lattice.volume
+    if r < n_pw and c > 0:
+        if U_row is U_col and not np.any(wrap):
+            As = A[:, :, r:]  # one fiber (r = c): As is a slice of A
+        else:
+            neg_wrap = None if wrap is None else -np.asarray(wrap)
+            As = shift_overlap_tensor(basis, U_col[:, :c], U_row[:, r:], offset=neg_wrap)
+        D = ws.weights(1, e_row[r:], e_col[:c], ws.occ)
+        B = As.reshape(n_pw, -1)  # B[-P] holds conj(A_P) in (m, n) order
+        neg = basis.negation_index
+        out += ((B * D.T.ravel()[None, :]) @ B.conj().T)[np.ix_(neg, neg)]
+    return -out / basis.lattice.volume
 
 
 def m_fiber(ws: ResponseWorkspace, k):

@@ -73,6 +73,17 @@ class TestConfig:
         assert serialize_config(cfg) == serialize_config(again)
         assert config_hash(cfg) == config_hash(again)
 
+    def test_given_field_spec_replaces_the_default(self):
+        spec = {"family": "file", "path": "phi.dbyf"}
+        cfg = parse_config(dict(MINIMAL, crystal={"potential": spec, "kappa": spec}))
+        assert cfg["crystal"]["potential"] == spec and cfg["crystal"]["kappa"] == spec
+        assert cfg["crystal"]["scf"]["max_iter"] == 200  # siblings still merge
+
+    def test_reference_config_hash_pinned(self):
+        cfg = parse_config(str(REPO / "configs" / "mathieu.json"))
+        assert config_hash(cfg) == (
+            "fff515129ac83e3fdff85bb0fc539a4c27cf0a7c17e2ad1d99d2d15c49655074")
+
     def test_bad_delta_list(self):
         bad = dict(MINIMAL, multiscale={"delta_list": [0.3]})
         with pytest.raises(ConfigError, match="1/N"):
@@ -138,8 +149,7 @@ class TestPipeline:
         again = tmp_path / "again"
         again.mkdir()
         path2, _ = fast_config(again, crystal={"potential": spec})
-        pot = parse_config(str(path2))["crystal"]["potential"]
-        assert (pot["family"], pot["path"]) == ("file", spec["path"])
+        assert parse_config(str(path2))["crystal"]["potential"] == spec
         assert cli_main(["crystal", "--config", str(path2)]) == 0
         second = again / "out" / "crystal"
         for name in ("phi.dbyf", "kappa.dbyf", "rho.dbyf"):
@@ -334,4 +344,21 @@ def test_response_stage_2d(tmp_path):
     for stage in ("crystal", "response"):
         assert cli_main([stage, "--config", str(path)]) == 0, stage
     res = load_json(tmp_path / "out" / "response" / "response.json")
+    assert np.abs(np.asarray(res["eps_fit"]) - np.asarray(res["eps"])).max() <= 1e-6
+
+
+def test_response_stage_3d(tmp_path):
+    """The 3D response stage adds the body diagonal to the sampled
+    directions, so every quartic k_i^2 k_j k_l column of the fit design is
+    nonzero and eps_fit matches eps (configs/cubic.json at a lower cutoff)."""
+    cfg = json.loads((REPO / "configs" / "cubic.json").read_text())
+    cfg["ecut"] = 4.0
+    cfg["response"]["ksamples"] = 12
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(cfg))
+    for stage in ("crystal", "response"):
+        assert cli_main([stage, "--config", str(path)]) == 0, stage
+    res = load_json(tmp_path / "out" / "response" / "response.json")
+    assert np.shape(res["eps"]) == (3, 3)
     assert np.abs(np.asarray(res["eps_fit"]) - np.asarray(res["eps"])).max() <= 1e-6

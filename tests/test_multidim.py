@@ -305,3 +305,35 @@ def test_rho_prime_matches_shift_tensor_contraction(build):
     scale = max(np.abs(c).max() for c in oracle)
     assert scale > 0.0
     assert max(np.abs(g - c).max() for g, c in zip(got, oracle)) <= 1e-13 * scale
+
+
+def test_pair_block_memory_scales_with_the_window():
+    """One m_fiber on the 2D square basis at n_pw = 101 allocates
+    O(n_pw^2 n_window): the overlap gathers index only the bands inside the
+    occupied window, where a gather over the bands above it would take
+    n_pw^2 (n_pw - n_window) complex entries (16 MB here)."""
+    import tracemalloc
+
+    lat = Lattice(2 * np.pi * np.eye(2))
+    basis = PlaneWaveBasis(lat, ecut=16.0)
+    assert basis.n_pw == 101
+    phi = PeriodicField.from_callable(
+        basis, lambda x: 2.0 * (np.cos(x[..., 0]) + np.cos(x[..., 1]))
+    )
+    lo, hi = compute_bands(basis, phi, monkhorst_pack(lat, [4, 4])).band_ranges()
+    ws = R.ResponseWorkspace(basis, phi, OccupationModel(T=0.05, mu=float(0.5 * (hi[0] + lo[1]))))
+    k = np.array([0.1, 0.05])
+    # m_fiber pairs 0-fiber rows with k-fiber columns; both are diagonalized
+    # before the measurement
+    n_win = max(int(np.searchsorted(ws.fiber(q)[0], ws.pair_window, side="right"))
+                for q in (np.zeros(2), k))
+    assert 0 < n_win < 10
+    tracemalloc.start()
+    try:
+        R.m_fiber(ws, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # at most six complex arrays of n_pw^2 n_window: a gather, its
+    # conjugate, the overlaps and their weighted copies
+    assert peak <= 6 * 16 * basis.n_pw**2 * n_win

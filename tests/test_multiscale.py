@@ -254,6 +254,52 @@ class TestSupercellSolver:
         assert np.abs(sol.solve_jacobian(x) - solved).max() <= 1e-13 * np.abs(solved).max()
 
 
+def square_crystal(N, beta=20.0):
+    """The 2D square crystal 2 (cos x + cos y) at ecut 8 on an N x N grid."""
+    lat = Lattice(2 * np.pi * np.eye(2))
+    basis = PlaneWaveBasis(lat, ecut=8.0)
+    phi = PeriodicField.from_callable(
+        basis, lambda x: 2.0 * (np.cos(x[..., 0]) + np.cos(x[..., 1])))
+    kg = monkhorst_pack(lat, [N, N])
+    bands = compute_bands(basis, phi, kg)
+    lo, hi = bands.band_ranges()
+    mu = float(0.5 * (hi[0] + lo[1]))
+    kappa, rho = construct_dielectric_kappa(phi, mu, 1 / beta, kg)
+    return CrystalState(
+        basis=basis, k_points=kg, kappa=kappa, rho=rho, phi=phi, mu=mu,
+        occ=OccupationModel(T=1 / beta, mu=mu), bands=bands, gap=spectral_gap(bands, mu),
+    )
+
+
+# (crystal, fiber count, m_fiber_averaged calls): k = 0 and the points whose
+# -k leaves the centred grid (the zone face of an even grid) are computed,
+# and one k of each other +-k pair
+@pytest.mark.parametrize("case", [("1d", 5, 3), ("1d", 8, 5), ("2d", 4, 12)],
+                         ids=["1d-N5", "1d-N8-face", "2d-N4"])
+def test_jacobian_blocks_from_half_the_zone(case, monkeypatch):
+    dim, N, n_calls = case
+    st = make_crystal(N=N) if dim == "1d" else square_crystal(N)
+    sol = SupercellSolver(st, N)
+    calls = []
+    direct = M.m_fiber_averaged
+
+    def counted(ws, k, k_grid):
+        calls.append(tuple(k))
+        return direct(ws, k, k_grid)
+
+    monkeypatch.setattr(M, "m_fiber_averaged", counted)
+    blocks = sol.jacobian_blocks()
+    monkeypatch.undo()
+    assert len(calls) == n_calls and len(set(calls)) == n_calls
+    assert len(blocks) == sol.basis.n_fibers == N ** st.basis.d
+    ws = M.ResponseWorkspace.of(st)
+    kpts = sol.basis.k_points
+    for B, k in zip(blocks, kpts):
+        ref = direct(ws, k, kpts)
+        ref[np.diag_indices_from(ref)] += st.basis.kinetic_diagonal(k)
+        assert np.abs(B - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 class TestMicroSolve:
     def test_zero_perturbation_zero_solution(self):
         st = make_crystal()
