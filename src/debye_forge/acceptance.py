@@ -167,7 +167,7 @@ def crit_06_b0_identity(ctx):
     b0 = R.b_function(ws, np.zeros(1))
     m = R.screening_mass_m(ws)
     V = R.screening_density_V(ws)
-    sol = R._kbar_solve(ws, ws.m0, V.coeffs)
+    sol = R._kbar_solve(R._operator_block(ws, ws.m0), V.coeffs)
     closed = m / ctx.lattice.volume - np.vdot(V.coeffs, sol).real
     rel = abs(b0 - closed) / abs(b0)
     even = max(

@@ -209,20 +209,23 @@ def density_from_potential(
     """Finite-temperature electron density of h^phi on a k-grid.
 
     rho(x) = (1/(N_k |Omega|)) sum_{k,n} f_T(e_nk - mu) |u_nk(x)|^2, so
-    int_Omega rho equals the k-averaged sum of occupations. A tail
-    weight f_T(e_max - mu) above tail_tol flags the cutoff as too low.
+    int_Omega rho equals the k-averaged sum of occupations. The sum runs
+    over the bands with e_nk <= `occ.window(n_pw)`; the dropped density
+    is at most eps^2 / |Omega| pointwise. A tail weight f_T(e_max - mu)
+    of the top band above tail_tol flags the cutoff as too low.
     """
     basis = phi.basis
     if bands is None:
         bands = compute_bands(basis, phi, k_points, threads)
     vol = basis.lattice.volume
+    e_w = occ.window(basis.n_pw)
     acc = np.zeros(basis.fft_shape, dtype=float)
     tail = 0.0
-    for i in range(bands.nk):
-        occs = occ.occ(bands.eigenvalues[i])
+    for e, U in zip(bands.eigenvalues, bands.eigenvectors):
+        occs = occ.occ(e)
         tail = max(tail, float(occs[-1]))
-        grids = basis.columns_to_grids(bands.eigenvectors[i])
-        acc += np.einsum("n,n...->...", occs, np.abs(grids) ** 2).real
+        r = int(np.searchsorted(e, e_w, side="right"))
+        acc += basis.band_density(U[:, :r], occs[:r])[0]
     acc /= bands.nk * vol
     rho = PeriodicField.from_grid(basis, acc)
     # pointwise positivity holds exactly for the summed grid values; the

@@ -190,6 +190,12 @@ class GridTransforms:
         axes = tuple(range(1, len(self.fft_shape) + 1))
         return np.fft.ifftn(arr, axes=axes) * np.prod(self.fft_shape)
 
+    def band_density(self, U, w):
+        """(sum_n w_n |psi_n(x)|^2, max_x |psi_n(x)|^2 per n) for the columns
+        psi_n of U, which callers restrict to their occupied window."""
+        dens2 = np.abs(self.columns_to_grids(U)) ** 2
+        return np.einsum("n,n...->...", w, dens2), dens2.reshape(len(w), -1).max(axis=1)
+
 
 class PlaneWaveBasis(GridTransforms):
     """Energy-cutoff plane-wave set on a lattice, with its FFT grid.
@@ -383,16 +389,6 @@ class PeriodicField:
     def integral(self):
         """int_Omega f."""
         return self.mean * self.basis.lattice.volume
-
-    def conj(self):
-        neg = self.basis.negation_index
-        if np.any((neg < 0) & (np.abs(self.coeffs) > 0)):
-            raise ValueError(
-                "conjugate undefined: nonzero modes without negation partners"
-            )
-        safe = np.where(neg >= 0, neg, 0)
-        out = np.where(neg >= 0, np.conj(self.coeffs[safe]), 0.0)
-        return PeriodicField(self.basis, out, realness=self.realness)
 
     def __add__(self, other):
         self._check(other)

@@ -24,10 +24,9 @@ from .lattice import (
     SupercellField,
     centred_k_grid,
     lattice_index_table,
-    monkhorst_pack,
     supercell_factors,
 )
-from .response import ResponseWorkspace, m_fiber_averaged
+from .response import ResponseWorkspace, _operator_block, _schur_symbol, m_fiber_averaged
 from .scf import CrystalState
 
 __all__ = [
@@ -69,6 +68,7 @@ class DeformedCrystal:
     kappa_prime: SupercellField       # macro profile on the macro box
     kappa_prime_delta: SupercellField  # delta^d kappa'(delta y), micro units
     kappa_delta: SupercellField
+    solver: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def macro_box(self) -> Lattice:
@@ -198,8 +198,7 @@ class SupercellSolver:
         self.basis = SupercellPWBasis(base.basis, factors)
         self.occ = base.occ
         self.phi_tiled = SupercellField.from_periodic(base.phi, self.basis.factors)
-        eps = np.finfo(float).eps
-        self._e_hi = self.occ.mu + self.occ.T * np.log(self.basis.n_pw / eps**2)
+        self._e_hi = self.occ.window(self.basis.n_pw)
         self.density_window = {
             "kept": 0,
             "of": self.basis.n_pw,
@@ -211,6 +210,13 @@ class SupercellSolver:
         self._rho_ref = None
         self._jac_blocks = None
         self._jac_pinned = None
+
+    @classmethod
+    def of(cls, deformed: DeformedCrystal):
+        """The deformed crystal's one solver, built on first use and kept on it."""
+        if deformed.solver is None:
+            deformed.solver = cls(deformed.base, deformed.factors)
+        return deformed.solver
 
     @property
     def rho_tiled(self):
@@ -330,10 +336,9 @@ class SupercellSolver:
                 )
             rows = self._grow(fiber, rows, self._subspace_size(kept))
         occs = self.occ.occ(theta[: kept + 1])
-        grids = sb.columns_to_grids(rows[:kept].T)
-        dens2 = np.abs(grids) ** 2
-        dens = np.einsum("n,n...->...", occs[:kept], dens2).real / vol
-        x_inf = np.sqrt(dens2.reshape(kept, values.size).max(axis=1) / vol)
+        dens, peak = sb.band_density(rows[:kept].T, occs[:kept])
+        dens /= vol
+        x_inf = np.sqrt(peak / vol)
         r = np.linalg.norm(H_rows[:kept] - theta[:kept, None] * rows[:kept], axis=1)
         theta_top = theta[-1] if theta.size < n else np.inf  # nothing outside
         bound = float(np.sum(2.0 * occs[:kept] * x_inf * r / (theta_top - theta[:kept])))
@@ -343,9 +348,8 @@ class SupercellSolver:
         """Supercell density den[f_T(h^phi - mu)] at the base crystal's mu.
 
         Chebyshev-filtered subspace iteration with FFT matvecs. The
-        subspace holds the states with e <= e_hi = mu + T ln(n / eps^2)
-        (n the basis size, eps machine epsilon) plus a guard of
-        max(8, kept / 4) states above e_hi. Two starts are tried: the
+        subspace holds the states with e <= e_hi = `occ.window(n)` (n the
+        basis size) plus a guard of max(8, kept / 4) states above e_hi. Two starts are tried: the
         eigenvectors of the fiber-diagonal blocks of h^phi (exact at
         psi = 0) and this solver's previous Ritz vectors (the Newton
         iterates move little). Each gets one first-order correction
@@ -365,11 +369,10 @@ class SupercellSolver:
         f_i / (theta_top - theta_i). A pass is a degree-FILTER_DEGREE filter
         on [theta_top, Gershgorin bound of h^phi], then QR.
 
-        The grid transforms and the occupation sum run over the Ritz pairs
-        with theta <= e_hi only. A dropped state has occupation below
-        eps^2 / n and sum_n |psi_n(x)|^2 = n / |Omega|, so the dropped
-        density is at most n f_T(theta_first_dropped - mu) / |Omega| <=
-        eps^2 / |Omega| pointwise. `density_window` keeps the largest kept
+        The grid transforms and the occupation sum (`band_density`) run over
+        the Ritz pairs with theta <= e_hi only, so the dropped density is at
+        most n f_T(theta_first_dropped - mu) / |Omega| <= eps^2 / |Omega|
+        pointwise. `density_window` keeps the largest kept
         count and both bounds over the calls, and the filter passes of
         each call.
         """
@@ -419,14 +422,15 @@ class SupercellSolver:
     # -- frozen block Jacobian ------------------------------------------
 
     def jacobian_blocks(self):
-        """(n_fibers, n_pw, n_pw) stack of the per-fiber dense blocks of
-        -Lap + M at psi = 0 (exact Jacobian), in fiber order.
+        """(n_fibers, n_pw, n_pw) stack of the per-fiber dense blocks
+        K_k = |G + k|^2 + M_k of -Lap + M at psi = 0 (exact Jacobian), in
+        fiber order.
 
         `m_fiber_averaged` runs for one k of each +-k pair of the grid.
         Swapping the row and column fiber of a pair block gives
         Block(b, a)[P, P'] = conj(Block(a, b)[-P, -P']) for any potential,
         and the zone average carries it to M_{-k}[P, P'] = conj(M_k[-P,
-        -P']). A point whose -k lies outside the centred grid (k = 0, and
+        -P']); the kinetic diagonal |G - k|^2 = |-G + k|^2 follows. A point whose -k lies outside the centred grid (k = 0, and
         the zone face of an even grid) is computed directly: there the
         partner is -k folded by a reciprocal vector, whose ball of modes
         is not the negated one. That is about N^2d / 2 pair blocks instead
@@ -444,9 +448,7 @@ class SupercellSolver:
                 if p < i:
                     blocks[i] = blocks[p][np.ix_(neg, neg)].conj()
                 else:
-                    blocks[i] = m_fiber_averaged(ws, k, kpts)
-            for B, k in zip(blocks, kpts):
-                B[np.diag_indices_from(B)] += self.base.basis.kinetic_diagonal(k)
+                    blocks[i] = _operator_block(ws, m_fiber_averaged(ws, k, kpts), k)
             self._jac_blocks = blocks
         return self._jac_blocks
 
@@ -476,20 +478,19 @@ class SupercellSolver:
         """
         if self._jac_pinned is None:
             blocks = self.jacobian_blocks()
-            gamma = int(np.argmin(np.einsum("ij,ij->i", self.basis.k_points, self.basis.k_points)))
-            B0 = blocks[gamma]
+            B0 = blocks[0]  # row 0 of the centred grid is k = 0
             pin = B0[0, 0].real <= 1e3 * np.finfo(float).eps * np.linalg.norm(B0, 2)
             if pin:
                 blocks = blocks.copy()
-                blocks[gamma, 0, :] = 0.0
-                blocks[gamma, :, 0] = 0.0
-                blocks[gamma, 0, 0] = 1.0
-            self._jac_pinned = (blocks, gamma if pin else None)
+                blocks[0, 0, :] = 0.0
+                blocks[0, :, 0] = 0.0
+                blocks[0, 0, 0] = 1.0
+            self._jac_pinned = (blocks, pin)
         blocks, pinned = self._jac_pinned
         rhs = coeffs.reshape(self.basis.n_fibers, -1, 1)
-        if pinned is not None:
+        if pinned:
             rhs = rhs.copy()
-            rhs[pinned, 0] = 0.0
+            rhs[0, 0] = 0.0
         return np.linalg.solve(blocks, rhs).reshape(coeffs.shape)
 
 
@@ -512,9 +513,13 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
     (residual <= tol ||kappa'_delta||), "noise-floor" (above that, within
     10 floor) or "stagnated" (only the 1e-6 stall clause).
 
+    The solver is `SupercellSolver.of(deformed)`: a second solve on the
+    same DeformedCrystal warm-starts from the first (reference density,
+    Jacobian, Ritz vectors), and its `density_window` covers both solves.
+
     Returns (phi_delta, psi_micro, info); info holds plain data only.
     """
-    solver = SupercellSolver(deformed.base, deformed.factors)
+    solver = SupercellSolver.of(deformed)
     sb = solver.basis
     kp = deformed.kappa_prime_delta
     kp_coeffs = sb.grid_to_coeffs(kp.values)
@@ -646,6 +651,8 @@ def effective_coefficients(deformed: DeformedCrystal, coeffs):
     symbol of the operator actually being solved: the Schur-complement
     b built from zone-averaged fibers on the supercell's own k-grid.
 
+    b(0) is the Schur complement of the k = 0 Newton Jacobian block of
+    `SupercellSolver.of(deformed)` (b_function at k = 0 on that k-grid).
     Returns `coeffs` with eps and b(0) replaced, so nu and every field
     derived from it follow; b(0) is floored at 1e-300 delta^2, which keeps
     nu positive for the macro solve.
@@ -654,15 +661,15 @@ def effective_coefficients(deformed: DeformedCrystal, coeffs):
 
     base = deformed.base
     ws = ResponseWorkspace.of(base)
-    kg = monkhorst_pack(base.basis.lattice, deformed.factors)
+    solver = SupercellSolver.of(deformed)
     delta = deformed.delta
     d = base.basis.d
     wstar = base.basis.lattice.reciprocal
 
     def bavg(k):
-        return b_function(ws, k, k_grid=kg)
+        return b_function(ws, k, k_grid=solver.basis.k_points)
 
-    b0 = bavg(np.zeros(d))
+    b0 = _schur_symbol(solver.jacobian_blocks()[0])
 
     def quadratic(e):
         """k^2 coefficient of b(k e) - b(0), fitted by (k^2, k^4) at

@@ -64,6 +64,11 @@ class OccupationModel:
         """order-th derivative of f_T evaluated at eps - mu."""
         return _fermi(np.asarray(eps, dtype=float) - self.mu, self.T, order)
 
+    def window(self, n):
+        """mu + T ln(n / eps^2): the states of an n-state basis above it have
+        f_T < eps^2 / n, so they carry at most eps^2 / |Omega| of density."""
+        return self.mu + self.T * np.log(n / np.finfo(float).eps ** 2)
+
 
 def _u_t(x):
     """Return (u, t) with t = tanh(x/2), u = s(1-s) for s = 1/(1+e^x).

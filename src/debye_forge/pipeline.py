@@ -169,7 +169,8 @@ def run_bands(cfg, state=None):
 
 
 def run_response(cfg, state=None):
-    from .response import ResponseWorkspace, _b_fit, _kbar_solve, b_function, homogenized_coefficients
+    from .response import (ResponseWorkspace, _b_fit, _kbar_solve, _operator_block,
+                           b_function, homogenized_coefficients)
 
     timer = dfio.StageTimer()
     state = state or load_crystal_bundle(cfg)
@@ -206,7 +207,7 @@ def run_response(cfg, state=None):
     s_beta = coeffs.s_beta
     # independent closed form of b(0): |Omega|^{-1} m - <Vhat, Kbar0^{-1} Vhat>,
     # on the M_0 of the coefficient pass
-    sol = _kbar_solve(ws, ws.m0, coeffs.V.coeffs)
+    sol = _kbar_solve(_operator_block(ws, ws.m0), coeffs.V.coeffs)
     b0_closed = coeffs.m / state.basis.lattice.volume - float(
         np.vdot(coeffs.V.coeffs, sol).real
     )

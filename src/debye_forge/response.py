@@ -253,12 +253,9 @@ def m_fiber_averaged(ws: ResponseWorkspace, k, k_grid):
     relabelling, matching the supercell density map to round-off.
 
     Truncation: each pair block contracts only the pairs with a band at
-    or below e_w = mu + T ln(n_pw / (eps T m)) (`ResponseWorkspace.
-    pair_window`); every entry of the result is off by at most
-    eps m / |Omega| (`pair_window_bound`), the rounding level of the
-    constant column. The supercell density map whose Jacobian this is
-    sums only the states with e <= mu + T ln(n / eps^2), a pointwise
-    error of at most eps^2 / |Omega| (`SupercellSolver.density`).
+    or below `ws.pair_window`; every entry of the result is off by at
+    most eps m / |Omega| (`pair_window_bound`), the rounding level of the
+    constant column.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     basis = ws.basis
@@ -279,11 +276,12 @@ def m_fiber_averaged(ws: ResponseWorkspace, k, k_grid):
 
 
 def screening_density_V(ws) -> PeriodicField:
-    """V(x) = -sum_n f_T'(e_n0 - mu) |psi_n0(x)|^2 >= 0 (0-fiber only)."""
+    """V(x) = -sum_n f_T'(e_n0 - mu) |psi_n0(x)|^2 >= 0 over the 0-fiber bands
+    e_n0 <= `ws.pair_window`, whose pair blocks drop the same pairs from M_0 1,
+    so M_0 1 = V; the dropped part is at most `ws.pair_window_bound`."""
     e0, U0 = ws.gamma
-    w = -ws.occ.occ_deriv(e0)
-    grids = ws.basis.columns_to_grids(U0)
-    vals = np.einsum("n,n...->...", w, np.abs(grids) ** 2).real
+    r = int(np.searchsorted(e0, ws.pair_window, side="right"))
+    vals = ws.basis.band_density(U0[:, :r], -ws.occ.occ_deriv(e0[:r]))[0]
     vals /= ws.basis.lattice.volume
     V = PeriodicField.from_grid(ws.basis, vals)
     V.grid_min = float(vals.min())
@@ -339,11 +337,15 @@ def epsilon_prime(ws):
     return eps
 
 
-def _kbar_solve(ws, Mk, rhs, k=None):
-    """Solve the constant-projected fiber Kbar_k = PiBar (|-i grad + k|^2 + M_k)
-    PiBar on the modes off the constant (k = 0 when None)."""
+def _operator_block(ws, Mk, k=None):
+    """K_k = |G + k|^2 + M_k, the k-fiber of -Lap + M (k = 0 when None)."""
     K = Mk.copy()
     K[np.diag_indices_from(K)] += ws.basis.kinetic_diagonal(k)
+    return K
+
+
+def _kbar_solve(K, rhs):
+    """Solve Kbar_k = PiBar K_k PiBar (K_k from `_operator_block`) off the constant mode."""
     Kr = K[1:, 1:]
     try:
         sol = np.linalg.solve(Kr, rhs[1:])
@@ -360,7 +362,8 @@ def epsilon_double_prime(ws, M0, rho_p):
     from the 0-fiber M0 and rho'."""
     d = ws.basis.d
     eps = np.empty((d, d))
-    sols = [_kbar_solve(ws, M0, f.coeffs) for f in rho_p]
+    K0 = _operator_block(ws, M0)
+    sols = [_kbar_solve(K0, f.coeffs) for f in rho_p]
     for i in range(d):
         for j in range(i, d):
             val = np.vdot(rho_p[i].coeffs, sols[j])
@@ -411,13 +414,14 @@ def b_function(ws, k, k_grid=None):
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     Mk = m_fiber(ws, k) if k_grid is None else m_fiber_averaged(ws, k, k_grid)
-    return _schur_symbol(ws, Mk, k)
+    return _schur_symbol(_operator_block(ws, Mk, k))
 
 
-def _schur_symbol(ws, Mk, k):
-    """|k|^2 + M_k[0,0] - <v, Kbar_k^{-1} v>, v = M_k 1 off the constant mode."""
-    sol = _kbar_solve(ws, Mk, Mk[:, 0], k)
-    return float(float(k @ k) + Mk[0, 0].real - np.vdot(Mk[1:, 0], sol[1:]).real)
+def _schur_symbol(K):
+    """Schur complement K_k[0,0] - <v, Kbar_k^{-1} v> of an operator block
+    K_k = |G + k|^2 + M_k onto the constant mode, v = K_k 1 off it: b(k)."""
+    sol = _kbar_solve(K, K[:, 0])
+    return float(K[0, 0].real - np.vdot(K[1:, 0], sol[1:]).real)
 
 
 def fit_b_expansion(ws, k_samples):
@@ -583,7 +587,7 @@ def homogenized_coefficients(ws, delta, eta0) -> HomogenizedCoefficients:
         eps=_permittivity(ep, epp),
         eps_prime=ep,
         eps_dprime=epp,
-        b0=_schur_symbol(ws, ws.m0, np.zeros(ws.basis.d)),
+        b0=_schur_symbol(_operator_block(ws, ws.m0)),
     )
 
 
@@ -591,50 +595,34 @@ def homogenized_coefficients(ws, delta, eta0) -> HomogenizedCoefficients:
 # Contour-quadrature route (cross-check, not the hot path)
 
 
-def rho_prime_contour(ws, tol=1e-10):
-    """Contour-quadrature rho' (dual route to rho_prime): component j is
-    -2 den[oint f_T R^2 P_j R], all d components from one quadrature."""
-    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d))
-    eye = np.eye(ws.basis.n_pw)
-    e0, _ = ws.gamma
-    g = ws.basis.g_cart
+def prime_terms_contour(ws, tol=1e-10):
+    """(eps', rho') by one contour quadrature over the 0-fiber resolvent R(z),
+    the dual route to `epsilon_prime` and `rho_prime`: rho'_j = -2 den[oint
+    f_T R^2 P_j R] and eps'_ij = -(4/|Omega|) Tr oint f_T R^2 P_i R P_j R,
+    with Tr R^2 P_i R P_j R = g_i^T (R o (R^3)^T) g_j for the diagonal P."""
+    basis = ws.basis
+    d = basis.d
+    H0 = assemble_fiber(basis, ws.phi, np.zeros(d))
+    eye = np.eye(basis.n_pw)
+    g = basis.g_cart
 
     def integrand(z):
         R = np.linalg.solve(z * eye - H0, eye)
         RR = R @ R
-        return np.array([den_from_matrix(ws.basis, (RR * gj) @ R) for gj in g.T])
-
-    val, err = contour_quadrature(integrand, ws.occ, e0, tol=tol)
-    return [PeriodicField(ws.basis, -2.0 * v, realness=False) for v in val]
-
-
-def epsilon_prime_contour(ws, tol=1e-10):
-    """Contour-quadrature eps' (dual route to epsilon_prime), with
-    Tr R^2 P_i R P_j R = g_i^T (R o (R^3)^T) g_j for the diagonal P."""
-    H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d))
-    eye = np.eye(ws.basis.n_pw)
-    e0, _ = ws.gamma
-    g = ws.basis.g_cart
-    vol = ws.basis.lattice.volume
-
-    def integrand(z):
-        R = np.linalg.solve(z * eye - H0, eye)
-        out = g.T @ (R * (R @ R @ R).T) @ g
+        tr = g.T @ (R * (RR @ R).T) @ g
         # the i <= j traces, mirrored
-        return np.triu(out) + np.triu(out, 1).T
+        tr = np.triu(tr) + np.triu(tr, 1).T
+        return np.concatenate([tr.ravel()] + [den_from_matrix(basis, (RR * gj) @ R) for gj in g.T])
 
-    val, err = contour_quadrature(integrand, ws.occ, e0, tol=tol)
-    return -(4.0 / vol) * val.real, err
+    val, _ = contour_quadrature(integrand, ws.occ, ws.gamma[0], tol=tol)
+    ep = -(4.0 / basis.lattice.volume) * val[: d * d].real.reshape(d, d)
+    rp = [PeriodicField(basis, -2.0 * v, realness=False) for v in val[d * d :].reshape(d, -1)]
+    return ep, rp
 
 
 def epsilon_matrix_contour(ws, tol=1e-10):
-    """Permittivity via the Cauchy-contour route.
-
-    eps' and rho' are contour-quadrature integrals; the Kbar_0 linear
-    solve inside eps'' is shared infrastructure (the eigen-assembled
-    0-fiber of -Lap + M), so the divided-difference weights themselves
-    are what this route cross-checks.
-    """
-    ep, _ = epsilon_prime_contour(ws, tol=tol)
-    epp = epsilon_double_prime(ws, ws.m0, rho_prime_contour(ws, tol=tol))
-    return _permittivity(ep, epp)
+    """Permittivity via the Cauchy-contour route: eps' and rho' from
+    `prime_terms_contour`; the Kbar_0 solve inside eps'' is shared with the
+    eigen route, so the divided-difference weights are what it cross-checks."""
+    ep, rp = prime_terms_contour(ws, tol=tol)
+    return _permittivity(ep, epsilon_double_prime(ws, ws.m0, rp))

@@ -64,3 +64,13 @@ def macro_residual_norm(problem, psi):
     denom = problem.nu + np.einsum("...i,ij,...j->...", xi, problem.eps, xi)
     res = denom * psi.coeffs() - problem.source.coeffs()
     return float(np.sqrt(psi.volume * np.sum(np.abs(res) ** 2)))
+
+
+def all_band_density(phi, occ, bands):
+    """den[f_T(h^phi - mu)] on the grid from every band at every k: the sum
+    that `fibers.density_from_potential` restricts to the occupied window."""
+    basis = phi.basis
+    acc = np.zeros(basis.fft_shape)
+    for e, U in zip(bands.eigenvalues, bands.eigenvectors):
+        acc += np.einsum("n,n...->...", occ.occ(e), np.abs(basis.columns_to_grids(U)) ** 2)
+    return acc / (bands.nk * basis.lattice.volume)

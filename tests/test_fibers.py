@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,24 @@ from debye_forge.fibers import (
 from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, _fiber_basis, monkhorst_pack
 from debye_forge.multiscale import SupercellPWBasis
 from debye_forge.occupation import OccupationModel
-from oracles import diff_pos
+from oracles import all_band_density, diff_pos
 
 LAT = Lattice(np.array([[2 * np.pi]]))
 BASIS = PlaneWaveBasis(LAT, ecut=50.0)
 MATHIEU = PeriodicField.from_callable(BASIS, lambda x: 2.0 * np.cos(x))
 ZERO = PeriodicField.zeros(BASIS)
+
+
+def cubic_crystal(ecut):
+    """(phi, occ, k-grid, bands) of the configs/cubic.json crystal: simple
+    cubic 1.5 sum_i cos x_i, 2^3 k-grid, T = 0.05, mu mid-gap."""
+    lat = Lattice(2 * np.pi * np.eye(3))
+    basis = PlaneWaveBasis(lat, ecut=ecut)
+    phi = PeriodicField.from_callable(basis, lambda x: 1.5 * np.cos(x).sum(axis=-1))
+    kgrid = monkhorst_pack(lat, [2, 2, 2])
+    bands = compute_bands(basis, phi, kgrid)
+    lo, hi = bands.band_ranges()
+    return phi, OccupationModel(T=0.05, mu=float(0.5 * (hi[0] + lo[1]))), kgrid, bands
 
 
 def mathieu_reference_eigs(k, ecut, n=2):
@@ -151,6 +165,40 @@ class TestDensity:
         hot = OccupationModel(T=20.0, mu=30.0)
         with pytest.warns(UserWarning, match="cutoff"):
             density_from_potential(ZERO, hot, self.kgrid)
+
+    @pytest.mark.parametrize("case", ["mathieu", "cubic"])
+    def test_window_matches_all_band_oracle(self, case):
+        # the bands above occ.window(n_pw) carry at most eps^2 / |Omega| per
+        # point, so dropping them is invisible against the all-band sum
+        if case == "mathieu":
+            occ = OccupationModel(T=0.05, mu=0.5)
+            phi, kgrid, bands = MATHIEU, self.kgrid, compute_bands(BASIS, MATHIEU, self.kgrid)
+        else:
+            phi, occ, kgrid, bands = cubic_crystal(4.0)
+        basis = phi.basis
+        e_w = occ.window(basis.n_pw)
+        assert all(np.searchsorted(e, e_w) < basis.n_pw for e in bands.eigenvalues)
+        rho = density_from_potential(phi, occ, kgrid, bands=bands, tail_tol=1.0)
+        full = all_band_density(phi, occ, bands)
+        bound = np.finfo(float).eps ** 2 / basis.lattice.volume
+        assert np.abs(rho.coeffs - basis.grid_to_coeffs(full)).max() <= bound
+        assert abs(rho.grid_min - full.min()) <= bound
+
+    def test_cubic_density_memory(self):
+        # configs/cubic.json at its own cutoff (n_pw = 179, 15^3 grid): at
+        # most 23 of the 179 bands per k lie inside the window, so the band
+        # grids take a few MB, not the 37 MB of all 179
+        phi, occ, kgrid, bands = cubic_crystal(6.0)
+        assert phi.basis.n_pw == 179
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            density_from_potential(phi, occ, kgrid, bands=bands)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestGap:

@@ -535,6 +535,25 @@ def test_effective_coefficients_close_to_single_pair_form():
     assert ceff.nu == ceff.b0 / (1 / 8) ** 2
 
 
+@pytest.mark.parametrize("N", [8, 16])
+def test_effective_b0_is_the_jacobian_schur_complement(N, monkeypatch):
+    from debye_forge import response as R
+
+    st = make_crystal(N=N)
+    ws = R.ResponseWorkspace.of(st)
+    coeffs = R.homogenized_coefficients(ws, 1 / N, st.eta0)
+    dc = build_deformed_kappa(st, 1 / N, bump(N, amplitude=0.0))
+    calls = []
+    b_function = R.b_function
+    monkeypatch.setattr(R, "b_function", lambda *a, **kw: calls.append(1) or b_function(*a, **kw))
+    ceff = effective_coefficients(dc, coeffs)
+    # b(k) at k = delta / 2 and delta only; b(0) is the Schur complement of
+    # the k = 0 block of the solver's Newton Jacobian
+    assert len(calls) == 2
+    assert dc.solver is SupercellSolver.of(dc)
+    assert ceff.b0 == b_function(ws, 0.0, k_grid=dc.solver.basis.k_points)
+
+
 def test_oversized_split_radius_warns():
     st = make_crystal()
     dc = build_deformed_kappa(st, 1 / 8, bump(8, amplitude=0.005))

@@ -122,12 +122,20 @@ class TestMFiber:
         A = U0 @ (D * (U0.conj().T @ Wm @ U0)) @ U0.conj().T
         dens = den_from_matrix(BASIS, A)
         f = PeriodicField(BASIS, rng.standard_normal(BASIS.n_pw).astype(complex))
-        lhs = LAT.volume * np.vdot(f.conj().coeffs, dens)  # int f den[A]
+        f_bar = np.conj(f.coeffs[BASIS.negation_index])  # coefficients of conj(f)
+        lhs = LAT.volume * np.vdot(f_bar, dens)  # int f den[A]
         rhs = np.trace(potential_matrix(f) @ A)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
 class TestScreening:
+    @pytest.mark.parametrize("beta", [40, 60])
+    def test_V_is_M0_constant_column(self, beta):
+        # V and the pair blocks of M_0 drop the same diagonal pairs above
+        # the pair window, so M_0 1 = V also in cold crystals
+        cold = R.ResponseWorkspace(BASIS, PHI, OccupationModel(T=1 / beta, mu=MU))
+        V = R.screening_density_V(cold)
+        assert np.abs(cold.m0[:, 0] - V.coeffs).max() <= 1e-13
     def test_V_nonnegative_and_mass(self, ws):
         V = R.screening_density_V(ws)
         assert V.values().min() >= -1e-16
@@ -185,7 +193,7 @@ class TestRhoPrime:
 
     def test_dual_route_contour(self, ws):
         rp_eig = R.rho_prime(ws)[0]
-        rp_con = R.rho_prime_contour(ws, tol=1e-10)[0]
+        rp_con = R.prime_terms_contour(ws, tol=1e-10)[1][0]
         assert np.abs(rp_eig.coeffs - rp_con.coeffs).max() < 1e-8
 
 
@@ -215,6 +223,13 @@ class TestEpsilon:
         eps_fit = R.fit_b_expansion(ws, samples)[1][0, 0]
         assert abs(eps_eig - eps_con) < 1e-6
         assert abs(eps_eig - eps_fit) < 1e-5  # coarser basis than acceptance
+
+    def test_contour_route_is_one_quadrature(self, ws, monkeypatch):
+        calls = []
+        quad = R.contour_quadrature
+        monkeypatch.setattr(R, "contour_quadrature", lambda *a, **kw: calls.append(1) or quad(*a, **kw))
+        R.epsilon_matrix_contour(ws, tol=1e-9)
+        assert len(calls) == 1
 
     def test_m_fiber_contour_action(self, ws):
         rng = np.random.default_rng(6)
@@ -258,7 +273,7 @@ class TestBFunction:
         m = R.screening_mass_m(ws)
         V = R.screening_density_V(ws)
         M0 = R.m_fiber(ws, np.zeros(1))
-        sol = R._kbar_solve(ws, M0, V.coeffs)
+        sol = R._kbar_solve(R._operator_block(ws, M0), V.coeffs)
         closed = m / LAT.volume - np.vdot(V.coeffs, sol).real
         assert abs(b0 - closed) <= 1e-9 * abs(b0)
 
