@@ -48,6 +48,7 @@ FILTER_DEGREE = 40        # polynomial degree of one filter pass
 MAX_FILTER_PASSES = 12    # filter passes allowed per density
 MAX_SUBSPACE_GROWTH = 4   # guard refills allowed per density
 SUBSPACE_TOL = 2.0        # stopping bound, in units of n eps (1 + ||rho||_L2)
+CORRECTION_GAIN = 100.0   # a repeated first-order correction is kept if it cuts the bound this much
 
 
 class RegimeViolationError(RuntimeError):
@@ -205,6 +206,7 @@ class SupercellSolver:
             "dropped_bound": 0.0,
             "subspace_bound": 0.0,
             "filter_passes": [],
+            "corrections": [],
         }
         self._ritz_rows = None
         self._rho_ref = None
@@ -272,11 +274,12 @@ class SupercellSolver:
         theta, rows, H_rows = self._rayleigh_ritz(values, rows)
         kept = int(np.searchsorted(theta, self._e_hi, side="right"))
         r = H_rows[:kept] - theta[:kept, None] * rows[:kept]
-        c = np.einsum("jab,ija->ijb", U.conj(), r.reshape(kept, nfib, nf)).reshape(kept, -1)
+        # fiber-major (nfib, kept, nf): one matmul per fiber block
+        c = r.reshape(kept, nfib, nf).transpose(1, 0, 2) @ U.conj()
         gap = e.ravel()[None, :] - theta[:kept, None]
         gap[:, order[: rows.shape[0]]] = np.inf
-        c = (c / gap).reshape(kept, nfib, nf)
-        rows[:kept] -= np.einsum("jab,ijb->ija", U, c).reshape(kept, -1)
+        c /= gap.reshape(kept, nfib, nf).transpose(1, 0, 2)
+        rows[:kept] -= (c @ U.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(kept, -1)
         return np.linalg.qr(rows.T)[0].T
 
     def _grow(self, fiber, rows, size):
@@ -347,34 +350,42 @@ class SupercellSolver:
     def density(self, phi_field: SupercellField):
         """Supercell density den[f_T(h^phi - mu)] at the base crystal's mu.
 
-        Chebyshev-filtered subspace iteration with FFT matvecs. The
-        subspace holds the states with e <= e_hi = `occ.window(n)` (n the
-        basis size) plus a guard of max(8, kept / 4) states above e_hi. Two starts are tried: the
+        Subspace iteration with FFT matvecs: repeated first-order
+        corrections, with Chebyshev filter passes as the fallback that
+        guarantees convergence. The subspace holds the states with
+        e <= e_hi = `occ.window(n)` (n the basis size) plus a guard of
+        max(8, kept / 4) states above e_hi. Two starts are tried: the
         eigenvectors of the fiber-diagonal blocks of h^phi (exact at
         psi = 0) and this solver's previous Ritz vectors (the Newton
         iterates move little). Each gets one first-order correction
         through the fiber-block eigenpairs (`_corrected`), and the one
         with the smaller bound below is kept. Rayleigh-Ritz gives Ritz
-        pairs (theta_i, x_i) with residuals r_i; before each pass the
-        iteration stops once
+        pairs (theta_i, x_i) with residuals r_i; the iteration stops once
 
             subspace_bound = sum_{theta_i <= e_hi} 2 f_i |x_i|_inf |r_i| / (theta_top - theta_i)
 
-        is at most SUBSPACE_TOL n eps (1 + ||rho||_L2), and
-        raises SubspaceConvergenceError after MAX_FILTER_PASSES passes. To
-        first order in the residuals this bounds the L2 norm over the
-        supercell of the density error from the kept states: a residual
-        mixes x_i only with states outside the subspace, assumed above the
-        top Ritz value theta_top, with a weight at most
-        f_i / (theta_top - theta_i). A pass is a degree-FILTER_DEGREE filter
-        on [theta_top, Gershgorin bound of h^phi], then QR.
+        is at most SUBSPACE_TOL n eps (1 + ||rho||_L2). To first order in
+        the residuals this bounds the L2 norm over the supercell of the
+        density error from the kept states: a residual mixes x_i only with
+        states outside the subspace, assumed above the top Ritz value
+        theta_top, with a weight at most f_i / (theta_top - theta_i).
+
+        Until then each step first retries the correction on the current
+        Ritz vectors and keeps it when it cuts the bound by CORRECTION_GAIN
+        (100) or more. A kept retry divides the bound by at least 100 and
+        the stop threshold is at least SUBSPACE_TOL n eps, so from a bound
+        b_0 at most ceil(log_100(b_0 / (SUBSPACE_TOL n eps))) retries are
+        kept in a row. A retry that gains less is dropped, and a filter
+        pass follows: a degree-FILTER_DEGREE filter on [theta_top,
+        Gershgorin bound of h^phi], then QR. After MAX_FILTER_PASSES
+        passes SubspaceConvergenceError is raised, so the loop ends.
 
         The grid transforms and the occupation sum (`band_density`) run over
         the Ritz pairs with theta <= e_hi only, so the dropped density is at
         most n f_T(theta_first_dropped - mu) / |Omega| <= eps^2 / |Omega|
-        pointwise. `density_window` keeps the largest kept
-        count and both bounds over the calls, and the filter passes of
-        each call.
+        pointwise. `density_window` keeps the largest kept count and both
+        bounds over the calls, and the filter passes and kept correction
+        retries of each call.
         """
         sb = self.basis
         n, vol = sb.n_pw, sb.lattice.volume
@@ -390,12 +401,17 @@ class SupercellSolver:
             key=lambda st: st[-1],
         )
         top = float(sb.q_norm2.max() + np.abs(np.fft.fftn(v)).sum() / v.size)
-        passes = 0
+        passes = corrections = 0
         while True:
             rows, theta, kept, occs, dens, bound = state
             rho_l2 = np.sqrt(vol * np.mean(dens**2))
             if bound <= SUBSPACE_TOL * n * np.finfo(float).eps * (1.0 + rho_l2):
                 break
+            retry = self._ritz_window(v, fiber, self._corrected(v, fiber, rows))
+            if retry[-1] <= bound / CORRECTION_GAIN:
+                state = retry
+                corrections += 1
+                continue
             if passes == MAX_FILTER_PASSES:
                 raise SubspaceConvergenceError(
                     f"subspace bound {bound:.3e} after {passes} filter passes"
@@ -410,6 +426,7 @@ class SupercellSolver:
             win["dropped_bound"] = max(win["dropped_bound"], float(n * occs[kept] / vol))
         win["subspace_bound"] = max(win["subspace_bound"], bound)
         win["filter_passes"].append(passes)
+        win["corrections"].append(corrections)
         return SupercellField(self.basis.micro.lattice, self.basis.factors, dens)
 
     def delta_density(self, psi: SupercellField):
@@ -528,7 +545,8 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
 
     def window():
         win = solver.density_window
-        return {**win, "filter_passes": list(win["filter_passes"])}
+        return {**win, "filter_passes": list(win["filter_passes"]),
+                "corrections": list(win["corrections"])}
 
     if kp_norm == 0.0:
         # psi = 0 solves the equation exactly and no supercell density

@@ -185,9 +185,14 @@ def _pair_block(ws: ResponseWorkspace, e_row, U_row, e_col, U_col, wrap=None):
     bands above e_w, so |f[e_n, e_m]| <= f_T(e_w - mu) / T, and since
     sum_nm |A_P,nm|^2 <= n_pw every dropped entry sum is at most
     n_pw f_T(e_w - mu) / (T |Omega|) <= eps m / |Omega| =
-    ws.pair_window_bound, the rounding level of M's constant column and
-    of b(0). Step weights vanish there exactly (e_w > mu). When m
-    underflows to 0, e_w = +inf and nothing is dropped.
+    ws.pair_window_bound. Step weights vanish there exactly (e_w > mu).
+    When m underflows to 0, e_w = +inf and nothing is dropped. That bound
+    covers the dropped pairs only: the kept contraction carries ordinary
+    rounding, an absolute error that does not shrink with m. In M's
+    constant column the off-diagonal pairs cancel only to eps (A_0 is the
+    identity to eps), about 1.1e-17 absolute on the Mathieu crystal
+    2 cos x at ecut 50 whatever the temperature, so M_0 1 = V holds to an
+    absolute tolerance, not a relative one.
 
     wrap is an integer reciprocal vector W: when the row fiber was folded
     back into the zone by -W, the density bucket at output mode P gathers
@@ -253,9 +258,11 @@ def m_fiber_averaged(ws: ResponseWorkspace, k, k_grid):
     relabelling, matching the supercell density map to round-off.
 
     Truncation: each pair block contracts only the pairs with a band at
-    or below `ws.pair_window`; every entry of the result is off by at
-    most eps m / |Omega| (`pair_window_bound`), the rounding level of the
-    constant column.
+    or below `ws.pair_window`; the dropped pairs change an entry of the
+    result by at most eps m / |Omega| (`pair_window_bound`). The kept
+    pairs add the contraction's own rounding, absolute and independent
+    of m (see `_pair_block`): the constant column of M_0 is V only to
+    about 1.1e-17 absolute on the Mathieu crystal 2 cos x at ecut 50.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     basis = ws.basis

@@ -142,13 +142,35 @@ class TestSupercellSolver:
         assert sol.density_window["filter_passes"] == [0]
         assert np.abs(rho - full).max() <= 1e-13 * np.abs(full).max()
 
-    def test_warm_start_takes_fewer_passes_than_cold(self):
-        sol = SupercellSolver(make_crystal(), 8)
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_small_psi_converges_by_corrections_alone(self, N):
+        # repeated first-order corrections reach the stop with no filter pass
+        sol = SupercellSolver(make_crystal(N=N), N)
+        phi = sol.phi_tiled + wave(sol, amplitude=0.01)
+        got = sol.density(phi).values
+        full = dense_density(sol, phi)
+        win = sol.density_window
+        assert win["filter_passes"] == [0] and win["corrections"][0] >= 1
+        assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+
+    def test_warm_start_does_less_work_than_cold(self, monkeypatch):
+        sol = SupercellSolver(make_crystal(N=16), 16)
+        applied = []  # one entry per application of h^phi to the subspace
+        apply = SupercellSolver.apply_hamiltonian
+
+        def counted(self, values, rows):
+            applied.append(1)
+            return apply(self, values, rows)
+
+        monkeypatch.setattr(SupercellSolver, "apply_hamiltonian", counted)
         psi = wave(sol)
         sol.density(sol.phi_tiled + psi)  # cold: no Ritz vectors yet
+        cold_applied = len(applied)
         sol.density(sol.phi_tiled + psi * (1.0 + 1e-4))  # warm: the last Ritz vectors
-        cold, warm = sol.density_window["filter_passes"]
+        win = sol.density_window
+        cold, warm = np.add(win["filter_passes"], win["corrections"])
         assert warm < cold
+        assert len(applied) - cold_applied < cold_applied
 
     def test_fresh_solvers_give_bit_identical_densities(self):
         st = make_crystal()
@@ -175,8 +197,10 @@ class TestSupercellSolver:
     def test_pass_cap_raises(self, monkeypatch):
         monkeypatch.setattr(M, "MAX_FILTER_PASSES", 1)
         sol = SupercellSolver(make_crystal(), 8)
+        # large enough that a repeated correction gains less than
+        # CORRECTION_GAIN, so the filter runs (two passes without the cap)
         with pytest.raises(SubspaceConvergenceError, match="filter passes"):
-            sol.density(sol.phi_tiled + wave(sol))
+            sol.density(sol.phi_tiled + wave(sol, amplitude=0.1))
 
     @pytest.mark.parametrize("N", [8, 32])
     def test_constant_shift_grows_the_subspace(self, monkeypatch, N):
