@@ -26,6 +26,8 @@ __all__ = [
     "GapReport",
     "assemble_fiber",
     "diagonalize_fiber",
+    "time_reversal_partners",
+    "time_reversed_fiber",
     "compute_bands",
     "density_from_potential",
     "spectral_gap",
@@ -128,6 +130,42 @@ def diagonalize_fiber(H):
     return evals, evecs
 
 
+def momentum_key(lattice, k):
+    """Fractional coordinates of the momentum k rounded to 12 digits: the
+    key under which two momenta count as one."""
+    frac = np.atleast_1d(np.asarray(k, dtype=float)) @ lattice.reciprocal_inverse
+    return tuple(np.round(frac, 12))
+
+
+def time_reversal_partners(lattice, k_points):
+    """p[i] = j < i when k_j = -k_i (equal `momentum_key`), -1 otherwise.
+
+    Neither k = 0 nor a momentum whose negation is missing from the list
+    (the zone face of an even centred grid) has a partner.
+    """
+    seen = {}
+    partners = np.full(len(k_points), -1, dtype=int)
+    for i, k in enumerate(k_points):
+        key = momentum_key(lattice, k)
+        partners[i] = seen.get(tuple(-x for x in key), -1)
+        seen.setdefault(key, i)
+    return partners
+
+
+def time_reversed_fiber(basis: PlaneWaveBasis, e, U):
+    """Eigenpairs of H_{-k} from those (e, U) of H_k: (e, U[-G].conj()).
+
+    For a real phi, phihat(-Q) = conj(phihat(Q)), so H_{-k}[G, G'] =
+    conj(H_k[-G, -G']) and H_{-k} conj(U[-G]) = conj(U[-G]) diag(e)
+    exactly. A basis not closed under G -> -G has no such map and is
+    refused.
+    """
+    neg = basis.negation_index
+    if np.any(neg < 0):
+        raise ValueError("time reversal needs a basis closed under G -> -G")
+    return e, U[neg].conj()
+
+
 @dataclass
 class BandStructure:
     """Spectra of the fibers over a k-grid (k = 0 always included)."""
@@ -153,14 +191,21 @@ class BandStructure:
 
 
 def compute_bands(basis, phi, k_points, threads=None) -> BandStructure:
+    """Fibers of the real potential phi at every k: one k of each +-k pair
+    is diagonalised and its partner is the `time_reversed_fiber`."""
     k_points = np.atleast_2d(np.asarray(k_points, dtype=float))
+    partners = time_reversal_partners(basis.lattice, k_points)
+    direct = np.flatnonzero(partners < 0)
 
     def solve(k):
         return diagonalize_fiber(assemble_fiber(basis, phi, k))
 
-    results = _kmap(solve, list(k_points), threads)
-    evals = np.array([r[0] for r in results])
-    evecs = [r[1] for r in results]
+    fibers = dict(zip(direct.tolist(), _kmap(solve, list(k_points[direct]), threads)))
+    for i, p in enumerate(partners):
+        if p >= 0:
+            fibers[i] = time_reversed_fiber(basis, *fibers[p])
+    evals = np.array([fibers[i][0] for i in range(len(k_points))])
+    evecs = [fibers[i][1] for i in range(len(k_points))]
     return BandStructure(basis=basis, k_points=k_points, eigenvalues=evals, eigenvectors=evecs)
 
 

@@ -26,6 +26,7 @@ from .lattice import (
     lattice_index_table,
     supercell_factors,
 )
+from .fibers import time_reversal_partners
 from .response import ResponseWorkspace, _operator_block, _schur_symbol, m_fiber_averaged
 from .scf import CrystalState
 
@@ -259,23 +260,21 @@ class SupercellSolver:
         rows[np.arange(states.size)[:, None], fib[:, None] * nf + np.arange(nf)] = U[fib, :, band]
         return rows
 
-    def _corrected(self, values, fiber, rows):
-        """Orthonormal rows after Rayleigh-Ritz, each kept Ritz vector x_i
-        corrected to first order through the fiber-block eigenpairs
-        (e_k, u_k) of h^phi: x_i - sum_k u_k (u_k^H r_i) / (e_k - theta_i)
-        with r_i = h^phi x_i - theta_i x_i, over the fiber states k outside
-        the lowest rows.shape[0] (couplings inside are left to
-        Rayleigh-Ritz). For fiber states as rows this is first-order
-        perturbation theory in the off-block part of h^phi, which vanishes
-        at psi = 0."""
+    def _corrected(self, fiber, theta, rows, resid):
+        """Orthonormal rows from Ritz pairs (theta_i, x_i) and the residuals
+        r_i = h^phi x_i - theta_i x_i of the kept ones (`_rayleigh_ritz`),
+        overwriting `rows`: each kept x_i corrected to first order through
+        the fiber-block eigenpairs (e_k, u_k) of h^phi: x_i - sum_k u_k
+        (u_k^H r_i) / (e_k - theta_i), over the fiber states k outside the
+        lowest rows.shape[0] (couplings inside are left to Rayleigh-Ritz).
+        For fiber states as rows this is first-order perturbation theory in
+        the off-block part of h^phi, which vanishes at psi = 0."""
         sb = self.basis
         nfib, nf = sb.n_fibers, sb.micro.n_pw
         e, U, order = fiber
-        theta, rows, H_rows = self._rayleigh_ritz(values, rows)
-        kept = int(np.searchsorted(theta, self._e_hi, side="right"))
-        r = H_rows[:kept] - theta[:kept, None] * rows[:kept]
+        kept = resid.shape[0]
         # fiber-major (nfib, kept, nf): one matmul per fiber block
-        c = r.reshape(kept, nfib, nf).transpose(1, 0, 2) @ U.conj()
+        c = resid.reshape(kept, nfib, nf).transpose(1, 0, 2) @ U.conj()
         gap = e.ravel()[None, :] - theta[:kept, None]
         gap[:, order[: rows.shape[0]]] = np.inf
         c /= gap.reshape(kept, nfib, nf).transpose(1, 0, 2)
@@ -294,12 +293,15 @@ class SupercellSolver:
         return np.linalg.qr(np.concatenate([rows, extra]).T)[0].T
 
     def _rayleigh_ritz(self, values, rows):
-        """Ritz values (ascending), Ritz vectors and h^phi applied to them,
-        from orthonormal rows."""
+        """Ritz values (ascending) and Ritz vectors from orthonormal rows,
+        and the residuals h^phi x_i - theta_i x_i of the Ritz pairs with
+        theta_i <= e_hi."""
         H_rows = self.apply_hamiltonian(values, rows)
         G = rows.conj() @ H_rows.T
         theta, W = np.linalg.eigh(0.5 * (G + G.conj().T))
-        return theta, W.T @ rows, W.T @ H_rows
+        rows = W.T @ rows
+        kept = int(np.searchsorted(theta, self._e_hi, side="right"))
+        return theta, rows, W[:, :kept].T @ H_rows - theta[:kept, None] * rows[:kept]
 
     def _chebyshev_filter(self, values, rows, low, a, b):
         """p(h^phi) rows for the degree-FILTER_DEGREE Chebyshev polynomial
@@ -322,15 +324,16 @@ class SupercellSolver:
         While fewer than the guard of Ritz values lie above e_hi, the rows
         are refilled from the fiber states (`fiber` as `_fiber_eigh`
         returns it), at most MAX_SUBSPACE_GROWTH times. Returns (rows,
-        theta, kept, occs, density, bound): the Ritz vectors and values,
-        the kept count, the occupations of the kept pairs and of the first
-        dropped one, the density and its `subspace_bound` (see `density`).
+        theta, resid, kept, occs, density, bound): the Ritz vectors and
+        values, the residuals of the kept pairs, the kept count, the
+        occupations of the kept pairs and of the first dropped one, the
+        density and its `subspace_bound` (see `density`).
         """
         sb = self.basis
         n, vol = sb.n_pw, sb.lattice.volume
         for growth in range(MAX_SUBSPACE_GROWTH + 1):
-            theta, rows, H_rows = self._rayleigh_ritz(values, rows)
-            kept = int(np.searchsorted(theta, self._e_hi, side="right"))
+            theta, rows, resid = self._rayleigh_ritz(values, rows)
+            kept = resid.shape[0]
             if theta.size >= self._subspace_size(kept):
                 break
             if growth == MAX_SUBSPACE_GROWTH:
@@ -342,10 +345,10 @@ class SupercellSolver:
         dens, peak = sb.band_density(rows[:kept].T, occs[:kept])
         dens /= vol
         x_inf = np.sqrt(peak / vol)
-        r = np.linalg.norm(H_rows[:kept] - theta[:kept, None] * rows[:kept], axis=1)
+        r = np.linalg.norm(resid, axis=1)
         theta_top = theta[-1] if theta.size < n else np.inf  # nothing outside
         bound = float(np.sum(2.0 * occs[:kept] * x_inf * r / (theta_top - theta[:kept])))
-        return rows, theta, kept, occs, dens, bound
+        return rows, theta, resid, kept, occs, dens, bound
 
     def density(self, phi_field: SupercellField):
         """Supercell density den[f_T(h^phi - mu)] at the base crystal's mu.
@@ -371,13 +374,16 @@ class SupercellSolver:
         theta_top, with a weight at most f_i / (theta_top - theta_i).
 
         Until then each step first retries the correction on the current
-        Ritz vectors and keeps it when it cuts the bound by CORRECTION_GAIN
-        (100) or more. A kept retry divides the bound by at least 100 and
-        the stop threshold is at least SUBSPACE_TOL n eps, so from a bound
-        b_0 at most ceil(log_100(b_0 / (SUBSPACE_TOL n eps))) retries are
-        kept in a row. A retry that gains less is dropped, and a filter
-        pass follows: a degree-FILTER_DEGREE filter on [theta_top,
-        Gershgorin bound of h^phi], then QR. After MAX_FILTER_PASSES
+        Ritz pairs (which come with their residuals, so the retry needs no
+        second Rayleigh-Ritz) and keeps it when it meets the stop test or
+        cuts the bound by CORRECTION_GAIN (100) or more. A retry kept for
+        the stop test ends the loop; one kept for its gain divides the
+        bound by at least 100, and the stop threshold is at least
+        SUBSPACE_TOL n eps, so from a bound b_0 at most
+        ceil(log_100(b_0 / (SUBSPACE_TOL n eps))) retries are kept in a
+        row. Any other retry is dropped, and a filter pass follows: a
+        degree-FILTER_DEGREE filter on [theta_top, Gershgorin bound of
+        h^phi], then QR. After MAX_FILTER_PASSES
         passes SubspaceConvergenceError is raised, so the loop ends.
 
         The grid transforms and the occupation sum (`band_density`) run over
@@ -393,22 +399,27 @@ class SupercellSolver:
         fiber = self._fiber_eigh(v)
         e, U, order = fiber
         in_window = int(np.searchsorted(e.ravel()[order], self._e_hi, side="right"))
-        starts = [self._fiber_rows(U, order[: self._subspace_size(in_window)])]
+        eps = np.finfo(float).eps
+
+        def converged(st):
+            dens, bound = st[-2:]
+            return bound <= SUBSPACE_TOL * n * eps * (1.0 + np.sqrt(vol * np.mean(dens**2)))
+
+        def started(rows):
+            return self._ritz_window(v, fiber, self._corrected(fiber, *self._rayleigh_ritz(v, rows)))
+
+        # the fiber-state rows are dropped once their start is done, so
+        # that they do not add to the peak memory of the second start
+        state = started(self._fiber_rows(U, order[: self._subspace_size(in_window)]))
         if self._ritz_rows is not None:
-            starts.append(self._ritz_rows)
-        state = min(
-            (self._ritz_window(v, fiber, self._corrected(v, fiber, rows)) for rows in starts),
-            key=lambda st: st[-1],
-        )
+            state = min(state, started(self._ritz_rows), key=lambda st: st[-1])
         top = float(sb.q_norm2.max() + np.abs(np.fft.fftn(v)).sum() / v.size)
         passes = corrections = 0
-        while True:
-            rows, theta, kept, occs, dens, bound = state
-            rho_l2 = np.sqrt(vol * np.mean(dens**2))
-            if bound <= SUBSPACE_TOL * n * np.finfo(float).eps * (1.0 + rho_l2):
-                break
-            retry = self._ritz_window(v, fiber, self._corrected(v, fiber, rows))
-            if retry[-1] <= bound / CORRECTION_GAIN:
+        while not converged(state):
+            rows, theta, resid, *_, bound = state
+            # a copy: the rows stay the filter's start if the retry is dropped
+            retry = self._ritz_window(v, fiber, self._corrected(fiber, theta, rows.copy(), resid))
+            if retry[-1] <= bound / CORRECTION_GAIN or converged(retry):
                 state = retry
                 corrections += 1
                 continue
@@ -419,6 +430,7 @@ class SupercellSolver:
             rows = self._chebyshev_filter(v, rows, theta[0], theta[-1], top)
             state = self._ritz_window(v, fiber, np.linalg.qr(rows.T)[0].T)
             passes += 1
+        rows, _, _, kept, occs, dens, bound = state
         self._ritz_rows = rows
         win = self.density_window
         win["kept"] = max(win["kept"], kept)
@@ -447,22 +459,22 @@ class SupercellSolver:
         Swapping the row and column fiber of a pair block gives
         Block(b, a)[P, P'] = conj(Block(a, b)[-P, -P']) for any potential,
         and the zone average carries it to M_{-k}[P, P'] = conj(M_k[-P,
-        -P']); the kinetic diagonal |G - k|^2 = |-G + k|^2 follows. A point whose -k lies outside the centred grid (k = 0, and
-        the zone face of an even grid) is computed directly: there the
-        partner is -k folded by a reciprocal vector, whose ball of modes
-        is not the negated one. That is about N^2d / 2 pair blocks instead
-        of N^2d.
+        -P']); the kinetic diagonal |G - k|^2 = |-G + k|^2 follows. The
+        pairs are the `time_reversal_partners` of the grid. A point whose
+        -k lies outside the centred grid (k = 0, and the zone face of an
+        even grid) is computed directly: there the partner is -k folded by
+        a reciprocal vector, whose ball of modes is not the negated one.
+        That is about N^2d / 2 pair blocks instead of N^2d.
         """
         if self._jac_blocks is None:
             ws = ResponseWorkspace.of(self.base)
             kpts = self.basis.k_points
-            index = {tuple(j): i for i, j in enumerate(self.basis.j_ints.tolist())}
+            partners = time_reversal_partners(self.base.basis.lattice, kpts)
             neg = self.base.basis.negation_index
             n_pw = self.base.basis.n_pw
             blocks = np.empty((len(kpts), n_pw, n_pw), dtype=complex)
-            for i, (j, k) in enumerate(zip(self.basis.j_ints.tolist(), kpts)):
-                p = index.get(tuple(-x for x in j), i)
-                if p < i:
+            for i, (p, k) in enumerate(zip(partners, kpts)):
+                if p >= 0:
                     blocks[i] = blocks[p][np.ix_(neg, neg)].conj()
                 else:
                     blocks[i] = _operator_block(ws, m_fiber_averaged(ws, k, kpts), k)

@@ -170,7 +170,7 @@ def run_bands(cfg, state=None):
 
 def run_response(cfg, state=None):
     from .response import (ResponseWorkspace, _b_fit, _kbar_solve, _operator_block,
-                           b_function, homogenized_coefficients)
+                           b_samples, homogenized_coefficients)
 
     timer = dfio.StageTimer()
     state = state or load_crystal_bundle(cfg)
@@ -196,8 +196,8 @@ def run_response(cfg, state=None):
             samples.append(x * e)
             samples.append(-x * e)
     samples, solve_fit = _b_fit(ws, samples)
-    b = [b_function(ws, k) for k in samples]
-    b0_fit, eps_fit, quart = solve_fit(np.array(b))
+    b = b_samples(ws, samples)
+    b0_fit, eps_fit, quart = solve_fit(b)
 
     out = _stage_dir(cfg, "response")
     rows = [list(k) + [bk] for k, bk in zip(samples, b)]

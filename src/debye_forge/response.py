@@ -31,7 +31,10 @@ from .fibers import (
     contour_quadrature,
     den_from_matrix,
     diagonalize_fiber,
+    momentum_key,
     shift_overlap_tensor,
+    time_reversal_partners,
+    time_reversed_fiber,
 )
 from .lattice import PeriodicField, PlaneWaveBasis
 from .occupation import OccupationModel, step_dd
@@ -46,6 +49,7 @@ __all__ = [
     "rho_prime",
     "epsilon_matrix",
     "b_function",
+    "b_samples",
     "fit_b_expansion",
     "homogenized_coefficients",
     "epsilon_zero_temperature",
@@ -117,20 +121,21 @@ class ResponseWorkspace:
             ws = crystal.response_ws = cls(crystal.basis, crystal.phi, crystal.occ)
         return ws
 
-    def _key(self, k):
-        frac = np.atleast_1d(np.asarray(k, dtype=float)) @ self.basis.lattice.reciprocal_inverse
-        return tuple(np.round(frac, 12))
-
     def fiber(self, k):
         """(eigenvalues, eigenvectors) of H_k at the absolute momentum k.
 
         No zone reduction: pair blocks rely on absolute G labels, so a
         momentum beyond the cell boundary keeps its unwrapped kinetic
-        diagonal.
+        diagonal. When -k is cached, H_k is not diagonalised: its fiber is
+        the `time_reversed_fiber` of the one at -k.
         """
-        key = self._key(k)
+        key = momentum_key(self.basis.lattice, k)
         if key not in self._cache:
-            self._cache[key] = diagonalize_fiber(assemble_fiber(self.basis, self.phi, k))
+            partner = self._cache.get(tuple(-x for x in key))
+            if partner is None:
+                self._cache[key] = diagonalize_fiber(assemble_fiber(self.basis, self.phi, k))
+            else:
+                self._cache[key] = time_reversed_fiber(self.basis, *partner)
         return self._cache[key]
 
     @property
@@ -446,7 +451,19 @@ def fit_b_expansion(ws, k_samples):
         quartic contribution over the samples.
     """
     ks, solve = _b_fit(ws, k_samples)
-    return solve(np.array([b_function(ws, k) for k in ks]))
+    return solve(b_samples(ws, ks))
+
+
+def b_samples(ws, k_samples):
+    """`b_function` at each (d,) row of k_samples, evaluated once per +-k
+    pair (`time_reversal_partners`): b is even in k, so the later sample
+    of a pair takes the value of the earlier one."""
+    ks = np.atleast_2d(np.asarray(k_samples, dtype=float))
+    partners = time_reversal_partners(ws.basis.lattice, ks)
+    b = np.empty(len(ks))
+    for i, (k, p) in enumerate(zip(ks, partners)):
+        b[i] = b[p] if p >= 0 else b_function(ws, k)
+    return b
 
 
 def _b_fit(ws, k_samples):

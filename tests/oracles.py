@@ -7,7 +7,8 @@ can compare against it at small sizes.
 
 import numpy as np
 
-from debye_forge.fibers import assemble_fiber, contour_quadrature, den_from_matrix, potential_matrix
+from debye_forge.fibers import (BandStructure, assemble_fiber, contour_quadrature, den_from_matrix,
+                               diagonalize_fiber, potential_matrix)
 from debye_forge.lattice import PeriodicField, lattice_index_table
 
 
@@ -74,3 +75,13 @@ def all_band_density(phi, occ, bands):
     for e, U in zip(bands.eigenvalues, bands.eigenvectors):
         acc += np.einsum("n,n...->...", occ.occ(e), np.abs(basis.columns_to_grids(U)) ** 2)
     return acc / (bands.nk * basis.lattice.volume)
+
+
+def all_k_bands(basis, phi, k_points):
+    """Bands with every k diagonalised directly: the route that
+    `fibers.compute_bands` halves by taking -k from k (time reversal)."""
+    k_points = np.atleast_2d(np.asarray(k_points, dtype=float))
+    fibers = [diagonalize_fiber(assemble_fiber(basis, phi, k)) for k in k_points]
+    return BandStructure(basis=basis, k_points=k_points,
+                         eigenvalues=np.array([e for e, _ in fibers]),
+                         eigenvectors=[U for _, U in fibers])

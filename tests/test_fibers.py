@@ -14,15 +14,18 @@ from debye_forge.fibers import (
     diagonalize_fiber,
     spectral_gap,
     shift_overlap_tensor,
+    time_reversal_partners,
+    time_reversed_fiber,
     _difference_table,
     _ellipk,
     _jacobi,
     _shift_table,
 )
 from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, _fiber_basis, monkhorst_pack
+from debye_forge import fibers as F
 from debye_forge.multiscale import SupercellPWBasis
 from debye_forge.occupation import OccupationModel
-from oracles import all_band_density, diff_pos
+from oracles import all_band_density, all_k_bands, diff_pos
 
 LAT = Lattice(np.array([[2 * np.pi]]))
 BASIS = PlaneWaveBasis(LAT, ecut=50.0)
@@ -199,6 +202,83 @@ class TestDensity:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+SQUARE = Lattice(2 * np.pi * np.eye(2))
+
+
+def square_potential(ecut):
+    """The square crystal 2 (cos x + cos y) on its basis at ecut."""
+    basis = PlaneWaveBasis(SQUARE, ecut=ecut)
+    return PeriodicField.from_callable(basis, lambda x: 2.0 * (np.cos(x[..., 0]) + np.cos(x[..., 1])))
+
+
+# (potential, k-grid, fibers diagonalised): a centred grid pairs every k
+# with -k except k = 0 and the zone face, whose -k lies outside it
+TR_CASES = {
+    "1d-16": (lambda: MATHIEU, lambda: monkhorst_pack(LAT, 16), 9),
+    "2d-4x4": (lambda: square_potential(16.0), lambda: monkhorst_pack(SQUARE, [4, 4]), 12),
+}
+
+
+class TestTimeReversal:
+    @pytest.mark.parametrize("case", list(TR_CASES))
+    def test_partner_fibers_against_all_k_oracle(self, case):
+        phi_of, kgrid_of, _ = TR_CASES[case]
+        phi, kgrid = phi_of(), kgrid_of()
+        basis = phi.basis
+        bands = compute_bands(basis, phi, kgrid)
+        ref = all_k_bands(basis, phi, kgrid)
+        partners = time_reversal_partners(basis.lattice, kgrid)
+        for i in np.flatnonzero(partners >= 0):
+            e, U = bands.eigenvalues[i], bands.eigenvectors[i]
+            scale = np.abs(ref.eigenvalues[i]).max()
+            assert np.abs(e - ref.eigenvalues[i]).max() <= 1e-13 * scale
+            H = assemble_fiber(basis, phi, kgrid[i])
+            assert np.abs(H @ U - U * e[None, :]).max() <= 1e-12 * scale
+            assert np.abs(U.conj().T @ U - np.eye(basis.n_pw)).max() <= 1e-12
+        # the density of the partner fibers: the window drops at most
+        # eps^2 / |Omega| per point, and a partner differs from a direct
+        # eigh at -k by the eigensolver's rounding, n_pw eps of the density
+        # (a direct eigh of the same fiber with its basis permuted moves
+        # the 2D density by 1.9e-16 of its 0.05 peak coefficient as well)
+        occ = OccupationModel(T=0.05, mu=float(np.median(bands.eigenvalues[:, 1])))
+        rho = density_from_potential(phi, occ, kgrid, bands=bands, tail_tol=1.0)
+        full = basis.grid_to_coeffs(all_band_density(phi, occ, ref))
+        eps = np.finfo(float).eps
+        bound = eps**2 / basis.lattice.volume + basis.n_pw * eps * np.abs(full).max()
+        assert np.abs(rho.coeffs - full).max() <= bound
+
+    @pytest.mark.parametrize("case", list(TR_CASES))
+    def test_one_diagonalisation_per_pair(self, case, monkeypatch):
+        phi_of, kgrid_of, n_direct = TR_CASES[case]
+        phi, kgrid = phi_of(), kgrid_of()
+        calls = []
+        direct = F.diagonalize_fiber
+
+        def counted(H):
+            calls.append(1)
+            return direct(H)
+
+        monkeypatch.setattr(F, "diagonalize_fiber", counted)
+        bands = compute_bands(phi.basis, phi, kgrid)
+        assert len(calls) == n_direct and bands.nk == len(kgrid)
+        partners = time_reversal_partners(phi.basis.lattice, kgrid)
+        assert np.count_nonzero(partners < 0) == n_direct and partners[0] == -1  # k = 0
+        for i, p in enumerate(partners):
+            assert p < i
+            if p >= 0:
+                assert np.abs(kgrid[p] + kgrid[i]).max() <= 1e-15
+
+    def test_basis_not_closed_under_negation_refused(self):
+        basis = _fiber_basis(LAT, (10,))  # G = -5 has no +5 partner
+        assert np.any(basis.negation_index < 0)
+        phi = PeriodicField.from_callable(basis, lambda x: 2.0 * np.cos(x))
+        e, U = diagonalize_fiber(assemble_fiber(basis, phi, [0.25]))
+        with pytest.raises(ValueError, match="closed under"):
+            time_reversed_fiber(basis, e, U)
+        with pytest.raises(ValueError, match="closed under"):
+            compute_bands(basis, phi, monkhorst_pack(LAT, 4))
 
 
 class TestGap:

@@ -103,6 +103,27 @@ class TestSquareLattice:
         assert np.abs(eps_fit - eps).max() < 5e-4  # coarse cutoff, coarse tol
         assert quart >= 0
 
+    def test_b_fit_evaluates_b_once_per_pair(self, square_ws, monkeypatch):
+        # 48 samples as the benchmark's square-crystal fit draws them: both
+        # axes and one off-axis direction, 8 magnitudes each, at +-k
+        dirs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                np.array([np.cos(0.5), np.sin(0.5)])]
+        samples = np.array([s * x * e for e in dirs
+                            for x in 0.1 * np.geomspace(1 / 64, 1, 8) for s in (1, -1)])
+        ks, solve = R._b_fit(square_ws, samples)
+        eps_all = solve(np.array([R.b_function(square_ws, k) for k in ks]))[1]
+        calls = []
+        direct = R.b_function
+
+        def counted(ws, k, k_grid=None):
+            calls.append(1)
+            return direct(ws, k, k_grid)
+
+        monkeypatch.setattr(R, "b_function", counted)
+        eps_fit = R.fit_b_expansion(square_ws, samples)[1]
+        assert len(samples) == 48 and len(calls) == 24
+        assert np.abs(eps_fit - eps_all).max() <= 1e-12 * np.abs(eps_all).max()
+
     def test_contour_route_matches_eigen_route_2d(self, square_ws):
         eps = R.epsilon_matrix(square_ws)[0]
         eps_con = R.epsilon_matrix_contour(square_ws, tol=1e-10)

@@ -153,6 +153,49 @@ class TestSupercellSolver:
         assert win["filter_passes"] == [0] and win["corrections"][0] >= 1
         assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
 
+    def test_retry_meeting_the_stop_is_kept(self, monkeypatch):
+        # N = 32, wave amplitude 0.05: after the first filter pass the
+        # retried correction meets the stop test while gaining less than
+        # CORRECTION_GAIN; it is kept, and no second filter pass follows
+        sol = SupercellSolver(make_crystal(N=32), 32)
+        phi = sol.phi_tiled + wave(sol)
+        bounds = []
+        window = SupercellSolver._ritz_window
+
+        def recorded(self, *args):
+            state = window(self, *args)
+            bounds.append(state[-1])
+            return state
+
+        monkeypatch.setattr(SupercellSolver, "_ritz_window", recorded)
+        got = sol.density(phi).values
+        monkeypatch.undo()
+        win = sol.density_window
+        assert win["filter_passes"] == [1] and win["corrections"] == [1]
+        # start, dropped retry, filter pass, kept retry
+        assert len(bounds) == 4 and bounds[3] > bounds[2] / M.CORRECTION_GAIN
+        assert bounds[3] == win["subspace_bound"]
+        full = dense_density(sol, phi)
+        assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+
+    def test_retry_reuses_the_ritz_pairs(self, monkeypatch):
+        # a start costs two h^phi applications (Rayleigh-Ritz before the
+        # correction, and after it); a retry corrects the Ritz pairs of
+        # the last window, which carry their residuals, so it costs one
+        sol = SupercellSolver(make_crystal(N=8), 8)
+        applied = []
+        apply = SupercellSolver.apply_hamiltonian
+
+        def counted(self, values, rows):
+            applied.append(1)
+            return apply(self, values, rows)
+
+        monkeypatch.setattr(SupercellSolver, "apply_hamiltonian", counted)
+        sol.density(sol.phi_tiled + wave(sol, amplitude=0.01))  # one start
+        win = sol.density_window
+        assert win["filter_passes"] == [0] and win["corrections"][0] >= 2
+        assert len(applied) == 2 + win["corrections"][0]
+
     def test_warm_start_does_less_work_than_cold(self, monkeypatch):
         sol = SupercellSolver(make_crystal(N=16), 16)
         applied = []  # one entry per application of h^phi to the subspace

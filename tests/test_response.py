@@ -33,6 +33,26 @@ def ws_free():
     return R.ResponseWorkspace(BASIS, ZERO, OccupationModel(T=1 / 20, mu=-1.0))
 
 
+def test_workspace_fiber_at_minus_k_from_k(monkeypatch):
+    # -k is the time-reversed fiber of a cached k, not a second eigh
+    w = R.ResponseWorkspace(BASIS, PHI, OccupationModel(T=1 / 20, mu=MU))
+    calls = []
+    direct = R.diagonalize_fiber
+
+    def counted(H):
+        calls.append(1)
+        return direct(H)
+
+    monkeypatch.setattr(R, "diagonalize_fiber", counted)
+    k = np.array([0.3])
+    e, U = w.fiber(k)
+    e_m, U_m = w.fiber(-k)
+    assert len(calls) == 1
+    assert e_m is e and np.array_equal(U_m, U[BASIS.negation_index].conj())
+    Hm = R.assemble_fiber(BASIS, PHI, -k)
+    assert np.abs(Hm @ U_m - U_m * e[None, :]).max() <= 1e-12 * np.abs(e).max()
+
+
 class TestMFiber:
     def test_hermitian_and_psd(self, ws):
         for k in ([0.0], [0.13], [-0.31]):
