@@ -308,7 +308,7 @@ def crit_13_bloch_machinery(ctx):
     kpts, fibers = bloch_decompose(f)
     # Lemma-style identity: int_Omega f_k = fhat(k)
     ident = max(
-        abs(fib.integral() - f.fourier(k)) for k, fib in zip(kpts[:12], fibers[:12])
+        abs(fib.mean() * fib.volume - f.fourier(k)) for k, fib in zip(kpts[:12], fibers[:12])
     )
     rec = bloch_reconstruct(kpts, fibers, ctx.lattice, np.full(1, N), shape)
     round_trip = float(np.abs(rec.values - f.values).max())

@@ -24,11 +24,6 @@ def _add_common(p):
         help="cap worker threads (mirrors DEBYE_FORGE_THREADS)",
     )
     p.add_argument(
-        "--lax",
-        action="store_true",
-        help="accept unknown configuration keys (forward compatibility)",
-    )
-    p.add_argument(
         "--strict-regime",
         action="store_true",
         help="fail (exit 4) when the asymptotic regime conditions are violated "
@@ -74,7 +69,7 @@ def main(argv=None):
         return 0 if not failed else 3
 
     try:
-        cfg = parse_config(args.config, lax=args.lax)
+        cfg = parse_config(args.config)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

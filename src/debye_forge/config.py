@@ -193,25 +193,11 @@ def _merge_defaults(cfg, defaults, path=()):
     return out
 
 
-def validate_config(raw, lax=False):
+def validate_config(raw):
     """Validate against the schema, reporting every violation at once."""
     import jsonschema
 
-    schema = CONFIG_SCHEMA
-    if lax:
-        schema = json.loads(json.dumps(CONFIG_SCHEMA))
-
-        def relax(node):
-            if isinstance(node, dict):
-                node.pop("additionalProperties", None)
-                for v in node.values():
-                    relax(v)
-            elif isinstance(node, list):
-                for v in node:
-                    relax(v)
-
-        relax(schema)
-    validator = jsonschema.Draft202012Validator(schema)
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = [
         f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
         for e in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
@@ -220,14 +206,14 @@ def validate_config(raw, lax=False):
         raise ConfigError(errors)
 
 
-def parse_config(path_or_dict, lax=False):
+def parse_config(path_or_dict):
     """Load, validate and fill defaults; returns the effective config dict."""
     if isinstance(path_or_dict, dict):
         raw = copy.deepcopy(path_or_dict)
     else:
         with open(path_or_dict, encoding="utf-8") as fh:
             raw = json.load(fh)
-    validate_config(raw, lax=lax)
+    validate_config(raw)
     cfg = _merge_defaults(raw, _DEFAULTS)
     d = len(cfg["lattice"]["basis"])
     if cfg["kgrid"] is None:

@@ -157,13 +157,9 @@ def time_reversed_fiber(basis: PlaneWaveBasis, e, U):
 
     For a real phi, phihat(-Q) = conj(phihat(Q)), so H_{-k}[G, G'] =
     conj(H_k[-G, -G']) and H_{-k} conj(U[-G]) = conj(U[-G]) diag(e)
-    exactly. A basis not closed under G -> -G has no such map and is
-    refused.
+    exactly.
     """
-    neg = basis.negation_index
-    if np.any(neg < 0):
-        raise ValueError("time reversal needs a basis closed under G -> -G")
-    return e, U[neg].conj()
+    return e, U[basis.negation_index].conj()
 
 
 @dataclass

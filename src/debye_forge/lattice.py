@@ -10,7 +10,8 @@ Conventions used throughout the package:
   (plain integral, no 2 pi normalization), under which the Bloch fiber
   identity int_Omega f_k = fhat(k) holds exactly on the discrete grid.
 * Bloch fibers follow f_k(x) = sum_t exp(-i k.(x+t)) f(x+t); fibers are
-  lattice-periodic and the inverse transform is the average over the
+  lattice-periodic fields on the micro cell's FFT grid (a SupercellField
+  with factors 1), and the inverse transform is the average over the
   k-grid of exp(i k x) f_k(x).
 """
 
@@ -34,19 +35,11 @@ __all__ = [
     "bloch_decompose",
     "bloch_reconstruct",
     "low_momentum_project",
-    "rescale_field",
-    "apply_inverse_laplacian",
 ]
-
-MEAN_TOL = 1e-10
 
 
 class LatticeError(ValueError):
     pass
-
-
-class SolvabilityError(ValueError):
-    """Poisson right-hand side has a nonzero cell mean (charge imbalance)."""
 
 
 def reciprocal_lattice(basis):
@@ -238,10 +231,7 @@ class PlaneWaveBasis(GridTransforms):
         if any(int(s) < 2 * m + 1 for s, m in zip(fft_shape, per_axis_max)):
             raise ValueError("fft grid too small to hold the G-set without aliasing")
         self._place_on_grid(self.g_ints, fft_shape)
-        self._index_g_set()
 
-    def _index_g_set(self):
-        """Integer-vector lookup and negation map of the current G-set."""
         self.n_pw = len(self.g_ints)
         # dense lookup over the box |n_i| <= max |G_i| holding the set
         self._box_half = np.abs(self.g_ints).max(axis=0)
@@ -251,15 +241,6 @@ class PlaneWaveBasis(GridTransforms):
 
     def _box_codes(self, g):
         return np.ravel_multi_index(tuple((g + self._box_half).T), tuple(2 * self._box_half + 1))
-
-    def _restrict(self, keep):
-        """Drop the G-vectors outside the mask `keep`; the FFT grid stays.
-        For a basis that has not built any index table yet."""
-        self.g_ints = self.g_ints[keep]
-        self.g_cart = self.g_cart[keep]
-        self.g_norm2 = self.g_norm2[keep]
-        self._fft_pos = self._fft_pos[keep]
-        self._index_g_set()
 
     @property
     def d(self) -> int:
@@ -294,12 +275,8 @@ class PlaneWaveBasis(GridTransforms):
 
     @property
     def negation_index(self):
-        """Permutation mapping each G to -G.
-
-        Cutoff-ball bases are always closed under negation; the internal
-        fiber bases restricted to an even per-cell grid may carry a -1
-        sentinel at the unmatched asymmetric edge modes.
-        """
+        """Permutation mapping each G to -G (a cutoff ball is closed under
+        negation)."""
         return self._neg_index
 
     def kinetic_diagonal(self, k=None):
@@ -331,22 +308,9 @@ class PeriodicField:
         self.basis = basis
         self.coeffs = coeffs
         if realness is None:
-            realness = self._hermitian_deviation() < 1e-12 * max(
-                1.0, np.abs(coeffs).max()
-            )
+            dev = np.abs(np.conj(coeffs[basis.negation_index]) - coeffs).max()
+            realness = dev < 1e-12 * max(1.0, np.abs(coeffs).max())
         self.realness = bool(realness)
-
-    def _hermitian_deviation(self):
-        neg = self.basis.negation_index
-        ok = neg >= 0
-        dev = 0.0
-        if ok.any():
-            dev = float(
-                np.abs(np.conj(self.coeffs[neg[ok]]) - self.coeffs[ok]).max()
-            )
-        if (~ok).any():
-            dev = max(dev, float(np.abs(self.coeffs[~ok]).max()))
-        return dev
 
     @classmethod
     def from_grid(cls, basis: PlaneWaveBasis, values):
@@ -551,78 +515,38 @@ def bloch_decompose(f: SupercellField):
     """Bloch-Floquet fibers of a supercell field.
 
     Returns (k_points, fibers): the N^d fractional k-points of the
-    supercell grid (cartesian) and, per k, the periodic fiber f_k with
-    micro coefficients c_k(G) = N^d chat(G + k).
-
-    The fibers use a plane-wave basis covering every micro G hit by the
-    supercell FFT grid, so reconstruction is exact to round-off.
+    supercell grid (cartesian) and, per k, the fiber f_k on the micro
+    cell's FFT grid, a SupercellField with factors 1. Its coefficient at
+    the cell-grid mode g is N^d chat(g N + j), read from the supercell FFT
+    at m = g N + j (mod N s) for the centred offset j of k: every supercell
+    mode lands in exactly one fiber, so reconstruction is exact to
+    round-off.
     """
-    micro = f.micro
-    d = f.d
     factors = f.factors
     chat = f.coeffs()
-
     per_shape = tuple(s // n for s, n in zip(f.shape, factors))
-    basis = _fiber_basis(micro, per_shape)
     nfac = int(np.prod(factors))
-
-    # supercell FFT integer index of G + k: m = G * N + j with the centred
-    # fiber offsets j of the k-grid
-    jlist, kkart = centred_k_grid(micro, factors)
-
+    g = np.stack(np.meshgrid(*(np.arange(s) for s in per_shape), indexing="ij"), axis=-1)
+    jlist, kkart = centred_k_grid(f.micro, factors)
+    cell = np.ones(f.d, dtype=int)
     fibers = []
     for j in jlist:
-        m = basis.g_ints * factors[None, :] + j[None, :]
-        pos = np.ravel_multi_index(
-            [np.mod(m[:, ax], f.shape[ax]) for ax in range(d)], f.shape
-        )
-        coeffs = nfac * chat.flat[pos]
-        fibers.append(PeriodicField(basis, coeffs, realness=False))
+        m = g * factors + j
+        c = nfac * chat[tuple(np.mod(m[..., ax], f.shape[ax]) for ax in range(f.d))]
+        fibers.append(SupercellField(f.micro, cell, np.fft.ifftn(c) * np.prod(per_shape)))
     return kkart, fibers
 
 
-def _fiber_basis(micro: Lattice, per_shape):
-    """Plane-wave basis holding all micro G representable on per_shape."""
-    # cutoff large enough to include every |G| with indices in the grid range
-    wstar = micro.reciprocal
-    corners = []
-    for n in itertools.product(*(( -(s // 2), (s - 1) // 2) for s in per_shape)):
-        corners.append(np.asarray(n, dtype=float) @ wstar)
-    gmax2 = max(float(c @ c) for c in corners)
-    basis = PlaneWaveBasis(micro, ecut=0.5 * gmax2, fft_shape=None)
-    # restrict to G representable on per_shape per axis
-    keep = np.ones(basis.n_pw, dtype=bool)
-    for ax, s in enumerate(per_shape):
-        lo, hi = -(s // 2), (s - 1) // 2
-        keep &= (basis.g_ints[:, ax] >= lo) & (basis.g_ints[:, ax] <= hi)
-    basis._restrict(keep)
-    return basis
-
-
-def _fiber_values_on(fib: PeriodicField, per_shape):
-    """Synthesize a fiber on an arbitrary commensurate per-cell grid."""
-    basis = fib.basis
-    for ax, s in enumerate(per_shape):
-        lo, hi = -(s // 2), (s - 1) // 2
-        g = basis.g_ints[:, ax]
-        if g.min() < lo or g.max() > hi:
-            raise ValueError("fiber holds modes beyond the target grid")
-    arr = np.zeros(per_shape, dtype=complex)
-    idx = [np.mod(basis.g_ints[:, ax], per_shape[ax]) for ax in range(basis.d)]
-    arr.flat[np.ravel_multi_index(idx, per_shape)] = fib.coeffs
-    return np.fft.ifftn(arr) * np.prod(per_shape)
-
-
 def bloch_reconstruct(k_points, fibers, micro: Lattice, factors, shape):
-    """Inverse Bloch transform: average of exp(i k x) f_k over the k-grid."""
+    """Inverse Bloch transform: average of exp(i k x) f_k over the k-grid,
+    each fiber tiled over the supercell."""
     factors = supercell_factors(factors, micro.d)
     out = SupercellField(micro, factors, np.zeros(shape, dtype=complex))
     x = out.grid_points()
     tiles = tuple(factors)
-    per_shape = tuple(int(s // n) for s, n in zip(shape, factors))
     acc = np.zeros(shape, dtype=complex)
     for k, fib in zip(k_points, fibers):
-        vals = np.tile(_fiber_values_on(fib, per_shape), tiles)
+        vals = np.tile(fib.values, tiles)
         phase = np.exp(1j * (x @ np.atleast_1d(k)))
         acc += phase * vals
     acc /= len(k_points)
@@ -642,73 +566,3 @@ def low_momentum_project(f: SupercellField, r: float, complement=False):
     c = f.coeffs() * mask
     real = not np.iscomplexobj(f.values)
     return SupercellField.from_coeffs(f.micro, f.factors, c, real=real)
-
-
-def rescale_field(f: SupercellField, delta: float, direction: str, scaling: str = "l2"):
-    """Unitary micro/macro rescaling U_delta and its named variants.
-
-    U_delta: f(x) -> delta^{-d/2} f(x / delta) maps the microscopic scale
-    to the macroscopic one; grids map one-to-one (points are relabelled
-    x = delta y) so only the amplitude changes.
-
-    scaling:
-        "l2"        amplitude delta^{-d/2}   (unitary in L^2)
-        "charge"    amplitude delta^{-d}     (delta^{-d/2} U_delta; preserves total charge)
-        "potential" amplitude delta^{-1}     (delta^{1/2} U_delta when d = 3)
-    """
-    d = f.d
-    if direction not in ("micro_to_macro", "macro_to_micro"):
-        raise ValueError("direction must be micro_to_macro or macro_to_micro")
-    inv = 1.0 / delta
-    if delta <= 0 or abs(inv - round(inv)) > 1e-9:
-        raise ValueError(f"non-commensurate delta = {delta}: need 1/N")
-    amp = {
-        "l2": delta ** (-0.5 * d),
-        "charge": delta ** (-float(d)),
-        "potential": delta ** (-1.0),
-    }[scaling]
-    if direction == "macro_to_micro":
-        amp = 1.0 / amp
-        geom = 1.0 / delta
-    else:
-        geom = delta
-    # commensurability: the rescaled lattice must still be an integer
-    # supercell of a scaled micro lattice; we keep the micro lattice and
-    # scale the embedding, so only the bookkeeping lattice changes.
-    micro = Lattice(f.micro.basis * geom)
-    return SupercellField(micro, f.factors, amp * f.values)
-
-
-def apply_inverse_laplacian(f, tol_mean: float = MEAN_TOL):
-    """Solve -Delta phi = f spectrally; requires a mean-zero right side.
-
-    Raises SolvabilityError when |mean f| > tol_mean: the periodic
-    Poisson equation is solvable only for charge-balanced sources
-    (the per-cell charge conservation constraint).
-    """
-    if isinstance(f, PeriodicField):
-        if abs(f.coeffs[0]) > tol_mean:
-            raise SolvabilityError(
-                f"nonzero mean {f.coeffs[0]:.3e} violates the per-cell "
-                "charge-balance solvability condition"
-            )
-        out = f.coeffs.copy()
-        out[0] = 0.0
-        g2 = f.basis.g_norm2
-        out[1:] = out[1:] / g2[1:]
-        return PeriodicField(f.basis, out, realness=f.realness)
-    if isinstance(f, SupercellField):
-        c = f.coeffs()
-        if abs(c.flat[0]) > tol_mean:
-            raise SolvabilityError(
-                f"nonzero mean {c.flat[0]:.3e} violates the per-cell "
-                "charge-balance solvability condition"
-            )
-        q = f.wavevectors()
-        q2 = np.einsum("...i,...i->...", q, q)
-        q2.flat[0] = 1.0
-        out = c / q2
-        out.flat[0] = 0.0
-        real = not np.iscomplexobj(f.values)
-        return SupercellField.from_coeffs(f.micro, f.factors, out, real=real)
-    raise TypeError("expected a PeriodicField or SupercellField")

@@ -5,6 +5,8 @@ matrix (or quadrature) that the production code avoids, so that a test
 can compare against it at small sizes.
 """
 
+import itertools
+
 import numpy as np
 
 from debye_forge.fibers import (BandStructure, assemble_fiber, contour_quadrature, den_from_matrix,
@@ -85,3 +87,19 @@ def all_k_bands(basis, phi, k_points):
     return BandStructure(basis=basis, k_points=k_points,
                          eigenvalues=np.array([e for e, _ in fibers]),
                          eigenvectors=[U for _, U in fibers])
+
+
+def bloch_fibers_by_definition(f, k_points):
+    """f_k(x) = sum_t exp(-i k.(x + t)) f(x + t) on the micro cell grid, the
+    sum running over the N^d lattice translates t of the supercell: the
+    definition that `lattice.bloch_decompose` evaluates by one FFT."""
+    per = tuple(s // n for s, n in zip(f.shape, f.factors))
+    x = f.grid_points()
+    fibers = []
+    for k in k_points:
+        wave = np.exp(-1j * (x @ np.atleast_1d(k))) * f.values
+        acc = np.zeros(per, dtype=complex)
+        for t in itertools.product(*(range(n) for n in f.factors)):
+            acc += wave[tuple(slice(a * p, (a + 1) * p) for a, p in zip(t, per))]
+        fibers.append(acc)
+    return fibers

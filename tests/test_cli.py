@@ -56,10 +56,6 @@ class TestConfig:
             parse_config(bad)
         assert "temprature" in str(err.value)
 
-    def test_lax_accepts_unknown(self):
-        cfg = parse_config(dict(MINIMAL, future_knob=1), lax=True)
-        assert cfg["temperature"] == 0.05
-
     def test_all_violations_reported(self):
         bad = dict(MINIMAL, temperature=-1.0, ecut=-5.0)
         with pytest.raises(ConfigError) as err:
@@ -193,9 +189,11 @@ class TestPipeline:
         assert (tmp_path / "out" / "multiscale" / "multiscale_N4.json").exists()
 
     def test_config_error_exit_code(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(dict(MINIMAL, temperature=-2.0)))
-        assert cli_main(["crystal", "--config", str(p)]) == 2
+        # an invalid value and an unknown key are both configuration errors
+        for bad in ({"temperature": -2.0}, {"future_knob": 1}):
+            p = tmp_path / "bad.json"
+            p.write_text(json.dumps(dict(MINIMAL, **bad)))
+            assert cli_main(["crystal", "--config", str(p)]) == 2, bad
 
     def test_missing_config_file(self, tmp_path):
         assert cli_main(["crystal", "--config", str(tmp_path / "none.json")]) == 2

@@ -15,13 +15,12 @@ from debye_forge.fibers import (
     spectral_gap,
     shift_overlap_tensor,
     time_reversal_partners,
-    time_reversed_fiber,
     _difference_table,
     _ellipk,
     _jacobi,
     _shift_table,
 )
-from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, _fiber_basis, monkhorst_pack
+from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, monkhorst_pack
 from debye_forge import fibers as F
 from debye_forge.multiscale import SupercellPWBasis
 from debye_forge.occupation import OccupationModel
@@ -270,16 +269,6 @@ class TestTimeReversal:
             if p >= 0:
                 assert np.abs(kgrid[p] + kgrid[i]).max() <= 1e-15
 
-    def test_basis_not_closed_under_negation_refused(self):
-        basis = _fiber_basis(LAT, (10,))  # G = -5 has no +5 partner
-        assert np.any(basis.negation_index < 0)
-        phi = PeriodicField.from_callable(basis, lambda x: 2.0 * np.cos(x))
-        e, U = diagonalize_fiber(assemble_fiber(basis, phi, [0.25]))
-        with pytest.raises(ValueError, match="closed under"):
-            time_reversed_fiber(basis, e, U)
-        with pytest.raises(ValueError, match="closed under"):
-            compute_bands(basis, phi, monkhorst_pack(LAT, 4))
-
 
 class TestGap:
     kgrid = monkhorst_pack(LAT, 8)
@@ -456,8 +445,7 @@ INDEX_BASES = {
     "1d": lambda: BASIS,
     "2d-hex": lambda: PlaneWaveBasis(HEX, ecut=6.0),
     "3d-cubic": lambda: PlaneWaveBasis(Lattice(2 * np.pi * np.eye(3)), ecut=4.0),
-    "1d-fiber-restricted": lambda: _fiber_basis(LAT, (10,)),
-    "2d-fiber-restricted": lambda: _fiber_basis(HEX, (6, 4)),
+    "2d-hex-fft-9x11": lambda: PlaneWaveBasis(HEX, ecut=6.0, fft_shape=(9, 11)),
 }
 
 
@@ -470,6 +458,7 @@ class TestIndexTables:
         assert [basis.index_of(v) for v in g] == list(range(basis.n_pw))
         neg = [index.get(tuple(-v), -1) for v in g]
         assert np.array_equal(basis.negation_index, neg)
+        assert np.array_equal(np.sort(basis.negation_index), np.arange(basis.n_pw))
         assert np.array_equal(_difference_table(basis), dict_loop_table(basis, g, g, sign=-1))
         assert np.array_equal(_shift_table(basis), dict_loop_table(basis, g, g))
 

@@ -6,17 +6,16 @@ from debye_forge.lattice import (
     LatticeError,
     PeriodicField,
     PlaneWaveBasis,
-    SolvabilityError,
     SupercellField,
-    apply_inverse_laplacian,
     bloch_decompose,
     bloch_reconstruct,
     centred_k_grid,
     low_momentum_project,
     monkhorst_pack,
     reciprocal_lattice,
-    rescale_field,
 )
+from debye_forge.scf import _poisson_mean_free
+from oracles import bloch_fibers_by_definition
 
 
 def random_basis(rng, d):
@@ -154,7 +153,26 @@ class TestBloch:
         rec = bloch_reconstruct(kpts, fibers, self.lat, np.full(1, 16), f.shape)
         assert np.abs(rec.values - f.values).max() < 1e-10
         for k, fib in zip(kpts[:8], fibers[:8]):
-            assert abs(fib.integral() - f.fourier(k)) < 1e-10
+            assert abs(fib.mean() * fib.volume - f.fourier(k)) < 1e-10
+
+    # the even cell grids are those whose Nyquist mode has no -G partner
+    @pytest.mark.parametrize("lat, factors, per", [
+        (lat, [16], (27,)),
+        (lat, [16], (10,)),
+        (Lattice(2 * np.pi * np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]])), [3, 2], (6, 4)),
+    ], ids=["1d-27", "1d-10", "2d-hex-6x4"])
+    def test_fibers_match_definition(self, lat, factors, per):
+        rng = np.random.default_rng(12)
+        shape = tuple(p * n for p, n in zip(per, factors))
+        f = SupercellField(lat, factors, rng.standard_normal(shape))
+        kpts, fibers = bloch_decompose(f)
+        assert len(fibers) == np.prod(factors)
+        scale = np.prod(factors) * np.abs(f.values).max()
+        for fib, ref in zip(fibers, bloch_fibers_by_definition(f, kpts)):
+            assert fib.shape == per and np.all(fib.factors == 1)
+            assert np.abs(fib.values - ref).max() < 1e-12 * scale
+        rec = bloch_reconstruct(kpts, fibers, lat, factors, shape)
+        assert np.abs(rec.values - f.values).max() < 1e-10
 
     def test_gaussian_bump_reconstruction(self):
         N = 16
@@ -212,33 +230,7 @@ class TestProjection:
         vol = self.lat.volume
         for k, fib in zip(kpts, fibers):
             expected = f.fourier(k) / vol if k @ k <= r * r else 0.0
-            assert abs(fib.mean - expected) < 1e-11
-
-
-class TestRescale:
-    lat = Lattice(np.array([[2 * np.pi]]))
-
-    def test_identity_at_delta_one(self):
-        rng = np.random.default_rng(1)
-        f = SupercellField(self.lat, np.full(1, 4), rng.standard_normal((108,)))
-        g = rescale_field(f, 1.0, "micro_to_macro")
-        assert np.abs(g.values - f.values).max() < 1e-14
-
-    def test_l2_unitary(self):
-        rng = np.random.default_rng(2)
-        f = SupercellField(self.lat, np.full(1, 8), rng.standard_normal((216,)))
-        g = rescale_field(f, 1 / 8, "micro_to_macro")
-        assert abs(g.l2_norm() - f.l2_norm()) < 1e-12 * f.l2_norm()
-
-    def test_charge_scaling_pointwise(self):
-        # kappa^delta(x) = delta^{-d} kappa(x/delta) on matching grid points
-        rng = np.random.default_rng(3)
-        delta = 1 / 4
-        f = SupercellField(self.lat, np.full(1, 4), rng.standard_normal((108,)))
-        g = rescale_field(f, delta, "micro_to_macro", scaling="charge")
-        assert np.allclose(g.values, f.values / delta)
-        # and the total charge is preserved: int g = int f
-        assert abs(g.values.mean() * g.volume - f.values.mean() * f.volume) < 1e-12
+            assert abs(fib.mean() - expected) < 1e-11
 
 
 class TestInverseLaplacian:
@@ -246,19 +238,12 @@ class TestInverseLaplacian:
 
     def test_cosine(self):
         f = PeriodicField.from_callable(self.basis, np.cos)
-        phi = apply_inverse_laplacian(f)
-        assert np.abs(phi.coeffs - f.coeffs).max() < 1e-13  # |G|^2 = 1
+        phi = _poisson_mean_free(self.basis, f.coeffs)
+        assert np.abs(phi - f.coeffs).max() < 1e-13  # |G|^2 = 1
 
     def test_zero(self):
-        phi = apply_inverse_laplacian(PeriodicField.zeros(self.basis))
-        assert np.abs(phi.coeffs).max() == 0.0
-
-    def test_nonzero_mean_rejected(self):
-        f = PeriodicField.from_callable(
-            self.basis, lambda x: 1e-3 + np.cos(x)
-        )
-        with pytest.raises(SolvabilityError):
-            apply_inverse_laplacian(f)
+        phi = _poisson_mean_free(self.basis, PeriodicField.zeros(self.basis).coeffs)
+        assert np.abs(phi).max() == 0.0
 
     def test_composition_identity(self):
         rng = np.random.default_rng(8)
@@ -266,8 +251,8 @@ class TestInverseLaplacian:
         c = 0.5 * (c + np.conj(c[self.basis.negation_index]))
         c[0] = 0.0
         f = PeriodicField(self.basis, c)
-        phi = apply_inverse_laplacian(f)
-        back = PeriodicField(self.basis, phi.coeffs * self.basis.g_norm2)
+        phi = _poisson_mean_free(self.basis, f.coeffs)
+        back = PeriodicField(self.basis, phi * self.basis.g_norm2)
         assert np.abs(back.coeffs - f.coeffs).max() < 1e-12 * np.abs(c).max()
 
 
@@ -304,10 +289,3 @@ def test_inner_product_convention(basis1d):
     f = PeriodicField.from_callable(basis1d, np.cos)
     val = f.l2_norm() ** 2
     assert abs(val - np.pi) < 1e-12  # int_0^{2pi} cos^2 = pi
-
-
-def test_rescale_noncommensurate_delta_rejected():
-    lat = Lattice(np.array([[2 * np.pi]]))
-    f = SupercellField(lat, np.full(1, 4), np.zeros(108))
-    with pytest.raises(ValueError, match="commensurate"):
-        rescale_field(f, 0.3, "micro_to_macro")
