@@ -27,6 +27,7 @@ __all__ = [
     "assemble_fiber",
     "diagonalize_fiber",
     "time_reversal_partners",
+    "time_reversed_pairs",
     "time_reversed_fiber",
     "compute_bands",
     "density_from_potential",
@@ -133,8 +134,17 @@ def diagonalize_fiber(H):
 def momentum_key(lattice, k):
     """Fractional coordinates of the momentum k rounded to 12 digits: the
     key under which two momenta count as one."""
-    frac = np.atleast_1d(np.asarray(k, dtype=float)) @ lattice.reciprocal_inverse
-    return tuple(np.round(frac, 12))
+    return momentum_keys(lattice, np.atleast_1d(np.asarray(k, dtype=float))[None, :])[0]
+
+
+def momentum_keys(lattice, k_points):
+    """`momentum_key` of each row of k_points, from one product."""
+    frac = np.atleast_2d(np.asarray(k_points, dtype=float)) @ lattice.reciprocal_inverse
+    return [tuple(row) for row in np.round(frac, 12).tolist()]
+
+
+def _negated(key):
+    return tuple(-x for x in key)
 
 
 def time_reversal_partners(lattice, k_points):
@@ -145,11 +155,24 @@ def time_reversal_partners(lattice, k_points):
     """
     seen = {}
     partners = np.full(len(k_points), -1, dtype=int)
-    for i, k in enumerate(k_points):
-        key = momentum_key(lattice, k)
-        partners[i] = seen.get(tuple(-x for x in key), -1)
+    for i, key in enumerate(momentum_keys(lattice, k_points)):
+        partners[i] = seen.get(_negated(key), -1)
         seen.setdefault(key, i)
     return partners
+
+
+def time_reversed_pairs(lattice, rows, cols):
+    """p[i] = j when (rows[j], cols[j]) = (-cols[i], -rows[i]) (equal
+    `momentum_key`), -1 when no pair of the list matches.
+
+    rows[i] and cols[i] are the row and column momenta of a pair block. For
+    a real potential the pair (a, q) and its time reversal (-q, -a) give
+    the same block under the same umklapp (`response.m_fiber_averaged`).
+    With distinct pairs p is an involution, and p[i] = i when a = -q.
+    """
+    keys = list(zip(momentum_keys(lattice, rows), momentum_keys(lattice, cols)))
+    index = {key: i for i, key in enumerate(keys)}
+    return np.array([index.get((_negated(c), _negated(r)), -1) for r, c in keys], dtype=int)
 
 
 def time_reversed_fiber(basis: PlaneWaveBasis, e, U):
@@ -291,6 +314,11 @@ def shift_overlap_tensor(basis: PlaneWaveBasis, U_row, U_col, offset=None):
     The integer `offset` shifts every slot (umklapp bookkeeping for
     zone-wrapped fiber pairs); slots whose shifted index leaves the
     cutoff ball gather only the ball-interior overlaps that remain.
+
+    The conjugated rows are gathered once, column by column, into one
+    (n_pw, nb, n_pw) array in (p, n, G) order, so the whole tensor is one
+    (n_pw nb, n_pw) @ (n_pw, n_col) product. At most two arrays of
+    n_pw^2 nb entries are alive, the gather and the product.
     """
     if offset is None or not np.any(np.asarray(offset) != 0):
         tab = _shift_table(basis)
@@ -303,9 +331,14 @@ def shift_overlap_tensor(basis: PlaneWaveBasis, U_row, U_col, offset=None):
         if tab is None:
             rows = basis.g_ints + np.asarray(offset, dtype=int)[None, :]
             tab = cache[offset] = basis.index_table(rows, basis.g_ints)
-    pad = np.vstack([U_row, np.zeros((1, U_row.shape[1]), dtype=U_row.dtype)])
-    rows = pad[tab]  # (n_pw, n_pw, nb): rows[p, g] = U_row[G_g + G_p (+ off)]
-    return np.matmul(rows.conj().transpose(0, 2, 1), U_col)
+    n_pw, nb = U_row.shape
+    # pad[n, n_pw] = 0 is the slot of a shifted index outside the ball
+    pad = np.zeros((nb, n_pw + 1), dtype=complex)
+    pad[:, :n_pw] = U_row.T.conj()
+    rows = np.empty((n_pw, nb, n_pw), dtype=complex)
+    for n in range(nb):
+        np.take(pad[n], tab, out=rows[:, n, :], mode="clip")
+    return (rows.reshape(n_pw * nb, n_pw) @ U_col).reshape(n_pw, nb, -1)
 
 
 # HHT rule: node count N of the first level, and the cap past which the

@@ -464,7 +464,9 @@ class SupercellSolver:
         -k lies outside the centred grid (k = 0, and the zone face of an
         even grid) is computed directly: there the partner is -k folded by
         a reciprocal vector, whose ball of modes is not the negated one.
-        That is about N^2d / 2 pair blocks instead of N^2d.
+        Each zone average in turn contracts one block of each of its own
+        time-reversal pairs (`m_fiber_averaged`), so the stack takes about
+        N^2d / 4 pair blocks instead of N^2d.
         """
         if self._jac_blocks is None:
             ws = ResponseWorkspace.of(self.base)
@@ -703,7 +705,10 @@ def effective_coefficients(deformed: DeformedCrystal, coeffs):
 
     def quadratic(e):
         """k^2 coefficient of b(k e) - b(0), fitted by (k^2, k^4) at
-        k = delta / 2 and delta."""
+        k = delta / 2 and delta. When k = delta e is a momentum of the
+        supercell grid (unit reciprocal vectors), its zone average pairs
+        blocks by time reversal; the one at delta / 2 is off the grid and
+        contracts all N^d."""
         k1, k2 = 0.5 * delta, 1.0 * delta
         A = np.array([[k1**2, k1**4], [k2**2, k2**4]])
         rhs = [bavg(k1 * e) - b0, bavg(k2 * e) - b0]

@@ -35,6 +35,7 @@ from .fibers import (
     shift_overlap_tensor,
     time_reversal_partners,
     time_reversed_fiber,
+    time_reversed_pairs,
 )
 from .lattice import PeriodicField, PlaneWaveBasis
 from .occupation import OccupationModel, step_dd
@@ -217,6 +218,11 @@ def _pair_block(ws: ResponseWorkspace, e_row, U_row, e_col, U_col, wrap=None):
     is n_pw^2 max(r, c) entries instead of n_pw^2 (n_pw - r). When the
     row and column fiber are one (the k = 0 pairs, no wrap), As is the
     slice A[:, :, r:] of the first overlap and nothing more is gathered.
+
+    Memory: each branch holds an overlap and its weighted conjugate, and
+    the first branch's arrays are freed before the second gathers, so
+    about two arrays of n_pw^2 max(r, c) complex entries are alive at
+    once (two inside `shift_overlap_tensor` as well).
     """
     e_w = ws.pair_window
     r = int(np.searchsorted(e_row, e_w, side="right"))
@@ -224,21 +230,30 @@ def _pair_block(ws: ResponseWorkspace, e_row, U_row, e_col, U_col, wrap=None):
     basis = ws.basis
     n_pw = basis.n_pw
     out = np.zeros((n_pw, n_pw), dtype=complex)
+    A = None
     if r > 0:
         A = shift_overlap_tensor(basis, U_row[:, :r], U_col, offset=wrap)
-        D = ws.weights(1, e_row[:r], e_col, ws.occ)
-        B = A.reshape(n_pw, -1)
-        out += (B.conj() * D.ravel()[None, :]) @ B.T
+        W = A * ws.weights(1, e_row[:r], e_col, ws.occ)[None]
+        np.conjugate(W, out=W)
+        out += W.reshape(n_pw, -1) @ A.reshape(n_pw, -1).T
+        del W
     if r < n_pw and c > 0:
+        D = ws.weights(1, e_row[r:], e_col[:c], ws.occ).T[None]
         if U_row is U_col and not np.any(wrap):
-            As = A[:, :, r:]  # one fiber (r = c): As is a slice of A
+            # one fiber (r = c): As is the slice A[:, :, r:], copied before A goes
+            Ac = np.conjugate(A[:, :, r:])
+            del A
+            W = np.conjugate(Ac)
+            W *= D
         else:
+            del A
             neg_wrap = None if wrap is None else -np.asarray(wrap)
-            As = shift_overlap_tensor(basis, U_col[:, :c], U_row[:, r:], offset=neg_wrap)
-        D = ws.weights(1, e_row[r:], e_col[:c], ws.occ)
-        B = As.reshape(n_pw, -1)  # B[-P] holds conj(A_P) in (m, n) order
+            Ac = shift_overlap_tensor(basis, U_col[:, :c], U_row[:, r:], offset=neg_wrap)
+            W = Ac * D
+            np.conjugate(Ac, out=Ac)
+        # Ac[-P] holds A_P in (m, n) order, W[-P] its conjugate times D
         neg = basis.negation_index
-        out += ((B * D.T.ravel()[None, :]) @ B.conj().T)[np.ix_(neg, neg)]
+        out += (W.reshape(n_pw, -1) @ Ac.reshape(n_pw, -1).T)[np.ix_(neg, neg)]
     return -out / basis.lattice.volume
 
 
@@ -262,6 +277,20 @@ def m_fiber_averaged(ws: ResponseWorkspace, k, k_grid):
     the zone are folded back and the pair block carries the umklapp
     relabelling, matching the supercell density map to round-off.
 
+    Time reversal halves the blocks. With a = q + k - W the folded row
+    momentum (umklapp W), the block of (row a, column q, W) equals that of
+    (row -q, column -a, W) for a real potential: the fibers at -q and -a
+    are the `time_reversed_fiber`s of those at q and a, which turns
+    A_P,nm into A_P,mn, and the first divided difference is symmetric.
+    The partner is the grid point q' = -a, whose row q' + k = -q + W folds
+    to -q by the same W. So one block of each pair is contracted and
+    added twice (`time_reversed_pairs` matches them once per call). A
+    point with q = -a is its own partner. A pair cannot form when q or a
+    has a component on the -1/2 zone face, whose negation +1/2 is another
+    ball of modes, nor when -a is off the grid (k off the grid): those
+    blocks are contracted once each. On the grid's own momenta that is
+    about half of the N^d blocks.
+
     Truncation: each pair block contracts only the pairs with a band at
     or below `ws.pair_window`; the dropped pairs change an entry of the
     result by at most eps m / |Omega| (`pair_window_bound`). The kept
@@ -270,21 +299,23 @@ def m_fiber_averaged(ws: ResponseWorkspace, k, k_grid):
     about 1.1e-17 absolute on the Mathieu crystal 2 cos x at ecut 50.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    basis = ws.basis
-    winv = basis.lattice.reciprocal_inverse
-    acc = None
-    for q in np.atleast_2d(k_grid):
-        q_row = q + k
-        frac = q_row @ winv
-        # round half up: momenta on the +1/2 zone face fold to the -1/2
-        # face, matching the supercell fiber convention
-        wrap = np.floor(frac + 0.5).astype(int)
-        folded = q_row - wrap.astype(float) @ basis.lattice.reciprocal
-        e_r, U_r = ws.fiber(folded)
+    lattice = ws.basis.lattice
+    cols = np.atleast_2d(k_grid)
+    rows = cols + k[None, :]
+    # round half up: momenta on the +1/2 zone face fold to the -1/2
+    # face, matching the supercell fiber convention
+    wraps = np.floor(rows @ lattice.reciprocal_inverse + 0.5).astype(int)
+    rows -= wraps @ lattice.reciprocal
+    partners = time_reversed_pairs(lattice, rows, cols)
+    acc = np.zeros((ws.basis.n_pw, ws.basis.n_pw), dtype=complex)
+    for i, (a, q, wrap, p) in enumerate(zip(rows, cols, wraps, partners)):
+        if 0 <= p < i:
+            continue  # added twice with its partner
+        e_r, U_r = ws.fiber(a)
         e_c, U_c = ws.fiber(q)
         blk = _pair_block(ws, e_r, U_r, e_c, U_c, wrap=wrap)
-        acc = blk if acc is None else acc + blk
-    return acc / len(np.atleast_2d(k_grid))
+        acc += blk if p in (-1, i) else 2.0 * blk
+    return acc / len(cols)
 
 
 def screening_density_V(ws) -> PeriodicField:

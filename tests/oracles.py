@@ -61,6 +61,37 @@ def m_fiber_apply_contour(ws, k, w: PeriodicField, tol=1e-10):
     return PeriodicField(ws.basis, -val, realness=False), err
 
 
+def shift_overlap_by_definition(basis, U_row, U_col, offset):
+    """A[p, n, m] = sum_G conj(U_row[G + G_p + offset, n]) U_col[G, m], the
+    sum over ball vectors G whose shifted index stays in the ball, by dict
+    lookup: the definition of `fibers.shift_overlap_tensor`."""
+    index = {tuple(g): i for i, g in enumerate(basis.g_ints.tolist())}
+    A = np.zeros((basis.n_pw, U_row.shape[1], U_col.shape[1]), dtype=complex)
+    for p, gp in enumerate(basis.g_ints):
+        for g, G in enumerate(basis.g_ints):
+            j = index.get(tuple((G + gp + offset).tolist()))
+            if j is not None:
+                A[p] += np.outer(U_row[j].conj(), U_col[g])
+    return A
+
+
+def all_q_zone_average(ws, k, k_grid):
+    """Mean over every q of k_grid of the (q + k, q) pair blocks, each one
+    contracted: the sum that `response.m_fiber_averaged` halves by time
+    reversal. Rows leave the zone by the same round-half-up fold."""
+    from debye_forge.response import _pair_block
+
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    lattice = ws.basis.lattice
+    acc = 0.0
+    for q in np.atleast_2d(k_grid):
+        wrap = np.floor((q + k) @ lattice.reciprocal_inverse + 0.5).astype(int)
+        e_r, U_r = ws.fiber(q + k - wrap @ lattice.reciprocal)
+        e_c, U_c = ws.fiber(q)
+        acc = acc + _pair_block(ws, e_r, U_r, e_c, U_c, wrap=wrap)
+    return acc / len(np.atleast_2d(k_grid))
+
+
 def macro_residual_norm(problem, psi):
     """L2 norm of (nu - div eps grad) psi - kappa' on the macro box."""
     xi = psi.wavevectors()

@@ -15,6 +15,7 @@ from debye_forge.fibers import (
     spectral_gap,
     shift_overlap_tensor,
     time_reversal_partners,
+    time_reversed_pairs,
     _difference_table,
     _ellipk,
     _jacobi,
@@ -24,7 +25,7 @@ from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, monkhors
 from debye_forge import fibers as F
 from debye_forge.multiscale import SupercellPWBasis
 from debye_forge.occupation import OccupationModel
-from oracles import all_band_density, all_k_bands, diff_pos
+from oracles import all_band_density, all_k_bands, diff_pos, shift_overlap_by_definition
 
 LAT = Lattice(np.array([[2 * np.pi]]))
 BASIS = PlaneWaveBasis(LAT, ecut=50.0)
@@ -270,6 +271,24 @@ class TestTimeReversal:
                 assert np.abs(kgrid[p] + kgrid[i]).max() <= 1e-15
 
 
+def test_time_reversed_pairs_of_a_zone_average():
+    # the pair blocks (fold(q + k), q) of the 1D 8-point grid at k = 1/4:
+    # (a, q) meets (-q, -a), an involution; a pair with q or fold(q + k) on
+    # the -1/2 face has none, since +1/2 is not on the grid
+    lat = Lattice(np.array([[1.0]]))  # reciprocal vector 2 pi
+    cols = monkhorst_pack(lat, 8)
+    frac = cols[:, 0] / (2 * np.pi) + 0.25
+    rows = 2 * np.pi * (frac - np.floor(frac + 0.5))[:, None]
+    p = time_reversed_pairs(lat, rows, cols)
+    for i, j in enumerate(p):
+        face = np.isclose(cols[i, 0], -np.pi) or np.isclose(rows[i, 0], -np.pi)
+        assert (j < 0) == face
+        if j >= 0:
+            assert p[j] == i
+            assert np.allclose([rows[j], cols[j]], [-cols[i], -rows[i]], atol=1e-14)
+    assert np.count_nonzero(p < 0) == 2 and np.count_nonzero(p == np.arange(8)) == 2
+
+
 class TestGap:
     kgrid = monkhorst_pack(LAT, 8)
 
@@ -472,6 +491,20 @@ class TestIndexTables:
         tab = basis._shift_tab_offsets[tuple(off)]
         assert np.array_equal(tab, dict_loop_table(basis, g + off, g))
         assert (tab < basis.n_pw).any() and (tab == basis.n_pw).any()
+
+    @pytest.mark.parametrize("name", ["1d", "2d-hex", "3d-cubic"])
+    def test_shift_overlap_against_defining_sum(self, name):
+        # distinct row and column sets of several bands; the umklapp offset
+        # sends some shifted slots out of the ball, where nothing is gathered
+        basis = INDEX_BASES[name]()
+        rng = np.random.default_rng(7)
+        U_row, U_col = (rng.standard_normal((basis.n_pw, nb)) + 1j * rng.standard_normal((basis.n_pw, nb))
+                        for nb in (3, 4))
+        for off in (np.zeros(basis.d, dtype=int), np.array([1, -1, 1][: basis.d])):
+            got = shift_overlap_tensor(basis, U_row, U_col, offset=off)
+            ref = shift_overlap_by_definition(basis, U_row, U_col, off)
+            assert got.shape == (basis.n_pw, 3, 4)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
         "micro, N",

@@ -357,3 +357,33 @@ def test_pair_block_memory_scales_with_the_window():
     # at most six complex arrays of n_pw^2 n_window: a gather, its
     # conjugate, the overlaps and their weighted copies
     assert peak <= 6 * 16 * basis.n_pw**2 * n_win
+
+
+def test_pair_blocks_hold_two_gathers_on_the_cubic_basis():
+    """M_0 and one m_fiber at k != 0 on the configs/cubic.json crystal
+    (n_pw = 179, r = 10 window bands): `_pair_block` holds at most two
+    arrays of n_pw^2 r complex entries at once (a gather, the overlap, its
+    weighted conjugate), plus n_pw^2 blocks, so the traced peak stays at
+    or below 2.5 such arrays (4.1 when the gather, its conjugate copy, the
+    overlap and its weighted conjugate were alive together)."""
+    import tracemalloc
+
+    lat = Lattice(2 * np.pi * np.eye(3))
+    basis = PlaneWaveBasis(lat, ecut=6.0)
+    assert basis.n_pw == 179
+    phi = PeriodicField.from_callable(basis, lambda x: 1.5 * np.cos(x).sum(axis=-1))
+    lo, hi = compute_bands(basis, phi, monkhorst_pack(lat, [2, 2, 2])).band_ranges()
+    ws = R.ResponseWorkspace(basis, phi, OccupationModel(T=0.05, mu=float(0.5 * (hi[0] + lo[1]))))
+    k = np.array([0.1, 0.05, 0.02])
+    # the fibers and the window are built before the measurement
+    r = int(np.searchsorted(ws.gamma[0], ws.pair_window, side="right"))
+    assert r == 10 and np.searchsorted(ws.fiber(k)[0], ws.pair_window, side="right") == r
+    gather = 16 * basis.n_pw**2 * r
+    for build in (lambda: ws.m0, lambda: R.m_fiber(ws, k)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * gather

@@ -5,7 +5,7 @@ from debye_forge import response as R
 from debye_forge.fibers import compute_bands, den_from_matrix, shift_overlap_tensor
 from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, monkhorst_pack
 from debye_forge.occupation import OccupationModel
-from oracles import m_fiber_apply_contour
+from oracles import all_q_zone_average, m_fiber_apply_contour
 
 LAT = Lattice(np.array([[2 * np.pi]]))
 BASIS = PlaneWaveBasis(LAT, ecut=50.0)
@@ -486,3 +486,49 @@ class TestPairWindow:
 
     def test_step_workspace_shares_the_window(self, ws):
         assert ws.with_weights(R.step_weights).pair_window == ws.pair_window
+
+
+SQUARE = Lattice(2 * np.pi * np.eye(2))
+
+
+@pytest.fixture(scope="module")
+def ws_square():
+    """The square crystal 2 (cos x + cos y) at ecut 8, mu mid-gap on a 4x4 grid."""
+    basis = PlaneWaveBasis(SQUARE, ecut=8.0)
+    phi = PeriodicField.from_callable(basis, lambda x: 2.0 * (np.cos(x[..., 0]) + np.cos(x[..., 1])))
+    lo, hi = compute_bands(basis, phi, monkhorst_pack(SQUARE, [4, 4])).band_ranges()
+    return R.ResponseWorkspace(basis, phi, OccupationModel(T=0.05, mu=float(0.5 * (hi[0] + lo[1]))))
+
+
+class TestZoneAverage:
+    """`m_fiber_averaged` contracts one block of each time-reversal pair
+    (a, q) ~ (-q, -a) twice; the all-q sum contracts every block."""
+
+    # 1D grids: odd (no zone face), even (a face point), fine; the 2D 4x4
+    # grid, 7 of whose 16 points lie on a -1/2 face
+    @pytest.mark.parametrize("N", [5, 8, 16, (4, 4)], ids=["1d-N5", "1d-N8-face", "1d-N16", "2d-4x4"])
+    def test_paired_average_against_all_q_oracle(self, N, request, monkeypatch):
+        w = request.getfixturevalue("ws" if np.isscalar(N) else "ws_square")
+        lat = w.basis.lattice
+        kgrid = monkhorst_pack(lat, N)
+        step = kgrid[1]  # one grid step along the last axis
+        blocks = []
+        direct = R._pair_block
+
+        def counted(*args, **kwargs):
+            blocks.append(1)
+            return direct(*args, **kwargs)
+
+        # every grid momentum, and off the grid by half a step (no partners)
+        for k in list(kgrid) + [0.5 * step, kgrid[-1] + 0.5 * step]:
+            ref = all_q_zone_average(w, k, kgrid)
+            blocks.clear()
+            monkeypatch.setattr(R, "_pair_block", counted)
+            got = R.m_fiber_averaged(w, k, kgrid)
+            monkeypatch.undo()
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            on_grid = any(np.allclose(k, q, atol=1e-14) for q in kgrid)
+            if on_grid and lat.d == 1:
+                assert len(blocks) <= N // 2 + 2
+            elif not on_grid:
+                assert len(blocks) == len(kgrid)
