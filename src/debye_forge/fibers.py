@@ -85,12 +85,37 @@ def _shift_table(basis: PlaneWaveBasis):
     return tab
 
 
+def _den_index(basis: PlaneWaveBasis):
+    """(flat, outside): B.ravel()[flat[p, g]] = B[G_g + G_p, G_g], and the
+    positions in flat.ravel() of the slots whose G_g + G_p leaves the ball
+    (they gather B[0, g], to be zeroed)."""
+    idx = getattr(basis, "_den_idx", None)
+    if idx is None:
+        tab = _shift_table(basis)
+        n = basis.n_pw
+        outside = tab == n
+        flat = np.where(outside, 0, tab) * n + np.arange(n)
+        idx = basis._den_idx = (flat, np.flatnonzero(outside))
+    return idx
+
+
 def den_from_matrix(basis: PlaneWaveBasis, B):
-    """Fourier coefficients of den[B]: d(Q) = |Omega|^{-1} sum_G B[G+Q, G]."""
-    tab = _shift_table(basis)
-    pad = np.vstack([B, np.zeros((1, B.shape[1]), dtype=B.dtype)])
-    picked = pad[tab, np.arange(basis.n_pw)[None, :]]
-    return picked.sum(axis=1) / basis.lattice.volume
+    """Fourier coefficients of den[B]: d(Q) = |Omega|^{-1} sum_G B[G+Q, G].
+
+    B is one (n_pw, n_pw) matrix or a stack (..., n_pw, n_pw), and d has
+    shape (n_pw,) or (..., n_pw). The terms are gathered through one flat
+    index cached on the basis, with a 0 in each slot whose G + Q leaves
+    the ball, and summed over G in basis order.
+    """
+    flat, outside = _den_index(basis)
+    n = basis.n_pw
+    lead = B.shape[:-2]
+    # np.take returns a C-ordered array, so each sum over G runs along
+    # contiguous memory and rounds as for a single matrix (B[..., flat]
+    # puts the stack axis innermost, which changes the rounding)
+    picked = np.take(B.reshape(*lead, n * n), flat, axis=-1)
+    picked.reshape(*lead, n * n)[..., outside] = 0.0
+    return picked.sum(axis=-1) / basis.lattice.volume
 
 
 def potential_matrix(phi: PeriodicField):
@@ -404,15 +429,21 @@ def _jacobi(t, m, m1):
     return sn, cn, dn
 
 
-def _hht_nodes(x, N):
-    """Nodes xi and weights c of sum_l c_l F(xi_l) ~ (2 pi i)^{-1} oint F(xi) dxi.
+def _hht_nodes(x, N, j):
+    """Nodes xi and weights c of sum_l c_l F(xi_l) ~ (2 pi i)^{-1} oint F(xi) dxi,
+    at the grid indices j (an integer array in 0..N) of the level-N rule.
 
     The contour encloses the real points x (none zero) and no point of the
     imaginary axis. Under w = xi^2 the imaginary axis goes to w <= 0 and
-    the points to [m, M], m = min x^2; the w-contour is the N-point
-    trapezoid rule on the conformal map of Hale, Higham and Trefethen,
-    SIAM J. Numer. Anal. 46, 2505 (2008), and each w gives the two nodes
-    +-sqrt(w) with dxi = +-dw / (2 sqrt(w)).
+    the points to [m, M], m = min x^2; the w-contour is the trapezoid rule
+    on the conformal map of Hale, Higham and Trefethen, SIAM J. Numer.
+    Anal. 46, 2505 (2008), at t_j = -K + j 2K/N + iK'/2, j = 0..N. The
+    endpoints j = 0 and j = N are where the contour crosses the real axis,
+    at a w in (0, m) and a w > M, vertically; each is taken once, with
+    weight -dw / (2 pi i). Every other w is mirrored to its conjugate. The
+    levels nest: every node of level N is the node 2j of level 2N, with
+    half its weight (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).
+    Each w gives the two nodes +-sqrt(w) with dxi = +-dw / (2 sqrt(w)).
     """
     x2 = x * x
     m = float(x2.min())
@@ -422,14 +453,19 @@ def _hht_nodes(x, N):
     k2, k2c = k * k, 4.0 * r / (r + 1.0) ** 2  # k^2 and 1 - k^2
     K, Kp = _ellipk(k2, k2c), _ellipk(k2c, k2)
     h = 2.0 * K / N
-    t = -K + (np.arange(N) + 0.5) * h + 0.5j * Kp
+    t = -K + j * h + 0.5j * Kp
     u, cn, dn = _jacobi(t, k2, k2c)
     scale = np.sqrt(m * M)
     w = scale * (1.0 / k + u) / (1.0 / k - u)
     dw = scale * (2.0 / k) * cn * dn / (1.0 / k - u) ** 2 * h
+    # the crossings are real and dw is imaginary there (exactly, by the
+    # mirror symmetry of the contour): drop the rounding of either
+    inner = (j > 0) & (j < N)
+    w[~inner] = w[~inner].real
+    dw[~inner] = 1j * dw[~inner].imag
     # the image of t runs clockwise above [m, M]; its mirror closes it
-    w = np.concatenate([w, w.conj()])
-    c = np.concatenate([-dw, dw.conj()]) / (2j * np.pi)
+    w = np.concatenate([w, w[inner].conj()])
+    c = np.concatenate([-dw, dw[inner].conj()]) / (2j * np.pi)
     root = np.sqrt(w)
     half = c / (2.0 * root)
     return np.concatenate([root, -root]), np.concatenate([half, -half])
@@ -451,19 +487,20 @@ def contour_quadrature(integrand, occ: OccupationModel, spectrum, tol: float = 1
     w = (z - mu)^2 (`_hht_nodes`), whose trapezoid rule converges
     geometrically at a rate set by log(max/min of (e - mu)^2), whatever
     T. The node count N doubles from 16 until two levels agree to
-    tol * max(1, |Q|); the integrand is called once per node of nonzero
-    weight, with one complex z, and returns an array. Returns (value,
-    error_estimate), the estimate being max |Q_2N - Q_N|. Raises
-    ContourGeometryError when mu lies on the spectrum and
-    ContourConvergenceError when N reaches its cap above tol.
+    tol * max(1, |Q|). The levels nest, Q_2N = Q_N / 2 + (the sum over the
+    N new t of level 2N), so the integrand is called once per distinct
+    node of nonzero weight over all levels, with one complex z, and
+    returns an array. Returns (value, error_estimate), the estimate being
+    max |Q_2N - Q_N|. Raises ContourGeometryError when mu lies on the
+    spectrum and ContourConvergenceError when N reaches its cap above tol.
     """
     T, mu = occ.T, occ.mu
     x = np.asarray(spectrum, dtype=float).ravel() - mu
     if float(np.min(np.abs(x))) <= 0.0:
         raise ContourGeometryError("mu lies on the spectrum; no contour exists")
 
-    def evaluate(N):
-        xi, c = _hht_nodes(x, N)
+    def evaluate(N, j):
+        xi, c = _hht_nodes(x, N, j)
         weights = c * _fermi_complex(xi, T)
         # nodes far right of mu, where f_T underflows to 0, add nothing
         live = weights != 0.0
@@ -473,10 +510,10 @@ def contour_quadrature(integrand, occ: OccupationModel, spectrum, tol: float = 1
         return acc
 
     N = _N_START
-    prev = evaluate(N)
+    prev = evaluate(N, np.arange(N + 1))
     while N < _N_MAX:
         N *= 2
-        cur = evaluate(N)
+        cur = 0.5 * prev + evaluate(N, np.arange(1, N, 2))
         err = float(np.max(np.abs(cur - prev)))
         if err <= tol * max(1.0, float(np.max(np.abs(cur)))):
             return cur, err

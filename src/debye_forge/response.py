@@ -654,24 +654,27 @@ def prime_terms_contour(ws, tol=1e-10):
     """(eps', rho') by one contour quadrature over the 0-fiber resolvent R(z),
     the dual route to `epsilon_prime` and `rho_prime`: rho'_j = -2 den[oint
     f_T R^2 P_j R] and eps'_ij = -(4/|Omega|) Tr oint f_T R^2 P_i R P_j R,
-    with Tr R^2 P_i R P_j R = g_i^T (R o (R^3)^T) g_j for the diagonal P."""
+    with Tr R^2 P_i R P_j R = g_i^T (R o (R^3)^T) g_j for the diagonal P.
+    The quadrature carries the traces of i <= j only; eps' mirrors them."""
     basis = ws.basis
     d = basis.d
     H0 = assemble_fiber(basis, ws.phi, np.zeros(d))
     eye = np.eye(basis.n_pw)
     g = basis.g_cart
+    gs = g.T[:, None, :]  # P_j as the column scaling of slice j
+    upper = np.triu_indices(d)
 
     def integrand(z):
         R = np.linalg.solve(z * eye - H0, eye)
         RR = R @ R
         tr = g.T @ (R * (RR @ R).T) @ g
-        # the i <= j traces, mirrored
-        tr = np.triu(tr) + np.triu(tr, 1).T
-        return np.concatenate([tr.ravel()] + [den_from_matrix(basis, (RR * gj) @ R) for gj in g.T])
+        return np.concatenate([tr[upper], den_from_matrix(basis, (RR * gs) @ R).ravel()])
 
     val, _ = contour_quadrature(integrand, ws.occ, ws.gamma[0], tol=tol)
-    ep = -(4.0 / basis.lattice.volume) * val[: d * d].real.reshape(d, d)
-    rp = [PeriodicField(basis, -2.0 * v, realness=False) for v in val[d * d :].reshape(d, -1)]
+    n_tr = len(upper[0])
+    ep = np.empty((d, d))
+    ep[upper] = ep[upper[::-1]] = -(4.0 / basis.lattice.volume) * val[:n_tr].real
+    rp = [PeriodicField(basis, -2.0 * v, realness=False) for v in val[n_tr:].reshape(d, -1)]
     return ep, rp
 
 

@@ -61,6 +61,20 @@ def m_fiber_apply_contour(ws, k, w: PeriodicField, tol=1e-10):
     return PeriodicField(ws.basis, -val, realness=False), err
 
 
+def den_by_definition(basis, B):
+    """d(Q) = |Omega|^{-1} sum_G B[G + Q, G], the sum over ball vectors G
+    whose G + Q stays in the ball, by dict lookup: the definition of
+    `fibers.den_from_matrix` for one matrix."""
+    index = {tuple(g): i for i, g in enumerate(basis.g_ints.tolist())}
+    d = np.zeros(basis.n_pw, dtype=complex)
+    for q, Q in enumerate(basis.g_ints):
+        for g, G in enumerate(basis.g_ints):
+            j = index.get(tuple((G + Q).tolist()))
+            if j is not None:
+                d[q] += B[j, g]
+    return d / basis.lattice.volume
+
+
 def shift_overlap_by_definition(basis, U_row, U_col, offset):
     """A[p, n, m] = sum_G conj(U_row[G + G_p + offset, n]) U_col[G, m], the
     sum over ball vectors G whose shifted index stays in the ball, by dict

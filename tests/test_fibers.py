@@ -18,6 +18,8 @@ from debye_forge.fibers import (
     time_reversed_pairs,
     _difference_table,
     _ellipk,
+    _fermi_complex,
+    _hht_nodes,
     _jacobi,
     _shift_table,
 )
@@ -25,7 +27,7 @@ from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, monkhors
 from debye_forge import fibers as F
 from debye_forge.multiscale import SupercellPWBasis
 from debye_forge.occupation import OccupationModel
-from oracles import all_band_density, all_k_bands, diff_pos, shift_overlap_by_definition
+from oracles import all_band_density, all_k_bands, den_by_definition, diff_pos, shift_overlap_by_definition
 
 LAT = Lattice(np.array([[2 * np.pi]]))
 BASIS = PlaneWaveBasis(LAT, ecut=50.0)
@@ -379,6 +381,28 @@ class TestContour:
         ref = U @ np.diag(self.occ.occ(ev)) @ U.conj().T
         assert np.abs(val - ref).max() <= err
 
+    def test_each_node_evaluated_once(self):
+        # nested levels: every node of level N is a node of level 2N, so
+        # the calls are the live nodes of the final level, each once
+        (ev, U), basis = self.gapped_fiber()
+        H = U @ np.diag(ev) @ U.conj().T
+        eye = np.eye(len(ev))
+        zs = []
+
+        def integrand(z):
+            zs.append(z)
+            return np.linalg.solve(z * eye - H, eye)
+
+        contour_quadrature(integrand, self.occ, ev, tol=1e-9)
+        assert len(set(zs)) == len(zs)
+        levels = {}
+        for N in 16 * 2 ** np.arange(8):
+            xi, c = _hht_nodes(ev - self.occ.mu, N, np.arange(N + 1))
+            live = c * _fermi_complex(xi, self.occ.T) != 0.0
+            levels[int(N)] = set((self.occ.mu + xi[live]).tolist())
+        final = [N for N, nodes in levels.items() if nodes == set(zs)]
+        assert len(final) == 1 and final[0] > 16
+
     def test_unreachable_tol_raises(self):
         occ = OccupationModel(T=0.05, mu=1.0)
         with pytest.raises(ContourConvergenceError):
@@ -390,7 +414,8 @@ class TestContour:
 @pytest.mark.parametrize("k", [0.3, 0.9, 0.99, 0.999, 0.9999])
 def test_elliptic_functions_match_mpmath_at_contour_nodes(k):
     # K(k^2), K(1 - k^2) and sn, cn, dn(t | k^2) on the contour line
-    # Im t = K'/2 at the midpoint nodes of N = 16 and N = 128
+    # Im t = K'/2 at the nodes of N = 16 and N = 128, the endpoints
+    # t = +-K + iK'/2 (where the real argument is |u| = K) included
     mp = pytest.importorskip("mpmath")
     m = k * k
     m1 = 1.0 - m
@@ -399,10 +424,27 @@ def test_elliptic_functions_match_mpmath_at_contour_nodes(k):
     assert Kp == pytest.approx(float(mp.ellipk(m1)), rel=1e-15)
     with mp.workdps(30):
         for N in (16, 128):
-            t = -K + (np.arange(N) + 0.5) * 2.0 * K / N + 0.5j * Kp
+            t = -K + np.arange(N + 1) * 2.0 * K / N + 0.5j * Kp
             for name, got in zip(("sn", "cn", "dn"), _jacobi(t, m, m1)):
                 ref = np.array([complex(mp.ellipfun(name, mp.mpc(z.real, z.imag), m=m)) for z in t])
                 assert np.abs(got - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("x", [[-0.5, 0.7, 55.0], [0.3, 0.31], [-2.0, -1e-3, 40.0]])
+def test_contour_crosses_real_axis_outside_spectrum(x):
+    # w = xi^2 at the endpoints j = 0, N is real, in (0, m) on the left and
+    # above M on the right; no node of the level lies on w <= 0, the image
+    # of the Matsubara line
+    x = np.array(x)
+    m = float(np.min(x * x))
+    M = max(float(np.max(x * x)), 4.0 * m)
+    for N in (16, 128):
+        xi, c = _hht_nodes(x, N, np.array([0, N]))
+        assert np.all(xi.imag == 0.0) and np.all(c.imag == 0.0)
+        w_left, w_right = xi[:2].real ** 2
+        assert 0.0 < w_left < m and w_right > M
+        w = _hht_nodes(x, N, np.arange(N + 1))[0] ** 2
+        assert np.all((w.imag != 0.0) | (w.real > 0.0))
 
 
 def test_threaded_bands_bitwise_deterministic():
@@ -505,6 +547,21 @@ class TestIndexTables:
             ref = shift_overlap_by_definition(basis, U_row, U_col, off)
             assert got.shape == (basis.n_pw, 3, 4)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["1d", "2d-hex", "3d-cubic"])
+    def test_den_from_matrix_against_defining_sum(self, name):
+        # one matrix and a stack of three; each slice of the stack keeps
+        # the bits of its own single-matrix result
+        basis = INDEX_BASES[name]()
+        rng = np.random.default_rng(11)
+        n = basis.n_pw
+        B = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        stack = F.den_from_matrix(basis, B)
+        assert stack.shape == (3, n)
+        for b, got in zip(B, stack):
+            one = F.den_from_matrix(basis, b)
+            assert np.array_equal(got, one)
+            assert np.abs(one - den_by_definition(basis, b)).max() <= 1e-14 * np.abs(b).max()
 
     @pytest.mark.parametrize(
         "micro, N",

@@ -251,6 +251,23 @@ class TestEpsilon:
         R.epsilon_matrix_contour(ws, tol=1e-9)
         assert len(calls) == 1
 
+    def test_criterion_7_quadrature_node_count(self, monkeypatch):
+        # the contour eps of acceptance criterion 7 (Mathieu, beta = 40,
+        # tol 1e-9) in at most 400 resolvent solves (744 without nested
+        # levels), none repeated
+        from debye_forge.acceptance import MathieuContext
+
+        zs = []
+        quad = R.contour_quadrature
+
+        def counted(integrand, *args, **kwargs):
+            return quad(lambda z: zs.append(z) or integrand(z), *args, **kwargs)
+
+        monkeypatch.setattr(R, "contour_quadrature", counted)
+        R.epsilon_matrix_contour(MathieuContext().workspace(40), tol=1e-9)
+        assert 0 < len(zs) <= 400
+        assert len(set(zs)) == len(zs)
+
     def test_m_fiber_contour_action(self, ws):
         rng = np.random.default_rng(6)
         c = rng.standard_normal(BASIS.n_pw) + 1j * rng.standard_normal(BASIS.n_pw)
