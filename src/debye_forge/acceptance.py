@@ -57,6 +57,7 @@ class MathieuContext:
         self._bands = bands
         self._crystals = {}
         self._epsilon = {}
+        self._scf = {}
 
     def crystal(self, beta) -> CrystalState:
         if beta not in self._crystals:
@@ -74,6 +75,13 @@ class MathieuContext:
             self._epsilon[beta] = R.epsilon_matrix(self.workspace(beta))
         return self._epsilon[beta]
 
+    def scf(self, beta):
+        """The SCF reconstruction of `crystal(beta)` from its kappa, once per beta."""
+        if beta not in self._scf:
+            st = self.crystal(beta)
+            self._scf[beta] = scf_solve(st.kappa, SCFConfig(), st.occ.T, self.kgrid)
+        return self._scf[beta]
+
     def s_beta(self, beta):
         eta0 = self.crystal(beta).eta0
         return beta * math.exp(-beta * eta0)
@@ -82,22 +90,16 @@ class MathieuContext:
 def crit_01_prop13_round_trip(ctx: MathieuContext):
     """Designer crystal reconstructed by SCF from phi = 0 to 1e-8."""
     t0 = time.perf_counter()
-    st = ctx.crystal(40)
-    scf = scf_solve(st.kappa, SCFConfig(), st.occ.T, ctx.kgrid)
+    scf = ctx.scf(40)
     err = (scf.phi - ctx.phi).l2_norm()
     runtime = time.perf_counter() - t0
     ok = err <= 1e-8 and scf.converged and runtime < 30.0
-    ctx._scf_state = scf
     return ok, f"||dphi||_L2 = {err:.2e} (<= 1e-8), {runtime:.1f}s (< 30s)"
 
 
 def crit_02_charge_conservation(ctx):
     """|int rho - int kappa| <= 1e-10 at every SCF iterate."""
-    scf = getattr(ctx, "_scf_state", None)
-    if scf is None:
-        st = ctx.crystal(40)
-        scf = scf_solve(st.kappa, SCFConfig(), st.occ.T, ctx.kgrid)
-    worst = max(scf.charge_history)
+    worst = max(ctx.scf(40).charge_history)
     return worst <= 1e-10, f"max per-iterate defect {worst:.2e} (<= 1e-10)"
 
 
@@ -165,10 +167,7 @@ def crit_06_b0_identity(ctx):
     b(k) even to 1e-10."""
     ws = ctx.workspace(40)
     b0 = R.b_function(ws, np.zeros(1))
-    m = R.screening_mass_m(ws)
-    V = R.screening_density_V(ws)
-    sol = R._kbar_solve(R._operator_block(ws, ws.m0), V.coeffs)
-    closed = m / ctx.lattice.volume - np.vdot(V.coeffs, sol).real
+    closed = R.b0_closed_form(ws, R.screening_mass_m(ws), R.screening_density_V(ws))
     rel = abs(b0 - closed) / abs(b0)
     even = max(
         abs(R.b_function(ws, [k]) - R.b_function(ws, [-k])) for k in (0.03, 0.07, 0.11)
@@ -184,9 +183,7 @@ def crit_07_eps_three_way(ctx):
     eps_eig = ctx.epsilon(40)[0][0, 0]
     eps_con = R.epsilon_matrix_contour(ws, tol=1e-9)[0, 0]
     kmax = 0.1
-    kv = kmax * np.geomspace(1 / 64, 1, 16)
-    samples = np.array([[s * x] for x in kv for s in (1, -1)])
-    eps_fit = R.fit_b_expansion(ws, samples)[1][0, 0]
+    eps_fit = R.fit_b_expansion(ws, R.b_fit_samples(ctx.lattice, kmax, 16))[1][0, 0]
     tol = max(1e-6, 10.0 * ctx.s_beta(40) * kmax**2)
     diffs = {
         "eig-con": abs(eps_eig - eps_con),

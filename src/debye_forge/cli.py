@@ -9,10 +9,10 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import ConfigError, parse_config
+from .fibers import env_threads, worker_count
 
 
 def _add_common(p):
@@ -20,8 +20,8 @@ def _add_common(p):
     p.add_argument("--out", help="override the configured output directory")
     p.add_argument(
         "--threads",
-        type=int,
-        help="cap worker threads (mirrors DEBYE_FORGE_THREADS)",
+        type=worker_count,
+        help="k-point worker threads (overrides DEBYE_FORGE_THREADS and the config)",
     )
     p.add_argument(
         "--strict-regime",
@@ -70,16 +70,13 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
+        env = env_threads()
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     if args.out:
         cfg["output_dir"] = args.out
-    if args.threads:
-        cfg["threads"] = args.threads
-        os.environ["DEBYE_FORGE_THREADS"] = str(args.threads)
-    elif os.environ.get("DEBYE_FORGE_THREADS"):
-        cfg["threads"] = int(os.environ["DEBYE_FORGE_THREADS"])
+    cfg["threads"] = args.threads or env or cfg["threads"]
     if getattr(args, "state", None):
         cfg["_crystal_bundle"] = args.state
 

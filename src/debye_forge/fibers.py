@@ -50,19 +50,24 @@ class EigensolverError(RuntimeError):
     pass
 
 
-def default_threads():
+def worker_count(text):
+    """A k-point worker count from its text; ValueError unless a positive integer."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"worker count must be positive, got {text!r}")
+    return n
+
+
+def env_threads():
+    """The worker count DEBYE_FORGE_THREADS sets, or None when it is unset."""
     env = os.environ.get("DEBYE_FORGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    return worker_count(env) if env else None
 
 
 def _kmap(fn, items, threads=None):
-    """Map over k-points, optionally threaded; output order is fixed."""
-    threads = threads or default_threads()
+    """Map over k-points, optionally threaded; output order is fixed.
+    `threads` None takes the count from DEBYE_FORGE_THREADS, else 1."""
+    threads = threads or env_threads() or 1
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,9 +1,11 @@
 """Stage orchestration: crystal -> response -> macro -> multiscale.
 
-Each stage writes its data outputs (JSON/CSV/DBYF) plus a manifest with
-the config hash, package versions, timings, and a checksum per output.
-Data outputs are deterministic byte-for-byte for identical configs;
-manifests carry timings and are excluded from that guarantee.
+Each stage hands its data outputs (JSON/CSV/DBYF) to one writer,
+`_write_stage`, which writes them and then a manifest with the config
+hash, package versions, timings, and a checksum per output. A stage that
+fails writes nothing. Data outputs are deterministic byte-for-byte for
+identical configs; manifests carry timings and are excluded from that
+guarantee.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from itertools import combinations
 
 import numpy as np
 
@@ -45,10 +46,26 @@ def first_gap_mu(bands):
     raise StageError("no spectral gap found; cannot place mu mid-gap")
 
 
-def _stage_dir(cfg, name):
-    path = os.path.join(cfg["output_dir"], name)
-    os.makedirs(path, exist_ok=True)
-    return path
+def _write_stage(cfg, name, timer, outputs):
+    """Write a stage's outputs into `<output_dir>/<name>`, then its manifest.
+
+    `outputs` maps each file name to its content: a JSON object for
+    `.json`, a `(header, rows)` pair for `.csv`, an array for `.dbyf`.
+    """
+    out = os.path.join(cfg["output_dir"], name)
+    os.makedirs(out, exist_ok=True)
+    paths = []
+    for fname, data in outputs.items():
+        path = os.path.join(out, fname)
+        ext = os.path.splitext(fname)[1]
+        if ext == ".json":
+            dfio.dump_json(path, data)
+        elif ext == ".csv":
+            dfio.write_csv(path, *data)
+        else:
+            dfio.write_field(path, data)
+        paths.append(path)
+    dfio.write_manifest(out, config_hash(cfg), paths, {name: timer.elapsed()})
 
 
 def run_crystal(cfg):
@@ -74,33 +91,28 @@ def run_crystal(cfg):
         mu = None if ccfg["mu"] == "mid-gap" else ccfg["mu"]
         state = scf_solve(kappa, scf_cfg, T, kgrid, mu=mu, threads=threads)
 
-    out = _stage_dir(cfg, "crystal")
-    files = []
-    for name, fld in (("kappa", state.kappa), ("rho", state.rho), ("phi", state.phi)):
-        path = os.path.join(out, f"{name}.dbyf")
-        dfio.write_field(path, fld.values())
-        files.append(path)
-    meta = {
-        "lattice_basis": state.basis.lattice.basis,
-        "ecut": state.basis.ecut,
-        "kgrid": cfg["kgrid"],
-        "temperature": T,
-        "mu": state.mu,
-        "eta": state.eta,
-        "eta0": state.eta0,
-        "in_gap": state.gap.in_gap,
-        "dielectric_flag": state.dielectric_flag,
-        "converged": state.converged,
-        "residual_history": state.residual_history,
-        "charge_history": state.charge_history,
-        "lambda_per": state.lambda_per(),
-        "poisson_defect": state.poisson_defect(),
-        "charge_defect": state.charge_defect(),
-    }
-    spath = os.path.join(out, "state.json")
-    dfio.dump_json(spath, meta)
-    files.append(spath)
-    dfio.write_manifest(out, config_hash(cfg), files, {"crystal": timer.elapsed()})
+    _write_stage(cfg, "crystal", timer, {
+        "kappa.dbyf": state.kappa.values(),
+        "rho.dbyf": state.rho.values(),
+        "phi.dbyf": state.phi.values(),
+        "state.json": {
+            "lattice_basis": state.basis.lattice.basis,
+            "ecut": state.basis.ecut,
+            "kgrid": cfg["kgrid"],
+            "temperature": T,
+            "mu": state.mu,
+            "eta": state.eta,
+            "eta0": state.eta0,
+            "in_gap": state.gap.in_gap,
+            "dielectric_flag": state.dielectric_flag,
+            "converged": state.converged,
+            "residual_history": state.residual_history,
+            "charge_history": state.charge_history,
+            "lambda_per": state.lambda_per(),
+            "poisson_defect": state.poisson_defect(),
+            "charge_defect": state.charge_defect(),
+        },
+    })
     return state
 
 
@@ -142,21 +154,16 @@ def load_crystal_bundle(cfg):
 def run_bands(cfg, state=None):
     timer = dfio.StageTimer()
     state = state or load_crystal_bundle(cfg)
-    out = _stage_dir(cfg, "bands")
     bands = state.bands
-    d = state.basis.d
-    header = [f"k{i}" for i in range(d)] + [
+    header = [f"k{i}" for i in range(state.basis.d)] + [
         f"e{n}" for n in range(bands.eigenvalues.shape[1])
     ]
     rows = [
         list(bands.k_points[i]) + list(bands.eigenvalues[i]) for i in range(bands.nk)
     ]
-    bpath = os.path.join(out, "bands.csv")
-    dfio.write_csv(bpath, header, rows)
-    gpath = os.path.join(out, "gap.json")
-    dfio.dump_json(
-        gpath,
-        {
+    _write_stage(cfg, "bands", timer, {
+        "bands.csv": (header, rows),
+        "gap.json": {
             "mu": state.mu,
             "eta": state.eta,
             "eta0": state.eta0,
@@ -164,12 +171,11 @@ def run_bands(cfg, state=None):
             "edge_above": state.gap.edge_above,
             "in_gap": state.gap.in_gap,
         },
-    )
-    dfio.write_manifest(out, config_hash(cfg), [bpath, gpath], {"bands": timer.elapsed()})
+    })
 
 
 def run_response(cfg, state=None):
-    from .response import (ResponseWorkspace, _b_fit, _kbar_solve, _operator_block,
+    from .response import (ResponseWorkspace, _b_fit, b0_closed_form, b_fit_samples,
                            b_samples, homogenized_coefficients)
 
     timer = dfio.StageTimer()
@@ -179,38 +185,14 @@ def run_response(cfg, state=None):
     rcfg = cfg["response"]
     ws = ResponseWorkspace.from_crystal(state)
     coeffs = homogenized_coefficients(ws, rcfg["delta"], state.eta0)
-
-    wstar = state.basis.lattice.reciprocal
-    kmax = rcfg["kmax"]
-    nk = rcfg["ksamples"]
-    d = state.basis.d
-    # the reciprocal axes, then for d >= 2 the diagonal of each pair of
-    # them and for d >= 3 of each triple, so that every k_i k_j and
-    # k_i^2 k_j k_l column of the fit design is nonzero
-    axes = [w / np.linalg.norm(w) for w in wstar]
-    sums = [np.sum([axes[i] for i in c], axis=0) for n in (2, 3) for c in combinations(range(d), n)]
-    dirs = axes + [e / np.linalg.norm(e) for e in sums]
-    samples = []
-    for e in dirs:
-        for x in kmax * np.geomspace(1.0 / 64.0, 1.0, nk):
-            samples.append(x * e)
-            samples.append(-x * e)
-    samples, solve_fit = _b_fit(ws, samples)
+    samples, solve_fit = _b_fit(
+        ws, b_fit_samples(state.basis.lattice, rcfg["kmax"], rcfg["ksamples"])
+    )
     b = b_samples(ws, samples)
     b0_fit, eps_fit, quart = solve_fit(b)
 
-    out = _stage_dir(cfg, "response")
-    rows = [list(k) + [bk] for k, bk in zip(samples, b)]
-    cpath = os.path.join(out, "b_samples.csv")
-    dfio.write_csv(cpath, [f"k{i}" for i in range(d)] + ["b"], rows)
-
     s_beta = coeffs.s_beta
-    # independent closed form of b(0): |Omega|^{-1} m - <Vhat, Kbar0^{-1} Vhat>,
-    # on the M_0 of the coefficient pass
-    sol = _kbar_solve(_operator_block(ws, ws.m0), coeffs.V.coeffs)
-    b0_closed = coeffs.m / state.basis.lattice.volume - float(
-        np.vdot(coeffs.V.coeffs, sol).real
-    )
+    b0_closed = b0_closed_form(ws, coeffs.m, coeffs.V)
     bound_checks = {
         "m_lower_quarter_beta_exp": {
             "m": coeffs.m,
@@ -226,10 +208,12 @@ def run_response(cfg, state=None):
         },
         "b0_identity_rel": abs(coeffs.b0 - b0_closed) / max(abs(coeffs.b0), 1e-300),
     }
-    jpath = os.path.join(out, "response.json")
-    dfio.dump_json(
-        jpath,
-        {
+    _write_stage(cfg, "response", timer, {
+        "b_samples.csv": (
+            [f"k{i}" for i in range(state.basis.d)] + ["b"],
+            [list(k) + [bk] for k, bk in zip(samples, b)],
+        ),
+        "response.json": {
             "delta": coeffs.delta,
             "m": coeffs.m,
             "b0": coeffs.b0,
@@ -248,12 +232,11 @@ def run_response(cfg, state=None):
             "regime": coeffs.regime_ok,
             "bound_checks": bound_checks,
         },
-    )
-    dfio.write_manifest(out, config_hash(cfg), [cpath, jpath], {"response": timer.elapsed()})
+    })
     return coeffs
 
 
-def run_macro(cfg, coeffs=None):
+def run_macro(cfg):
     from .macro import MacroProblem, debye_observables, energy_identity_defect, solve_pb
 
     timer = dfio.StageTimer()
@@ -279,20 +262,14 @@ def run_macro(cfg, coeffs=None):
     psi = solve_pb(prob)
     debye, fits = debye_observables(prob, psi)
 
-    out = _stage_dir(cfg, "macro")
-    ppath = os.path.join(out, "psi.dbyf")
-    dfio.write_field(ppath, psi.values)
     # radial profile along the first axis through the source center
     x = psi.grid_points()
     center = np.asarray(mcfg["source"].get("center") or 0.5 * box.basis.sum(axis=0))
     r = np.einsum("...i,i->...", x - center, np.eye(d)[0])
-    rows = sorted(zip(r.ravel(), np.abs(psi.values).ravel()))
-    cpath = os.path.join(out, "profile.csv")
-    dfio.write_csv(cpath, ["r", "abs_psi"], rows)
-    jpath = os.path.join(out, "macro.json")
-    dfio.dump_json(
-        jpath,
-        {
+    _write_stage(cfg, "macro", timer, {
+        "psi.dbyf": psi.values,
+        "profile.csv": (["r", "abs_psi"], sorted(zip(r.ravel(), np.abs(psi.values).ravel()))),
+        "macro.json": {
             "nu": nu,
             "eps": eps,
             "debye_length": debye,
@@ -308,8 +285,7 @@ def run_macro(cfg, coeffs=None):
                 for f in fits
             ],
         },
-    )
-    dfio.write_manifest(out, config_hash(cfg), [ppath, cpath, jpath], {"macro": timer.elapsed()})
+    })
     return fits
 
 
@@ -321,8 +297,7 @@ def run_multiscale(cfg, state=None, strict_regime=False):
     mcfg = cfg["multiscale"]
     sweep = multiscale_sweep(state, mcfg["delta_list"], mcfg["kappa_prime"], mcfg["split_a"])
 
-    out = _stage_dir(cfg, "multiscale")
-    files = []
+    outputs = {}
     rows = []
     for coeffs, ceff, rep in zip(sweep.coeffs, sweep.effective, sweep.reports):
         delta = coeffs.delta
@@ -337,37 +312,24 @@ def run_multiscale(cfg, state=None, strict_regime=False):
         status = rep.newton["status"]
         if strict_regime and status != "converged":
             raise StageError(f"Newton status {status!r} at delta={delta}", exit_code=4)
-        jpath = os.path.join(out, f"multiscale_N{int(round(1.0 / delta))}.json")
-        dfio.dump_json(
-            jpath,
-            {
-                "delta": delta,
-                "nu_effective": ceff.nu,
-                "eps_effective": ceff.eps,
-                "nu_single_fiber": coeffs.nu,
-                "eps_single_fiber": coeffs.eps,
-                "norms": rep.norms,
-                "momentum_split": rep.momentum_split,
-                "newton": rep.newton,
-                "regime": regime_flags,
-            },
-        )
-        files.append(jpath)
+        outputs[f"multiscale_N{int(round(1.0 / delta))}.json"] = {
+            "delta": delta,
+            "nu_effective": ceff.nu,
+            "eps_effective": ceff.eps,
+            "nu_single_fiber": coeffs.nu,
+            "eps_single_fiber": coeffs.eps,
+            "norms": rep.norms,
+            "momentum_split": rep.momentum_split,
+            "newton": rep.newton,
+            "regime": regime_flags,
+        }
         rows.append(
             [delta, rep.norms["rem_l2"], rep.norms["rem_h1"], rep.norms["rem_zeta"],
              rep.norms["macro_term_l2"]]
         )
-
-    cpath = os.path.join(out, "order_fit.csv")
-    dfio.write_csv(
-        cpath,
-        ["delta", "rem_l2", "rem_h1", "rem_zeta", "macro_term_l2"],
-        rows,
-    )
-    spath = os.path.join(out, "order.json")
-    dfio.dump_json(spath, {"l2_slope": sweep.l2_slope, "deltas": [r[0] for r in rows]})
-    files += [cpath, spath]
-    dfio.write_manifest(out, config_hash(cfg), files, {"multiscale": timer.elapsed()})
+    outputs["order_fit.csv"] = (["delta", "rem_l2", "rem_h1", "rem_zeta", "macro_term_l2"], rows)
+    outputs["order.json"] = {"l2_slope": sweep.l2_slope, "deltas": [r[0] for r in rows]}
+    _write_stage(cfg, "multiscale", timer, outputs)
     return sweep.l2_slope
 
 

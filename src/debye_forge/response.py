@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -51,7 +52,9 @@ __all__ = [
     "epsilon_matrix",
     "b_function",
     "b_samples",
+    "b_fit_samples",
     "fit_b_expansion",
+    "b0_closed_form",
     "homogenized_coefficients",
     "epsilon_zero_temperature",
 ]
@@ -475,6 +478,7 @@ def fit_b_expansion(ws, k_samples):
         k_samples: (m, d) cartesian sample momenta, |k| small against
             the reciprocal cell (<= 0.2 of the shortest reciprocal
             vector) and spanning all d directions; at least 12 samples.
+            `b_fit_samples` gives a set whose every fit column is nonzero.
 
     Returns:
         (b0_fit, eps_fit, quartic_residual): constant term, symmetric
@@ -483,6 +487,22 @@ def fit_b_expansion(ws, k_samples):
     """
     ks, solve = _b_fit(ws, k_samples)
     return solve(b_samples(ws, ks))
+
+
+def b_fit_samples(lattice, kmax, n):
+    """The (m, d) sample momenta of the b(k) fit: n magnitudes kmax *
+    geomspace(1/64, 1, n) along each unit reciprocal axis and, for d >= 2,
+    along the unit diagonal of each pair of axes and, for d >= 3, of each
+    triple, so that every k_i k_j and k_i^2 k_j k_l column of the
+    `fit_b_expansion` design is nonzero. Each k is followed by -k, so
+    m = 2 n (d + C(d, 2) + C(d, 3))."""
+    d = lattice.d
+    axes = [w / np.linalg.norm(w) for w in lattice.reciprocal]
+    sums = [np.sum([axes[i] for i in c], axis=0) for r in (2, 3) for c in combinations(range(d), r)]
+    dirs = axes + [e / np.linalg.norm(e) for e in sums]
+    return np.array([
+        s * x * e for e in dirs for x in kmax * np.geomspace(1.0 / 64.0, 1.0, n) for s in (1, -1)
+    ])
 
 
 def b_samples(ws, k_samples):
@@ -563,6 +583,14 @@ def _b_fit(ws, k_samples):
         return b0, eps_fit, quartic_residual
 
     return ks, solve
+
+
+def b0_closed_form(ws, m, V):
+    """b(0) in closed form, |Omega|^{-1} m - <V, Kbar_0^{-1} V>, from the
+    screening mass m and density V on the workspace's M_0: the reference
+    for the Schur-complement b(0) of `homogenized_coefficients`."""
+    sol = _kbar_solve(_operator_block(ws, ws.m0), V.coeffs)
+    return m / ws.basis.lattice.volume - float(np.vdot(V.coeffs, sol).real)
 
 
 @dataclass(frozen=True)

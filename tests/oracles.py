@@ -2,16 +2,31 @@
 
 None of these is on a path the library runs: each one builds the full
 matrix (or quadrature) that the production code avoids, so that a test
-can compare against it at small sizes.
+can compare against it at small sizes. `check_manifest` reads a stage
+directory back the way a consumer of its manifest would.
 """
 
 import itertools
+import json
+import os
 
 import numpy as np
 
 from debye_forge.fibers import (BandStructure, assemble_fiber, contour_quadrature, den_from_matrix,
                                diagonalize_fiber, potential_matrix)
+from debye_forge.io import sha256_file
 from debye_forge.lattice import PeriodicField, lattice_index_table
+
+
+def check_manifest(stage_dir):
+    """Assert that a stage's manifest.json lists exactly the other files of
+    its directory, each with its sha256."""
+    with open(os.path.join(stage_dir, "manifest.json")) as fh:
+        listed = json.load(fh)["outputs"]
+    files = sorted(f for f in os.listdir(stage_dir) if f != "manifest.json")
+    assert sorted(listed) == files, (sorted(listed), files)
+    for name in files:
+        assert listed[name] == sha256_file(os.path.join(stage_dir, name)), name
 
 
 def diff_pos(sb):

@@ -12,6 +12,7 @@ import pytest
 from debye_forge.cli import main as cli_main
 from debye_forge.config import ConfigError, config_hash, parse_config, serialize_config
 from debye_forge.io import dump_json, load_json, read_field, sha256_file, write_field
+from oracles import check_manifest
 
 MINIMAL = {
     "lattice": {"basis": [[6.283185307179586]]},
@@ -205,6 +206,24 @@ class TestPipeline:
         rc = cli_main(["multiscale", "--config", str(path), "--strict-regime"])
         assert rc == 4
 
+    def test_strict_regime_refusal_writes_nothing(self, tmp_path, monkeypatch):
+        # the first delta holds the regime and the second does not: the
+        # refused stage leaves no output of the first either
+        from debye_forge.response import HomogenizedCoefficients
+
+        monkeypatch.setattr(HomogenizedCoefficients, "regime_ok",
+                            property(lambda self: {"ok": self.delta < 0.2}))
+        path, cfg = fast_config(tmp_path)
+        cfg["multiscale"]["delta_list"] = [0.125, 0.25]
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["crystal", "--config", str(path)]) == 0
+        assert cli_main(["multiscale", "--config", str(path), "--strict-regime"]) == 4
+        stage = tmp_path / "out" / "multiscale"
+        assert not stage.exists() or not any(stage.iterdir())
+        assert cli_main(["multiscale", "--config", str(path)]) == 0
+        check_manifest(stage)
+        assert {p.name for p in stage.iterdir()} >= {"multiscale_N8.json", "multiscale_N4.json"}
+
     def test_strict_regime_fails_on_newton_status(self, tmp_path, monkeypatch, capsys):
         # regime conditions forced to hold: the Newton status alone decides
         import functools
@@ -253,9 +272,41 @@ class TestPipeline:
         )
         assert proc.returncode == 0
 
-    def test_threads_flag(self, tmp_path):
+    def test_threads_flag(self, tmp_path, monkeypatch):
+        # the count reaches the stages through the config only: the process
+        # environment, and so every later library call, is left as it was
+        monkeypatch.delenv("DEBYE_FORGE_THREADS", raising=False)
+        before = dict(os.environ)
         path, cfg = fast_config(tmp_path)
         assert cli_main(["crystal", "--config", str(path), "--threads", "2"]) == 0
+        assert dict(os.environ) == before
+
+    def test_threads_reach_the_config(self, tmp_path, monkeypatch):
+        from debye_forge import pipeline
+
+        seen = []
+        monkeypatch.setattr(pipeline, "run_pipeline",
+                            lambda cfg, stages, strict_regime: seen.append(cfg["threads"]))
+        path, cfg = fast_config(tmp_path, threads=3)
+        monkeypatch.delenv("DEBYE_FORGE_THREADS", raising=False)
+        assert cli_main(["crystal", "--config", str(path)]) == 0
+        monkeypatch.setenv("DEBYE_FORGE_THREADS", "4")
+        assert cli_main(["crystal", "--config", str(path)]) == 0
+        assert cli_main(["crystal", "--config", str(path), "--threads", "2"]) == 0
+        assert seen == [3, 4, 2]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_is_a_configuration_error(self, tmp_path, monkeypatch, capsys, value):
+        path, cfg = fast_config(tmp_path)
+        monkeypatch.setenv("DEBYE_FORGE_THREADS", value)
+        assert cli_main(["crystal", "--config", str(path)]) == 2
+        assert cli_main(["crystal", "--config", str(path), "--threads", "2"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        monkeypatch.delenv("DEBYE_FORGE_THREADS")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["crystal", "--config", str(path), "--threads", value])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestGoldenConfig:
@@ -307,7 +358,7 @@ def test_run_pipeline_multi_stage(tmp_path):
     rc = run_pipeline(cfg, {"crystal", "bands", "response", "macro"})
     assert rc == 0
     for stage in ("crystal", "bands", "response", "macro"):
-        assert (tmp_path / "out" / stage / "manifest.json").exists()
+        check_manifest(tmp_path / "out" / stage)
 
 
 def test_response_state_flag_override(tmp_path):

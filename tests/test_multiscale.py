@@ -19,7 +19,7 @@ from debye_forge.multiscale import (
 )
 from debye_forge.occupation import OccupationModel
 from debye_forge.scf import CrystalState, construct_dielectric_kappa
-from oracles import dense_density
+from oracles import check_manifest, dense_density
 
 REPO = Path(__file__).resolve().parent.parent
 LAT = Lattice(np.array([[2 * np.pi]]))
@@ -731,6 +731,8 @@ def test_run_multiscale_makes_one_coefficient_pass(tmp_path, monkeypatch):
     assert len(passes) == 1
     order = json.loads((tmp_path / "multiscale" / "order.json").read_text())
     assert order["deltas"] == raw["multiscale"]["delta_list"]
+    for stage in ("crystal", "multiscale"):
+        check_manifest(tmp_path / stage)
 
 
 def test_newton_solve_does_not_import_scipy():

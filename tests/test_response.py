@@ -313,6 +313,7 @@ class TestBFunction:
         sol = R._kbar_solve(R._operator_block(ws, M0), V.coeffs)
         closed = m / LAT.volume - np.vdot(V.coeffs, sol).real
         assert abs(b0 - closed) <= 1e-9 * abs(b0)
+        assert R.b0_closed_form(ws, m, V) == pytest.approx(closed, rel=1e-12)
 
     def test_positive_at_small_k(self, ws):
         for k in (0.02, 0.08, 0.15):
@@ -335,6 +336,35 @@ class TestBFunction:
         q1, q2 = qr(0.1), qr(0.05)
         slope = np.log2(q1 / q2)
         assert abs(slope - 4.0) <= 0.3
+
+    @pytest.mark.parametrize("basis", [
+        [[2 * np.pi]],
+        [[2 * np.pi, 0.0], [0.0, 2 * np.pi]],
+        [[2 * np.pi, 0.0], [np.pi, np.pi * np.sqrt(3.0)]],
+        [[2 * np.pi, 0.0], [2.0, 5.5]],
+        2 * np.pi * np.eye(3),
+        [[2 * np.pi, 0.0, 0.0], [1.0, 5.5, 0.0], [0.7, 1.3, 5.0]],
+    ], ids=["1d", "square", "hexagonal", "oblique", "cubic", "triclinic"])
+    def test_fit_samples_design(self, basis):
+        """The response stage's sample set is a full fit design on every
+        lattice: the fit accepts it before any b(k) is evaluated."""
+        from math import comb
+        from types import SimpleNamespace
+
+        lat = Lattice(np.array(basis, dtype=float))
+        d, n = lat.d, 16
+        kmax = 0.1 * np.linalg.norm(lat.reciprocal, axis=1).min()
+        samples = R.b_fit_samples(lat, kmax, n)
+        assert samples.shape == (2 * n * (d + comb(d, 2) + comb(d, 3)), d)
+        ks, _ = R._b_fit(SimpleNamespace(basis=SimpleNamespace(lattice=lat)), samples)
+        assert np.array_equal(ks, samples)
+        keys = {k.tobytes() for k in samples}
+        assert all((-k).tobytes() in keys for k in samples)
+
+    def test_fit_samples_1d_match_the_axis_list(self):
+        kv = 0.1 * np.geomspace(1 / 64, 1, 16)
+        former = np.array([[s * x] for x in kv for s in (1, -1)])
+        assert R.b_fit_samples(LAT, 0.1, 16).tobytes() == former.tobytes()
 
     def test_fit_preconditions(self, ws):
         with pytest.raises(ValueError, match="at least 12"):
