@@ -208,7 +208,9 @@ class SupercellSolver:
             "subspace_bound": 0.0,
             "filter_passes": [],
             "corrections": [],
+            "starts": [],
         }
+        self._partners = time_reversal_partners(base.basis.lattice, self.basis.k_points)
         self._ritz_rows = None
         self._rho_ref = None
         self._jac_blocks = None
@@ -243,13 +245,26 @@ class SupercellSolver:
     def _fiber_eigh(self, values):
         """Eigenpairs (e, U) of the fiber-diagonal blocks of h^phi, of shapes
         (n_fibers, n_micro) and (n_fibers, n_micro, n_micro), and the flat
-        fiber-major state indices j * n_micro + b in ascending energy."""
+        fiber-major state indices j * n_micro + b in ascending energy.
+
+        The potential is real, so the block of -k_j is conj(H_j[-G, -G'])
+        and its eigenpairs are (e_j, U_j[-G].conj()), the rule of
+        `jacobian_blocks`. One `eigh` takes the blocks without a partner
+        among the earlier fibers (`time_reversal_partners`: k = 0, the zone
+        face of an even grid, one k of each +-k pair), about half of them.
+        """
         sb = self.basis
         nf = sb.micro.n_pw
-        blocks = np.broadcast_to(-sb.fiber_block(values), (sb.n_fibers, nf, nf)).copy()
+        direct = np.flatnonzero(self._partners < 0)
+        blocks = np.broadcast_to(-sb.fiber_block(values), (direct.size, nf, nf)).copy()
         diag = np.arange(nf)
-        blocks[:, diag, diag] += sb.q_norm2.reshape(sb.n_fibers, nf)
-        e, U = np.linalg.eigh(blocks)
+        blocks[:, diag, diag] += sb.q_norm2.reshape(sb.n_fibers, nf)[direct]
+        e = np.empty((sb.n_fibers, nf))
+        U = np.empty((sb.n_fibers, nf, nf), dtype=complex)
+        e[direct], U[direct] = np.linalg.eigh(blocks)
+        paired = np.flatnonzero(self._partners >= 0)
+        e[paired] = e[self._partners[paired]]
+        U[paired] = U[self._partners[paired]][:, sb.micro.negation_index].conj()
         return e, U, np.argsort(e.ravel(), kind="stable")
 
     def _fiber_rows(self, U, states):
@@ -292,11 +307,12 @@ class SupercellSolver:
         extra = np.linalg.svd(outside, full_matrices=False)[2][: size - rows.shape[0]]
         return np.linalg.qr(np.concatenate([rows, extra]).T)[0].T
 
-    def _rayleigh_ritz(self, values, rows):
+    def _rayleigh_ritz(self, values, rows, H_rows=None):
         """Ritz values (ascending) and Ritz vectors from orthonormal rows,
         and the residuals h^phi x_i - theta_i x_i of the Ritz pairs with
-        theta_i <= e_hi."""
-        H_rows = self.apply_hamiltonian(values, rows)
+        theta_i <= e_hi. `H_rows`, if given, is h^phi applied to `rows`."""
+        if H_rows is None:
+            H_rows = self.apply_hamiltonian(values, rows)
         G = rows.conj() @ H_rows.T
         theta, W = np.linalg.eigh(0.5 * (G + G.conj().T))
         rows = W.T @ rows
@@ -323,14 +339,9 @@ class SupercellSolver:
 
         While fewer than the guard of Ritz values lie above e_hi, the rows
         are refilled from the fiber states (`fiber` as `_fiber_eigh`
-        returns it), at most MAX_SUBSPACE_GROWTH times. Returns (rows,
-        theta, resid, kept, occs, density, bound): the Ritz vectors and
-        values, the residuals of the kept pairs, the kept count, the
-        occupations of the kept pairs and of the first dropped one, the
-        density and its `subspace_bound` (see `density`).
+        returns it), at most MAX_SUBSPACE_GROWTH times. Returns the
+        `_window_state` of the Ritz pairs.
         """
-        sb = self.basis
-        n, vol = sb.n_pw, sb.lattice.volume
         for growth in range(MAX_SUBSPACE_GROWTH + 1):
             theta, rows, resid = self._rayleigh_ritz(values, rows)
             kept = resid.shape[0]
@@ -341,6 +352,18 @@ class SupercellSolver:
                     f"{kept} Ritz values below e_hi after {growth} subspace refills"
                 )
             rows = self._grow(fiber, rows, self._subspace_size(kept))
+        return self._window_state(rows, theta, resid)
+
+    def _window_state(self, rows, theta, resid):
+        """(rows, theta, resid, kept, occs, density, bound) of orthonormal
+        rows x_i with values theta_i (ascending) and the residuals r_i =
+        h^phi x_i - theta_i x_i of the kept pairs, theta_i <= e_hi: the kept
+        count, the occupations of the kept pairs and of the first dropped
+        one, the density of the kept pairs and its `subspace_bound` (see
+        `density`)."""
+        sb = self.basis
+        n, vol = sb.n_pw, sb.lattice.volume
+        kept = resid.shape[0]
         occs = self.occ.occ(theta[: kept + 1])
         dens, peak = sb.band_density(rows[:kept].T, occs[:kept])
         dens /= vol
@@ -350,6 +373,55 @@ class SupercellSolver:
         bound = float(np.sum(2.0 * occs[:kept] * x_inf * r / (theta_top - theta[:kept])))
         return rows, theta, resid, kept, occs, dens, bound
 
+    def _meets_stop(self, state):
+        """The stop test of `density` on a `_window_state`."""
+        dens, bound = state[-2:]
+        n, vol = self.basis.n_pw, self.basis.lattice.volume
+        eps = np.finfo(float).eps
+        return bound <= SUBSPACE_TOL * n * eps * (1.0 + np.sqrt(vol * np.mean(dens**2)))
+
+    def _micro_periodic(self, values):
+        """Whether v repeats its first micro cell exactly over the
+        supercell grid. Then h^phi is block-diagonal, and the fiber states
+        are its eigenpairs up to rounding."""
+        cell = values[tuple(slice(0, s) for s in self.basis.micro.fft_shape)]
+        return np.array_equal(values, np.tile(cell, tuple(self.basis.factors)))
+
+    def _start(self, values, fiber):
+        """(`_window_state`, name) of the first start of `density` that
+        meets the stop test; when none does, of the corrected start with the
+        smaller bound. The rows, h^phi product and residuals of a start are
+        released as soon as they are used: besides the window state of the
+        Ritz start, one start's arrays are alive at a time."""
+        e, U, order = fiber
+        e_sorted = e.ravel()[order]
+        kept = int(np.searchsorted(e_sorted, self._e_hi, side="right"))
+        size = self._subspace_size(kept)
+        H_rows = ritz_state = None
+        if size < self.basis.n_pw and self._micro_periodic(values):
+            rows = self._fiber_rows(U, order[:size])
+            H_rows = self.apply_hamiltonian(values, rows)
+            resid = H_rows[:kept] - e_sorted[:kept, None] * rows[:kept]
+            state = self._window_state(rows, e_sorted[:size], resid)
+            if self._meets_stop(state):
+                return state, "fiber-states"
+            state = resid = None
+        else:
+            if self._ritz_rows is not None:
+                ritz_state = self._ritz_window(
+                    values, fiber, self._corrected(fiber, *self._rayleigh_ritz(values, self._ritz_rows)))
+                if self._meets_stop(ritz_state):
+                    return ritz_state, "ritz"
+            rows = self._fiber_rows(U, order[:size])
+        theta, rows, resid = self._rayleigh_ritz(values, rows, H_rows)
+        H_rows = None
+        rows = self._corrected(fiber, theta, rows, resid)
+        resid = None
+        state = self._ritz_window(values, fiber, rows)
+        if ritz_state is not None and ritz_state[-1] < state[-1]:
+            return ritz_state, "ritz"
+        return state, "fiber"
+
     def density(self, phi_field: SupercellField):
         """Supercell density den[f_T(h^phi - mu)] at the base crystal's mu.
 
@@ -357,29 +429,48 @@ class SupercellSolver:
         corrections, with Chebyshev filter passes as the fallback that
         guarantees convergence. The subspace holds the states with
         e <= e_hi = `occ.window(n)` (n the basis size) plus a guard of
-        max(8, kept / 4) states above e_hi. Two starts are tried: the
-        eigenvectors of the fiber-diagonal blocks of h^phi (exact at
-        psi = 0) and this solver's previous Ritz vectors (the Newton
-        iterates move little). Each gets one first-order correction
-        through the fiber-block eigenpairs (`_corrected`), and the one
-        with the smaller bound below is kept. Rayleigh-Ritz gives Ritz
-        pairs (theta_i, x_i) with residuals r_i; the iteration stops once
+        max(8, kept / 4) states above e_hi. Its pairs (theta_i, x_i) come
+        with residuals r_i = h^phi x_i - theta_i x_i; the iteration stops
+        once
 
             subspace_bound = sum_{theta_i <= e_hi} 2 f_i |x_i|_inf |r_i| / (theta_top - theta_i)
 
         is at most SUBSPACE_TOL n eps (1 + ||rho||_L2). To first order in
         the residuals this bounds the L2 norm over the supercell of the
         density error from the kept states: a residual mixes x_i only with
-        states outside the subspace, assumed above the top Ritz value
-        theta_top, with a weight at most f_i / (theta_top - theta_i).
+        states outside the subspace, assumed above the top value
+        theta_top, with a weight at most f_i / (theta_top - theta_i). That
+        holds for Ritz pairs, whose residuals are orthogonal to the
+        subspace, and for exact eigenpairs; it is applied to nothing else.
 
-        Until then each step first retries the correction on the current
-        Ritz pairs (which come with their residuals, so the retry needs no
-        second Rayleigh-Ritz) and keeps it when it meets the stop test or
-        cuts the bound by CORRECTION_GAIN (100) or more. A retry kept for
-        the stop test ends the loop; one kept for its gain divides the
-        bound by at least 100, and the stop threshold is at least
-        SUBSPACE_TOL n eps, so from a bound b_0 at most
+        The first start that meets the stop test is taken:
+
+        1. "fiber-states", when v repeats its micro cell exactly (psi = 0,
+           or any micro-periodic shift) and the subspace is smaller than
+           the basis: the eigenpairs of the fiber-diagonal blocks
+           (`_fiber_eigh`) as they are, with their residuals from one
+           application of h^phi and no Rayleigh-Ritz. h^phi is then
+           block-diagonal, so they are its eigenpairs up to rounding.
+        2. "ritz", for any other v: this solver's previous Ritz vectors
+           (the Newton iterates move little), by Rayleigh-Ritz and one
+           first-order correction through the fiber-block eigenpairs
+           (`_corrected`).
+        3. "fiber": the fiber states by Rayleigh-Ritz, which reuses the
+           h^phi rows of start 1 when it ran, and the same correction.
+
+        When neither start 2 nor start 3 meets it, the one with the smaller
+        bound goes on (`_start`). The fiber rows are built after the Ritz
+        start, so that they do not add to its peak memory. A subspace as
+        large as the basis always goes through Rayleigh-Ritz, whose pairs
+        are then exact.
+
+        Until the stop test is met each step first retries the correction
+        on the current Ritz pairs (which come with their residuals, so the
+        retry needs no second Rayleigh-Ritz) and keeps it when it meets the
+        stop test or cuts the bound by CORRECTION_GAIN (100) or more. A
+        retry kept for the stop test ends the loop; one kept for its gain
+        divides the bound by at least 100, and the stop threshold is at
+        least SUBSPACE_TOL n eps, so from a bound b_0 at most
         ceil(log_100(b_0 / (SUBSPACE_TOL n eps))) retries are kept in a
         row. Any other retry is dropped, and a filter pass follows: a
         degree-FILTER_DEGREE filter on [theta_top, Gershgorin bound of
@@ -387,39 +478,27 @@ class SupercellSolver:
         passes SubspaceConvergenceError is raised, so the loop ends.
 
         The grid transforms and the occupation sum (`band_density`) run over
-        the Ritz pairs with theta <= e_hi only, so the dropped density is at
+        the pairs with theta <= e_hi only, so the dropped density is at
         most n f_T(theta_first_dropped - mu) / |Omega| <= eps^2 / |Omega|
         pointwise. `density_window` keeps the largest kept count and both
-        bounds over the calls, and the filter passes and kept correction
-        retries of each call.
+        bounds over the calls, and the start taken, the filter passes and
+        the kept correction retries of each call. A call that ends on Ritz
+        vectors keeps them as the next call's start 2; a call that takes
+        the fiber states keeps none, since start 3 of the next call holds
+        the fiber states of its own potential.
         """
         sb = self.basis
         n, vol = sb.n_pw, sb.lattice.volume
         v = np.asarray(phi_field.values, dtype=float)
         fiber = self._fiber_eigh(v)
-        e, U, order = fiber
-        in_window = int(np.searchsorted(e.ravel()[order], self._e_hi, side="right"))
-        eps = np.finfo(float).eps
-
-        def converged(st):
-            dens, bound = st[-2:]
-            return bound <= SUBSPACE_TOL * n * eps * (1.0 + np.sqrt(vol * np.mean(dens**2)))
-
-        def started(rows):
-            return self._ritz_window(v, fiber, self._corrected(fiber, *self._rayleigh_ritz(v, rows)))
-
-        # the fiber-state rows are dropped once their start is done, so
-        # that they do not add to the peak memory of the second start
-        state = started(self._fiber_rows(U, order[: self._subspace_size(in_window)]))
-        if self._ritz_rows is not None:
-            state = min(state, started(self._ritz_rows), key=lambda st: st[-1])
+        state, start = self._start(v, fiber)
         top = float(sb.q_norm2.max() + np.abs(np.fft.fftn(v)).sum() / v.size)
         passes = corrections = 0
-        while not converged(state):
+        while not self._meets_stop(state):
             rows, theta, resid, *_, bound = state
             # a copy: the rows stay the filter's start if the retry is dropped
             retry = self._ritz_window(v, fiber, self._corrected(fiber, theta, rows.copy(), resid))
-            if retry[-1] <= bound / CORRECTION_GAIN or converged(retry):
+            if retry[-1] <= bound / CORRECTION_GAIN or self._meets_stop(retry):
                 state = retry
                 corrections += 1
                 continue
@@ -431,20 +510,23 @@ class SupercellSolver:
             state = self._ritz_window(v, fiber, np.linalg.qr(rows.T)[0].T)
             passes += 1
         rows, _, _, kept, occs, dens, bound = state
-        self._ritz_rows = rows
+        self._ritz_rows = None if start == "fiber-states" else rows
         win = self.density_window
         win["kept"] = max(win["kept"], kept)
         if kept < n:
             win["dropped_bound"] = max(win["dropped_bound"], float(n * occs[kept] / vol))
         win["subspace_bound"] = max(win["subspace_bound"], bound)
+        win["starts"].append(start)
         win["filter_passes"].append(passes)
         win["corrections"].append(corrections)
         return SupercellField(self.basis.micro.lattice, self.basis.factors, dens)
 
     def delta_density(self, psi: SupercellField):
         """rho(phi_per + psi) - rho(phi_per), the screening response. The
-        reference density comes first, so that it starts from the exact
-        fiber states and every later density from nearby Ritz vectors."""
+        reference density comes first: it takes the fiber states as they
+        are (start 1 of `density`, exact at psi = 0) and keeps no Ritz
+        vectors, so the first density after it corrects the fiber states
+        and every later one starts from the Ritz vectors of the last."""
         ref = self.rho_tiled
         return self.density(self.phi_tiled + psi) - ref
 
@@ -558,9 +640,8 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
     zero = SupercellField(sb.micro.lattice, sb.factors, np.zeros(sb.fft_shape))
 
     def window():
-        win = solver.density_window
-        return {**win, "filter_passes": list(win["filter_passes"]),
-                "corrections": list(win["corrections"])}
+        # a copy, lists too: the solver's record grows with later calls
+        return {k: list(v) if isinstance(v, list) else v for k, v in solver.density_window.items()}
 
     if kp_norm == 0.0:
         # psi = 0 solves the equation exactly and no supercell density

@@ -51,9 +51,15 @@ def _write_stage(cfg, name, timer, outputs):
 
     `outputs` maps each file name to its content: a JSON object for
     `.json`, a `(header, rows)` pair for `.csv`, an array for `.dbyf`.
+    The files that the directory's previous manifest lists and this run
+    does not write are deleted, so that no output of an earlier run is
+    left beside a manifest that does not list it; no other file is
+    touched.
     """
     out = os.path.join(cfg["output_dir"], name)
     os.makedirs(out, exist_ok=True)
+    manifest = os.path.join(out, "manifest.json")
+    listed = dfio.load_json(manifest)["outputs"] if os.path.exists(manifest) else {}
     paths = []
     for fname, data in outputs.items():
         path = os.path.join(out, fname)
@@ -65,6 +71,12 @@ def _write_stage(cfg, name, timer, outputs):
         else:
             dfio.write_field(path, data)
         paths.append(path)
+    for fname in listed:
+        # a manifest lists base names only; anything else is not its output
+        if fname not in outputs and os.path.basename(fname) == fname:
+            stale = os.path.join(out, fname)
+            if os.path.isfile(stale):
+                os.remove(stale)
     dfio.write_manifest(out, config_hash(cfg), paths, {name: timer.elapsed()})
 
 

@@ -224,6 +224,27 @@ class TestPipeline:
         check_manifest(stage)
         assert {p.name for p in stage.iterdir()} >= {"multiscale_N8.json", "multiscale_N4.json"}
 
+    def test_rerun_deletes_the_outputs_it_no_longer_writes(self, tmp_path):
+        # one delta fewer: the file of the dropped delta goes, and a file
+        # that the previous manifest does not list stays
+        path, cfg = fast_config(tmp_path)
+        cfg["multiscale"]["delta_list"] = [0.125, 0.25]
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["crystal", "--config", str(path)]) == 0
+        assert cli_main(["multiscale", "--config", str(path)]) == 0
+        stage = tmp_path / "out" / "multiscale"
+        assert (stage / "multiscale_N4.json").exists()
+        (stage / "notes.txt").write_text("not an output")
+        cfg["multiscale"]["delta_list"] = [0.125]
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["multiscale", "--config", str(path)]) == 0
+        assert not (stage / "multiscale_N4.json").exists()
+        assert (stage / "notes.txt").read_text() == "not an output"
+        (stage / "notes.txt").unlink()
+        check_manifest(stage)
+        assert {p.name for p in stage.iterdir()} == {
+            "manifest.json", "multiscale_N8.json", "order.json", "order_fit.csv"}
+
     def test_strict_regime_fails_on_newton_status(self, tmp_path, monkeypatch, capsys):
         # regime conditions forced to hold: the Newton status alone decides
         import functools

@@ -27,15 +27,15 @@ BASIS = PlaneWaveBasis(LAT, ecut=50.0)
 PHI = PeriodicField.from_callable(BASIS, lambda x: 2.0 * np.cos(x))
 
 
-def make_crystal(beta=40.0, N=8):
+def make_crystal(beta=40.0, N=8, basis=BASIS, phi=PHI):
     kg = monkhorst_pack(LAT, N)
-    bands = compute_bands(BASIS, PHI, kg)
+    bands = compute_bands(basis, phi, kg)
     lo, hi = bands.band_ranges()
     mu = float(0.5 * (hi[0] + lo[1]))
     T = 1.0 / beta
-    kappa, rho = construct_dielectric_kappa(PHI, mu, T, kg)
+    kappa, rho = construct_dielectric_kappa(phi, mu, T, kg)
     return CrystalState(
-        basis=BASIS, k_points=kg, kappa=kappa, rho=rho, phi=PHI, mu=mu,
+        basis=basis, k_points=kg, kappa=kappa, rho=rho, phi=phi, mu=mu,
         occ=OccupationModel(T=T, mu=mu), bands=bands, gap=spectral_gap(bands, mu),
     )
 
@@ -58,6 +58,21 @@ def bump(N, amplitude=0.01, width=0.35, mean_free=True):
         macro_box(), (BASIS.fft_shape[0] * N,), center=[np.pi],
         width=width, amplitude=amplitude, mean_free=mean_free,
     )
+
+
+def count_calls(monkeypatch, *names):
+    """Record the calls of the named SupercellSolver methods: {name: [args]}."""
+    calls = {}
+    for name in names:
+        method = getattr(SupercellSolver, name)
+        calls[name] = []
+
+        def counted(self, *args, _method=method, _log=calls[name]):
+            _log.append(args)
+            return _method(self, *args)
+
+        monkeypatch.setattr(SupercellSolver, name, counted)
+    return calls
 
 
 class TestBuildDeformed:
@@ -141,6 +156,80 @@ class TestSupercellSolver:
         full = dense_density(sol, sol.phi_tiled)
         assert sol.density_window["filter_passes"] == [0]
         assert np.abs(rho - full).max() <= 1e-13 * np.abs(full).max()
+
+    @pytest.mark.parametrize("N", [8, 32])
+    def test_reference_density_is_the_fiber_states(self, monkeypatch, N):
+        # at psi = 0 the fiber states are exact: one application of h^phi
+        # for their residuals, no Rayleigh-Ritz, and no Ritz vectors kept
+        sol = SupercellSolver(make_crystal(N=N), N)
+        calls = count_calls(monkeypatch, "apply_hamiltonian", "_rayleigh_ritz")
+        rho = sol.rho_tiled.values
+        assert len(calls["apply_hamiltonian"]) == 1 and not calls["_rayleigh_ritz"]
+        assert sol.density_window["starts"] == ["fiber-states"]
+        assert sol._ritz_rows is None
+        assert np.array_equal(rho, sol.density(sol.phi_tiled).values)
+        zero = SupercellField(LAT, np.full(1, N), np.zeros(sol.basis.fft_shape))
+        assert np.array_equal(rho, sol.density(sol.phi_tiled + zero).values)
+
+    def test_first_density_after_the_reference_corrects_the_fiber_start(self, monkeypatch):
+        # the reference keeps no Ritz vectors, and a potential that is not
+        # micro-periodic never takes the fiber states as they are: the
+        # first perturbed density has one start, the corrected fiber one
+        sol = SupercellSolver(make_crystal(N=8), 8)
+        sol.rho_tiled
+        calls = count_calls(monkeypatch, "apply_hamiltonian", "_corrected", "_fiber_rows")
+        sol.density(sol.phi_tiled + wave(sol, amplitude=0.01))
+        win = sol.density_window
+        assert win["starts"] == ["fiber-states", "fiber"] and win["filter_passes"] == [0, 0]
+        retries = win["corrections"][1]
+        assert len(calls["_corrected"]) == 1 + retries
+        assert len(calls["_fiber_rows"]) == 1
+        assert len(calls["apply_hamiltonian"]) == 2 + retries
+
+    def test_warm_ritz_start_meeting_the_stop_skips_the_fiber_start(self, monkeypatch):
+        sol = SupercellSolver(make_crystal(N=8), 8)
+        psi = wave(sol, amplitude=0.01)
+        sol.rho_tiled
+        sol.density(sol.phi_tiled + psi)
+        calls = count_calls(monkeypatch, "_corrected", "_fiber_rows")
+        sol.density(sol.phi_tiled + psi * (1.0 + 1e-8))
+        win = sol.density_window
+        assert win["starts"][-1] == "ritz"
+        assert win["filter_passes"][-1] == 0 and win["corrections"][-1] == 0
+        # the one correction is the Ritz start's; no fiber rows are built
+        assert len(calls["_corrected"]) == 1 and not calls["_fiber_rows"]
+
+    def test_fiber_states_need_a_micro_periodic_potential(self):
+        # off the micro lattice h^phi couples the fibers, and the fiber
+        # states are not Ritz pairs: their residuals need not be orthogonal
+        # to the subspace, so their bound would not hold. At this amplitude
+        # the bound of the uncorrected fiber states meets the stop test
+        sol = SupercellSolver(make_crystal(N=8), 8)
+        cell = PeriodicField.from_callable(BASIS, lambda x: 0.3 * np.sin(2 * x))
+        for phi in (sol.phi_tiled + wave(sol, amplitude=1e-13),
+                    sol.phi_tiled + SupercellField.from_periodic(cell, 8)):
+            got = sol.density(phi).values
+            full = dense_density(sol, phi)
+            assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+        assert sol.density_window["starts"] == ["fiber", "fiber-states"]
+
+    def test_subspace_filling_the_basis_goes_through_rayleigh_ritz(self):
+        # with the window and its guard as large as the basis nothing lies
+        # outside the subspace and the bound is 0 whatever the residuals:
+        # only exact Ritz pairs may take it, never the fiber states
+        basis = PlaneWaveBasis(LAT, ecut=2.0)
+        phi = PeriodicField.from_callable(basis, lambda x: 2.0 * np.cos(x))
+        sol = SupercellSolver(make_crystal(N=2, basis=basis, phi=phi), 2)
+        sb = sol.basis
+        kept = int(np.sum(sol._fiber_eigh(sol.phi_tiled.values)[0] <= sol._e_hi))
+        assert sol._subspace_size(kept) == sb.n_pw
+        sol.rho_tiled
+        x = np.arange(sb.fft_shape[0]) * (2 * np.pi / sb.fft_shape[0])
+        phi = sol.phi_tiled + SupercellField(LAT, np.full(1, 2), 0.3 * np.cos(x))
+        got = sol.density(phi).values
+        full = dense_density(sol, phi)
+        assert "fiber-states" not in sol.density_window["starts"]
+        assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
 
     @pytest.mark.parametrize("N", [8, 16])
     def test_small_psi_converges_by_corrections_alone(self, N):
@@ -247,8 +336,9 @@ class TestSupercellSolver:
 
     @pytest.mark.parametrize("N", [8, 32])
     def test_constant_shift_grows_the_subspace(self, monkeypatch, N):
-        # phi + c lowers every level by c: more states fall below e_hi than
-        # the subspace of the previous call holds
+        # phi + c lowers every level by c: more states fall below e_hi.
+        # Alone the shift keeps h^phi block-diagonal, so the fiber states
+        # of the shifted potential are exact
         sol = SupercellSolver(make_crystal(N=N), N)
         sol.rho_tiled
         kept0 = sol.density_window["kept"]
@@ -256,12 +346,26 @@ class TestSupercellSolver:
         got = sol.density(phi).values
         full = dense_density(sol, phi)
         assert sol.density_window["kept"] > 1.5 * kept0
+        assert sol.density_window["starts"] == ["fiber-states"] * 2
+        assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+
+        # after a perturbed density the shift leaves the Ritz vectors of
+        # that call short of the new window: the Ritz start is refilled
+        def shifted_after_wave(sol):
+            perturbed = sol.phi_tiled + wave(sol)
+            sol.density(perturbed)
+            kept = sol.density_window["kept"]
+            phi = perturbed.copy_with(perturbed.values + 2.0)
+            return kept, phi, sol.density(phi).values
+
+        sol = SupercellSolver(make_crystal(N=N), N)
+        kept0, phi, got = shifted_after_wave(sol)
+        full = dense_density(sol, phi)
+        assert sol.density_window["kept"] > 1.5 * kept0
         assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
         monkeypatch.setattr(M, "MAX_SUBSPACE_GROWTH", 1)
-        sol = SupercellSolver(make_crystal(N=N), N)
-        sol.rho_tiled
         with pytest.raises(SubspaceConvergenceError, match="refills"):
-            sol.density(phi)
+            shifted_after_wave(SupercellSolver(make_crystal(N=N), N))
 
     def test_frozen_jacobian_matches_fd(self):
         # directions must be band-limited to the plane-wave ball: that is
@@ -365,6 +469,42 @@ def test_jacobian_blocks_from_half_the_zone(case, monkeypatch):
         ref = direct(ws, k, kpts)
         ref[np.diag_indices_from(ref)] += st.basis.kinetic_diagonal(k)
         assert np.abs(B - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", [("1d", 8, 5), ("1d", 32, 17), ("2d", 4, 12)],
+                         ids=["1d-N8", "1d-N32", "2d-N4"])
+def test_fiber_eigh_fills_time_reversed_blocks(case, monkeypatch):
+    # one batched eigh over the blocks without an earlier partner (k = 0,
+    # the zone face of an even grid, one k of each +-k pair); each partner
+    # filled from its pair holds the eigenpairs of its own block
+    dim, N, n_direct = case
+    st = make_crystal(N=N) if dim == "1d" else square_crystal(N)
+    sol = SupercellSolver(st, N)
+    sb = sol.basis
+    rng = np.random.default_rng(7)
+    v = sol.phi_tiled.values + 0.05 * rng.standard_normal(sb.fft_shape)
+    batched = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kw):
+        if np.ndim(a) == 3:
+            batched.append(a.shape[0])
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    e, U, _ = sol._fiber_eigh(v)
+    monkeypatch.undo()
+    partners = M.time_reversal_partners(st.basis.lattice, sb.k_points)
+    assert batched == [n_direct] == [int(np.sum(partners < 0))]
+    nf = sb.micro.n_pw
+    V = sb.fiber_block(v)
+    tol = 10 * nf * np.finfo(float).eps
+    for i in np.flatnonzero(partners >= 0):
+        H = -V + np.diag(sb.q_norm2[i * nf:(i + 1) * nf])
+        h_norm = np.linalg.norm(H, 2)
+        assert np.linalg.norm(H @ U[i] - U[i] * e[i], 2) <= tol * h_norm
+        # relative to ||H||: eigh itself rounds an eigenvalue of 100 by ~1e-13
+        assert np.abs(e[i] - np.linalg.eigvalsh(H)).max() <= 1e-13 * h_norm
 
 
 class TestMicroSolve:
