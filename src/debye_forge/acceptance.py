@@ -358,12 +358,10 @@ CRITERIA = [
 SLOW = {11}
 
 
-def run_acceptance(quick=False, indices=None, ctx=None, verbose=True):
-    ctx = ctx or MathieuContext()
+def run_acceptance(quick=False):
+    ctx = MathieuContext()
     results = []
     for i, (name, fn) in enumerate(CRITERIA, start=1):
-        if indices and i not in indices:
-            continue
         if quick and i in SLOW:
             continue
         t0 = time.perf_counter()
@@ -376,6 +374,5 @@ def run_acceptance(quick=False, indices=None, ctx=None, verbose=True):
             seconds=time.perf_counter() - t0,
         )
         results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     return results

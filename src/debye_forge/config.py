@@ -129,7 +129,6 @@ CONFIG_SCHEMA = {
                     "minItems": 1,
                 },
                 "kappa_prime": _SOURCE_SPEC,
-                "split_a": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "output_dir": {"type": "string"},
@@ -169,7 +168,6 @@ _DEFAULTS = {
             "amplitude": 0.05,
             "mean_free": True,
         },
-        "split_a": 0.5,
     },
     "output_dir": "out",
     "seed": 0,

@@ -210,9 +210,10 @@ def time_reversed_fiber(basis: PlaneWaveBasis, e, U):
 
     For a real phi, phihat(-Q) = conj(phihat(Q)), so H_{-k}[G, G'] =
     conj(H_k[-G, -G']) and H_{-k} conj(U[-G]) = conj(U[-G]) diag(e)
-    exactly.
+    exactly. U may be a stack (..., n_pw, n_bands) of fibers, e the
+    matching stack of eigenvalues.
     """
-    return e, U[basis.negation_index].conj()
+    return e, U[..., basis.negation_index, :].conj()
 
 
 @dataclass

@@ -12,11 +12,12 @@ density map at psi = 0).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import build_macro_source
+from .fibers import time_reversal_partners, time_reversed_fiber
 from .lattice import (
     GridTransforms,
     Lattice,
@@ -24,10 +25,12 @@ from .lattice import (
     SupercellField,
     centred_k_grid,
     lattice_index_table,
+    low_momentum_project,
     supercell_factors,
 )
-from .fibers import time_reversal_partners
-from .response import ResponseWorkspace, _operator_block, _schur_symbol, m_fiber_averaged
+from .macro import MacroProblem, solve_pb
+from .response import (ResponseWorkspace, _operator_block, _schur_symbol, fit_b_quadratic,
+                       homogenized_coefficients, m_fiber_averaged)
 from .scf import CrystalState
 
 __all__ = [
@@ -248,10 +251,11 @@ class SupercellSolver:
         fiber-major state indices j * n_micro + b in ascending energy.
 
         The potential is real, so the block of -k_j is conj(H_j[-G, -G'])
-        and its eigenpairs are (e_j, U_j[-G].conj()), the rule of
-        `jacobian_blocks`. One `eigh` takes the blocks without a partner
-        among the earlier fibers (`time_reversal_partners`: k = 0, the zone
-        face of an even grid, one k of each +-k pair), about half of them.
+        and its eigenpairs are (e_j, U_j[-G].conj()), the
+        `time_reversed_fiber` of its partner. One `eigh` takes the blocks
+        without a partner among the earlier fibers (`time_reversal_partners`:
+        k = 0, the zone face of an even grid, one k of each +-k pair), about
+        half of them.
         """
         sb = self.basis
         nf = sb.micro.n_pw
@@ -263,8 +267,8 @@ class SupercellSolver:
         U = np.empty((sb.n_fibers, nf, nf), dtype=complex)
         e[direct], U[direct] = np.linalg.eigh(blocks)
         paired = np.flatnonzero(self._partners >= 0)
-        e[paired] = e[self._partners[paired]]
-        U[paired] = U[self._partners[paired]][:, sb.micro.negation_index].conj()
+        e[paired], U[paired] = time_reversed_fiber(
+            sb.micro, e[self._partners[paired]], U[self._partners[paired]])
         return e, U, np.argsort(e.ravel(), kind="stable")
 
     def _fiber_rows(self, U, states):
@@ -553,11 +557,10 @@ class SupercellSolver:
         if self._jac_blocks is None:
             ws = ResponseWorkspace.of(self.base)
             kpts = self.basis.k_points
-            partners = time_reversal_partners(self.base.basis.lattice, kpts)
             neg = self.base.basis.negation_index
             n_pw = self.base.basis.n_pw
             blocks = np.empty((len(kpts), n_pw, n_pw), dtype=complex)
-            for i, (p, k) in enumerate(zip(partners, kpts)):
+            for i, (p, k) in enumerate(zip(self._partners, kpts)):
                 if p >= 0:
                     blocks[i] = blocks[p][np.ix_(neg, neg)].conj()
                 else:
@@ -766,44 +769,19 @@ def effective_coefficients(deformed: DeformedCrystal, coeffs):
 
     b(0) is the Schur complement of the k = 0 Newton Jacobian block of
     `SupercellSolver.of(deformed)` (b_function at k = 0 on that k-grid).
+    eps is the Cartesian k^2 tensor of b(k) - b(0), `fit_b_quadratic` at
+    kmax = delta: two b(k) along each unit reciprocal axis and the unit
+    diagonal of each pair of axes. A zone average at a supercell grid
+    momentum pairs blocks by time reversal; one off the grid (k = delta / 2)
+    contracts all N^d.
     Returns `coeffs` with eps and b(0) replaced, so nu and every field
     derived from it follow; b(0) is floored at 1e-300 delta^2, which keeps
     nu positive for the macro solve.
     """
-    from .response import b_function
-
-    base = deformed.base
-    ws = ResponseWorkspace.of(base)
     solver = SupercellSolver.of(deformed)
     delta = deformed.delta
-    d = base.basis.d
-    wstar = base.basis.lattice.reciprocal
-
-    def bavg(k):
-        return b_function(ws, k, k_grid=solver.basis.k_points)
-
     b0 = _schur_symbol(solver.jacobian_blocks()[0])
-
-    def quadratic(e):
-        """k^2 coefficient of b(k e) - b(0), fitted by (k^2, k^4) at
-        k = delta / 2 and delta. When k = delta e is a momentum of the
-        supercell grid (unit reciprocal vectors), its zone average pairs
-        blocks by time reversal; the one at delta / 2 is off the grid and
-        contracts all N^d."""
-        k1, k2 = 0.5 * delta, 1.0 * delta
-        A = np.array([[k1**2, k1**4], [k2**2, k2**4]])
-        rhs = [bavg(k1 * e) - b0, bavg(k2 * e) - b0]
-        return np.linalg.solve(A, rhs)[0]
-
-    axes = [w / np.linalg.norm(w) for w in wstar]
-    eps_eff = np.zeros((d, d))
-    for i in range(d):
-        eps_eff[i, i] = quadratic(axes[i])
-    for i in range(d):
-        for j in range(i + 1, d):
-            quad = quadratic((axes[i] + axes[j]) / np.sqrt(2))
-            off = 0.5 * (2.0 * quad - eps_eff[i, i] - eps_eff[j, j])
-            eps_eff[i, j] = eps_eff[j, i] = off
+    eps_eff = fit_b_quadratic(ResponseWorkspace.of(deformed.base), delta, b0, solver.basis.k_points)
     return replace(coeffs, eps=eps_eff, b0=max(b0, 1e-300 * delta**2))
 
 
@@ -822,20 +800,18 @@ def expansion_decompose(
     deformed: DeformedCrystal,
     psi_micro: SupercellField,
     coeffs,
-    a_split: float = 0.5,
     newton_info=None,
 ) -> MultiscaleReport:
     """Split phi_delta = phi_per + delta^{d-2} psi(delta .) + phi_rem(delta .).
 
     psi solves the homogenized equation (nu - div eps grad) psi =
-    kappa' on the macro box; the remainder is the exact difference, so
-    the decomposition identity holds to machine precision by
-    construction. Norms reported in macro coordinates: L^2, homogeneous
-    H^1, and the zeta-weighted norm with zeta = delta m^{-1/2}; the
-    momentum split uses P_r with r = a/delta.
+    kappa' on the macro box, eps a Cartesian tensor; the remainder is the
+    exact difference, so the decomposition identity holds to machine
+    precision by construction. Norms reported in macro coordinates: L^2,
+    homogeneous H^1, and the zeta-weighted norm with zeta = delta
+    m^{-1/2}; the momentum split uses P_r with r = a/delta, the radius a
+    derived from the micro cell: half its shortest reciprocal basis vector.
     """
-    from .macro import MacroProblem, solve_pb
-
     base = deformed.base
     d = base.basis.d
     delta = deformed.delta
@@ -857,20 +833,12 @@ def expansion_decompose(
         h1 = f.h1_seminorm()
         return float(np.sqrt(l2**2 / zeta**2 + h1**2))
 
-    from .lattice import low_momentum_project
-
-    wstar = base.basis.lattice.reciprocal
-    if a_split > 0.5 * float(np.min(np.linalg.norm(wstar, axis=1))):
-        warnings.warn(
-            f"momentum split radius a = {a_split} exceeds half the shortest "
-            "reciprocal vector: the ball B(delta r) leaves the micro cell"
-        )
-    r_split = a_split / delta
-    rem_low = low_momentum_project(phi_rem, r_split)
+    a = 0.5 * float(np.min(np.linalg.norm(base.basis.lattice.reciprocal, axis=1)))
+    rem_low = low_momentum_project(phi_rem, a / delta)
     rem_high = phi_rem - rem_low
     split = {
-        "r": r_split,
-        "a": a_split,
+        "r": a / delta,
+        "a": a,
         "low_share": znorm(rem_low) ** 2 / max(znorm(phi_rem) ** 2, 1e-300),
         "high_share": znorm(rem_high) ** 2 / max(znorm(phi_rem) ** 2, 1e-300),
     }
@@ -906,7 +874,7 @@ class MultiscaleSweep:
     l2_slope: float   # log-log slope of rem_l2 in delta, nan below two deltas
 
 
-def multiscale_sweep(crystal: CrystalState, delta_list, kappa_prime, split_a: float = 0.5):
+def multiscale_sweep(crystal: CrystalState, delta_list, kappa_prime):
     """Multiscale check of a crystal at each delta = 1/N of delta_list.
 
     kappa_prime is a macro source spec (`config.build_macro_source`) for
@@ -914,9 +882,6 @@ def multiscale_sweep(crystal: CrystalState, delta_list, kappa_prime, split_a: fl
     grid. The homogenized coefficients come from one pass and are moved
     to each delta by `dataclasses.replace`.
     """
-    from .config import build_macro_source
-    from .response import homogenized_coefficients
-
     basis = crystal.basis
     ws = ResponseWorkspace.from_crystal(crystal)
     coeffs = homogenized_coefficients(ws, delta_list[0], crystal.eta0)
@@ -936,7 +901,7 @@ def multiscale_sweep(crystal: CrystalState, delta_list, kappa_prime, split_a: fl
         sweep.coeffs.append(at_delta)
         sweep.effective.append(effective)
         sweep.reports.append(
-            expansion_decompose(deformed, psi_micro, effective, a_split=split_a, newton_info=info)
+            expansion_decompose(deformed, psi_micro, effective, newton_info=info)
         )
     if len(delta_list) >= 2:
         rem = np.array([rep.norms["rem_l2"] for rep in sweep.reports])

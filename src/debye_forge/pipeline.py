@@ -129,6 +129,8 @@ def run_crystal(cfg):
 
 
 def load_crystal_bundle(cfg):
+    """The crystal state that the `crystal` stage wrote, on the config's basis,
+    k-grid and temperature; a bundle written with others is refused (exit 2)."""
     out = cfg.get("_crystal_bundle") or os.path.join(cfg["output_dir"], "crystal")
     spath = os.path.join(out, "state.json")
     if not os.path.exists(spath) or not os.path.exists(os.path.join(out, "manifest.json")):
@@ -137,12 +139,17 @@ def load_crystal_bundle(cfg):
         )
     meta = dfio.load_json(spath)
     basis = build_basis(cfg)
-    kgrid = monkhorst_pack(basis.lattice, meta["kgrid"])
+    for key, want in (("lattice_basis", basis.lattice.basis.tolist()), ("ecut", cfg["ecut"]),
+                      ("kgrid", cfg["kgrid"]), ("temperature", cfg["temperature"])):
+        if meta[key] != want:
+            raise StageError(f"crystal bundle {out} has {key} {meta[key]}, the config {want}; "
+                             "rerun the 'crystal' stage", exit_code=2)
+    kgrid = monkhorst_pack(basis.lattice, cfg["kgrid"])
     fields = {}
     for name in ("kappa", "rho", "phi"):
         vals = dfio.read_field(os.path.join(out, f"{name}.dbyf"))
         fields[name] = PeriodicField.from_grid(basis, vals)
-    T = meta["temperature"]
+    T = cfg["temperature"]
     mu = meta["mu"]
     bands = compute_bands(basis, fields["phi"], kgrid, cfg["threads"])
     gap = spectral_gap(bands, mu)
@@ -307,7 +314,7 @@ def run_multiscale(cfg, state=None, strict_regime=False):
     timer = dfio.StageTimer()
     state = state or load_crystal_bundle(cfg)
     mcfg = cfg["multiscale"]
-    sweep = multiscale_sweep(state, mcfg["delta_list"], mcfg["kappa_prime"], mcfg["split_a"])
+    sweep = multiscale_sweep(state, mcfg["delta_list"], mcfg["kappa_prime"])
 
     outputs = {}
     rows = []

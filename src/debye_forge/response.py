@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -53,7 +53,9 @@ __all__ = [
     "b_function",
     "b_samples",
     "b_fit_samples",
+    "fit_directions",
     "fit_b_expansion",
+    "fit_b_quadratic",
     "b0_closed_form",
     "homogenized_coefficients",
     "epsilon_zero_temperature",
@@ -362,6 +364,16 @@ def rho_prime(ws):
     ]
 
 
+def _symmetric(upper):
+    """The symmetric (d, d) matrix with the d(d + 1)/2 entries `upper` on
+    and above the diagonal, in `np.triu_indices(d)` order (row-major)."""
+    d = int(np.sqrt(2 * len(upper)))
+    out = np.empty((d, d))
+    iu = np.triu_indices(d)
+    out[iu] = out[iu[::-1]] = upper
+    return out
+
+
 def epsilon_prime(ws):
     """Band contribution: eps'_ij = -(4/|Omega|) Tr oint r^2 p_i r p_j r.
 
@@ -373,14 +385,9 @@ def epsilon_prime(ws):
     e0, U0 = ws.gamma
     D3 = ws.weights(3, e0, e0, ws.occ)
     Ps = ws.momentum_matrices(U0)
-    d = ws.basis.d
     vol = ws.basis.lattice.volume
-    eps = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            val = -(4.0 / vol) * np.sum(D3 * Ps[i] * Ps[j].T)
-            eps[i, j] = eps[j, i] = val.real
-    return eps
+    return _symmetric([(-(4.0 / vol) * np.sum(D3 * Ps[i] * Ps[j].T)).real
+                       for i, j in zip(*np.triu_indices(ws.basis.d))])
 
 
 def _operator_block(ws, Mk, k=None):
@@ -406,15 +413,10 @@ def _kbar_solve(K, rhs):
 def epsilon_double_prime(ws, M0, rho_p):
     """Local-field correction: eps''_ij = |Omega|^{-1} <rho'_i, Kbar_0^{-1} rho'_j>
     from the 0-fiber M0 and rho'."""
-    d = ws.basis.d
-    eps = np.empty((d, d))
     K0 = _operator_block(ws, M0)
     sols = [_kbar_solve(K0, f.coeffs) for f in rho_p]
-    for i in range(d):
-        for j in range(i, d):
-            val = np.vdot(rho_p[i].coeffs, sols[j])
-            eps[i, j] = eps[j, i] = val.real
-    return eps
+    return _symmetric([np.vdot(rho_p[i].coeffs, sols[j]).real
+                       for i, j in zip(*np.triu_indices(ws.basis.d))])
 
 
 def _permittivity(ep, epp):
@@ -489,19 +491,24 @@ def fit_b_expansion(ws, k_samples):
     return solve(b_samples(ws, ks))
 
 
+def fit_directions(lattice, order):
+    """The (count, d) unit directions of the b(k) fits: the unit reciprocal
+    axes and, for r = 2 .. order, the unit diagonal of each r of them."""
+    axes = [w / np.linalg.norm(w) for w in lattice.reciprocal]
+    sums = [np.sum([axes[i] for i in c], axis=0)
+            for r in range(2, order + 1) for c in combinations(range(lattice.d), r)]
+    return np.array(axes + [e / np.linalg.norm(e) for e in sums])
+
+
 def b_fit_samples(lattice, kmax, n):
     """The (m, d) sample momenta of the b(k) fit: n magnitudes kmax *
-    geomspace(1/64, 1, n) along each unit reciprocal axis and, for d >= 2,
-    along the unit diagonal of each pair of axes and, for d >= 3, of each
-    triple, so that every k_i k_j and k_i^2 k_j k_l column of the
+    geomspace(1/64, 1, n) along each direction of `fit_directions`
+    (lattice, 3), so that every k_i k_j and k_i^2 k_j k_l column of the
     `fit_b_expansion` design is nonzero. Each k is followed by -k, so
     m = 2 n (d + C(d, 2) + C(d, 3))."""
-    d = lattice.d
-    axes = [w / np.linalg.norm(w) for w in lattice.reciprocal]
-    sums = [np.sum([axes[i] for i in c], axis=0) for r in (2, 3) for c in combinations(range(d), r)]
-    dirs = axes + [e / np.linalg.norm(e) for e in sums]
     return np.array([
-        s * x * e for e in dirs for x in kmax * np.geomspace(1.0 / 64.0, 1.0, n) for s in (1, -1)
+        s * x * e for e in fit_directions(lattice, 3)
+        for x in kmax * np.geomspace(1.0 / 64.0, 1.0, n) for s in (1, -1)
     ])
 
 
@@ -515,6 +522,26 @@ def b_samples(ws, k_samples):
     for i, (k, p) in enumerate(zip(ks, partners)):
         b[i] = b[p] if p >= 0 else b_function(ws, k)
     return b
+
+
+def _quadratic_columns(ks):
+    """The k_i k_j (i <= j, doubled off the diagonal) columns of the b(k) fit
+    design at the rows k of ks: a row times `upper` is k.E k, E = `_symmetric(upper)`."""
+    return np.stack([(1.0 if i == j else 2.0) * ks[:, i] * ks[:, j]
+                     for i, j in zip(*np.triu_indices(ks.shape[1]))], axis=1)
+
+
+def fit_b_quadratic(ws, kmax, b0, k_grid):
+    """The Cartesian tensor E of b(k) = b0 + k.E k + O(k^4), b zone-averaged
+    over k_grid: e.E e along each direction e of `fit_directions(lattice, 2)`
+    by the two-point (k^2, k^4) fit of b(k e) - b0 at k = kmax / 2 and kmax,
+    then E from the quadratic columns at the d(d + 1)/2 directions."""
+    dirs = fit_directions(ws.basis.lattice, 2)
+    ks = (0.5 * kmax, kmax)
+    A = np.array([[k**2, k**4] for k in ks])
+    quad = [np.linalg.solve(A, [b_function(ws, k * e, k_grid=k_grid) - b0 for k in ks])[0]
+            for e in dirs]
+    return _symmetric(np.linalg.solve(_quadratic_columns(dirs), quad))
 
 
 def _b_fit(ws, k_samples):
@@ -536,20 +563,13 @@ def _b_fit(ws, k_samples):
     if spans < d:
         raise ValueError("k samples must span all directions")
 
-    from itertools import combinations_with_replacement
-
-    quad_idx = list(combinations_with_replacement(range(d), 2))
-    quart_idx = list(combinations_with_replacement(range(d), 4))
-    cols = [np.ones(m)]
-    for (i, j) in quad_idx:
-        fac = 1.0 if i == j else 2.0
-        cols.append(fac * ks[:, i] * ks[:, j])
-    for idx in quart_idx:
+    cols = [np.ones(m), _quadratic_columns(ks)]
+    for idx in combinations_with_replacement(range(d), 4):
         col = np.ones(m)
         for ax in idx:
             col = col * ks[:, ax]
         cols.append(col)
-    X = np.stack(cols, axis=1)
+    X = np.column_stack(cols)
     # strong small-k weighting (squared-weight ~ 1/|k|^6) suppresses the
     # (unmodelled) k^6 tail's bias on the quadratic coefficient; column
     # scaling keeps the normal equations well conditioned despite the
@@ -563,7 +583,7 @@ def _b_fit(ws, k_samples):
     # the constant + quadratic block must be identifiable; the quartic
     # tensor may be rank-deficient for direction-limited samples (its
     # minimum-norm representative still yields the residual size)
-    n_quad = len(quad_idx)
+    n_quad = d * (d + 1) // 2
     head = Xw[:, : 1 + n_quad] / scale[None, : 1 + n_quad]
     cond = np.linalg.cond(head)
     if cond > 1e12:
@@ -575,9 +595,7 @@ def _b_fit(ws, k_samples):
         coef, *_ = np.linalg.lstsq(Xw / scale[None, :], y * w, rcond=1e-12)
         coef = coef / scale
         b0 = float(coef[0])
-        eps_fit = np.zeros((d, d))
-        for c, (i, j) in zip(coef[1 : 1 + n_quad], quad_idx):
-            eps_fit[i, j] = eps_fit[j, i] = c
+        eps_fit = _symmetric(coef[1 : 1 + n_quad])
         quart = X[:, 1 + n_quad :] @ coef[1 + n_quad :]
         quartic_residual = float(np.sqrt(np.mean(quart**2)))
         return b0, eps_fit, quartic_residual
@@ -700,8 +718,7 @@ def prime_terms_contour(ws, tol=1e-10):
 
     val, _ = contour_quadrature(integrand, ws.occ, ws.gamma[0], tol=tol)
     n_tr = len(upper[0])
-    ep = np.empty((d, d))
-    ep[upper] = ep[upper[::-1]] = -(4.0 / basis.lattice.volume) * val[:n_tr].real
+    ep = _symmetric(-(4.0 / basis.lattice.volume) * val[:n_tr].real)
     rp = [PeriodicField(basis, -2.0 * v, realness=False) for v in val[n_tr:].reshape(d, -1)]
     return ep, rp
 

@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 
+# relative charge tolerance of the mu bisection
+MU_REL_TOL = 1e-12
+
+
 class UnreachableChargeError(ValueError):
     pass
 
@@ -110,7 +114,6 @@ def solve_chemical_potential(
     target_charge: float,
     k_points,
     bands: BandStructure | None = None,
-    rel_tol: float = 1e-12,
 ):
     """Bisect mu so the per-cell charge matches target_charge.
 
@@ -118,7 +121,7 @@ def solve_chemical_potential(
     so the root is unique once bracketed. Saturation (target at or above
     the total number of basis states) is unreachable and raises, and so
     does a bracket that closes to round-off before the charge is within
-    rel_tol of the target (occupations too close to a step for double
+    MU_REL_TOL of the target (occupations too close to a step for double
     precision in mu).
     """
     if target_charge <= 0:
@@ -135,7 +138,7 @@ def solve_chemical_potential(
     def charge(mu):
         return float(np.mean(np.sum(_fermi(evals - mu, T, 0), axis=1)))
 
-    tol = rel_tol * target_charge
+    tol = MU_REL_TOL * target_charge
     margin = T * np.log(max(n_states / tol, 10.0))
     lo = float(evals.min()) - margin - 1.0
     hi = float(evals.max()) + margin + 1.0
@@ -199,7 +202,6 @@ def scf_solve(
     T: float,
     k_points,
     mu: float | None = None,
-    phi0: PeriodicField | None = None,
     threads=None,
 ) -> CrystalState:
     """Solve -Lap phi = kappa - den[f_T(h^phi - mu)] on a k-grid.
@@ -219,7 +221,7 @@ def scf_solve(
     if config.mu_mode == "fixed-charge" and target <= 0:
         raise ValueError("fixed-charge mode needs a positive mean of kappa")
 
-    phi = phi0 if phi0 is not None else PeriodicField.zeros(basis)
+    phi = PeriodicField.zeros(basis)
     mixer = _AndersonMixer(config.alpha_mix, config.anderson_depth)
     residuals, charges = [], []
     converged = False

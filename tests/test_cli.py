@@ -79,7 +79,7 @@ class TestConfig:
     def test_reference_config_hash_pinned(self):
         cfg = parse_config(str(REPO / "configs" / "mathieu.json"))
         assert config_hash(cfg) == (
-            "fff515129ac83e3fdff85bb0fc539a4c27cf0a7c17e2ad1d99d2d15c49655074")
+            "1eb878c1a166ed3822f6a85f0de25c675f6cfb0c5d37000dbe84c905a097c537")
 
     def test_bad_delta_list(self):
         bad = dict(MINIMAL, multiscale={"delta_list": [0.3]})
@@ -390,6 +390,27 @@ def test_response_state_flag_override(tmp_path):
     # without --state the dependency is missing
     assert cli_main(["response", "--config", str(path)]) == 2
     assert cli_main(["response", "--config", str(path), "--state", str(moved)]) == 0
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("ecut", 20.0, "ecut 30.0, the config 20.0"),
+    ("temperature", 0.025, "temperature 0.05, the config 0.025"),
+    ("kgrid", [8], "kgrid [4], the config [8]"),
+    ("lattice", {"basis": [[6.0]]}, "the config [[6.0]]"),
+], ids=["ecut", "temperature", "kgrid", "lattice"])
+def test_mismatched_crystal_bundle_refused(tmp_path, capsys, key, value, shown):
+    """A bundle is read on the config's basis at the config's temperature,
+    so one written with another lattice, cutoff, k-grid or temperature is a
+    configuration error that names both values, and no stage output is
+    written."""
+    path, cfg = fast_config(tmp_path)
+    assert cli_main(["crystal", "--config", str(path)]) == 0
+    path.write_text(json.dumps(dict(cfg, **{key: value})))
+    capsys.readouterr()
+    for stage in ("bands", "response", "multiscale"):
+        assert cli_main([stage, "--config", str(path)]) == 2, stage
+        assert shown in capsys.readouterr().err
+    assert not (tmp_path / "out" / "response").exists()
 
 
 def test_response_stage_2d(tmp_path):

@@ -20,7 +20,7 @@ from debye_forge.lattice import (
     monkhorst_pack,
 )
 from debye_forge.occupation import OccupationModel
-from debye_forge.scf import CrystalState, SCFConfig, _poisson_mean_free, construct_dielectric_kappa, scf_solve
+from debye_forge.scf import SCFConfig, _poisson_mean_free, construct_dielectric_kappa, designer_crystal, scf_solve
 
 
 @pytest.fixture(scope="module")
@@ -200,13 +200,7 @@ class TestMultiscale2D:
         bands = compute_bands(basis, phi, kgrid)
         lo, hi = bands.band_ranges()
         mu = float(0.5 * (hi[0] + lo[1]))
-        T = 1 / 10
-        kappa, rho = construct_dielectric_kappa(phi, mu, T, kgrid)
-        st = CrystalState(
-            basis=basis, k_points=kgrid, kappa=kappa, rho=rho, phi=phi, mu=mu,
-            occ=OccupationModel(T=T, mu=mu), bands=bands,
-            gap=spectral_gap(bands, mu),
-        )
+        st = designer_crystal(phi, mu, 1 / 10, kgrid, bands=bands)
         box = Lattice(lat.basis.copy())
         shape = tuple(s * N for s in basis.fft_shape)
         src = gaussian_source(
@@ -227,6 +221,50 @@ class TestMultiscale2D:
         assert np.abs(recon - psim.values).max() < 1e-12
         # the remainder should not dominate the decomposition
         assert rep.norms["rem_l2"] < rep.norms["macro_term_l2"]
+
+    def test_oblique_effective_eps_is_cartesian(self):
+        """On an oblique cell the unit reciprocal axes are not the Cartesian
+        axes: the effective eps of the supercell operator must still be the
+        Cartesian tensor of the eigen route, and the momentum split radius
+        half the shortest reciprocal basis vector."""
+        from debye_forge.config import build_potential
+        from debye_forge.macro import gaussian_source
+        from debye_forge.multiscale import (
+            build_deformed_kappa,
+            effective_coefficients,
+            expansion_decompose,
+            micro_solve_perturbation,
+        )
+
+        lat = Lattice(np.array([[2 * np.pi, 0.0], [2.0, 5.5]]))
+        basis = PlaneWaveBasis(lat, ecut=6.0)
+        phi = build_potential(basis, {"family": "cosine", "terms": [
+            {"n": [1, 0], "amplitude": 2.0},
+            {"n": [0, 1], "amplitude": 1.2},
+            {"n": [1, 1], "amplitude": 0.8},
+        ]})
+        N = 2
+        kgrid = monkhorst_pack(lat, [N, N])
+        bands = compute_bands(basis, phi, kgrid)
+        lo, hi = bands.band_ranges()
+        st = designer_crystal(phi, float(0.5 * (hi[0] + lo[1])), 0.05, kgrid, bands=bands)
+        coeffs = R.homogenized_coefficients(R.ResponseWorkspace.of(st), 1.0 / N, st.eta0)
+        assert abs(coeffs.eps[0, 1]) > 1e-4  # a genuinely non-diagonal tensor
+        src = gaussian_source(
+            Lattice(lat.basis.copy()), tuple(s * N for s in basis.fft_shape),
+            center=list(0.5 * lat.basis.sum(axis=0)), width=0.3, amplitude=0.02,
+            mean_free=True,
+        )
+        dc = build_deformed_kappa(st, 1.0 / N, src)
+        _, psim, info = micro_solve_perturbation(dc)
+        ceff = effective_coefficients(dc, coeffs)
+        assert np.abs(ceff.eps - coeffs.eps).max() <= 1e-2
+        assert np.array_equal(ceff.eps, ceff.eps.T)
+        rep = expansion_decompose(dc, psim, ceff, newton_info=info)
+        a = 0.5 * float(np.min(np.linalg.norm(lat.reciprocal, axis=1)))
+        assert a != 0.5  # not the 2 pi-cubic value
+        assert rep.momentum_split["a"] == a
+        assert rep.momentum_split["r"] == a * N
 
 
 class TestCubic3D:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from debye_forge.fibers import compute_bands, spectral_gap
+from debye_forge.fibers import compute_bands
 from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, SupercellField, monkhorst_pack
 from debye_forge.macro import gaussian_source
 from debye_forge import multiscale as M
@@ -17,8 +17,7 @@ from debye_forge.multiscale import (
     micro_solve_perturbation,
     nonlinearity_N,
 )
-from debye_forge.occupation import OccupationModel
-from debye_forge.scf import CrystalState, construct_dielectric_kappa
+from debye_forge.scf import designer_crystal
 from oracles import check_manifest, dense_density
 
 REPO = Path(__file__).resolve().parent.parent
@@ -32,12 +31,7 @@ def make_crystal(beta=40.0, N=8, basis=BASIS, phi=PHI):
     bands = compute_bands(basis, phi, kg)
     lo, hi = bands.band_ranges()
     mu = float(0.5 * (hi[0] + lo[1]))
-    T = 1.0 / beta
-    kappa, rho = construct_dielectric_kappa(phi, mu, T, kg)
-    return CrystalState(
-        basis=basis, k_points=kg, kappa=kappa, rho=rho, phi=phi, mu=mu,
-        occ=OccupationModel(T=T, mu=mu), bands=bands, gap=spectral_gap(bands, mu),
-    )
+    return designer_crystal(phi, mu, 1.0 / beta, kg, bands=bands)
 
 
 def macro_box():
@@ -435,11 +429,7 @@ def square_crystal(N, beta=20.0):
     bands = compute_bands(basis, phi, kg)
     lo, hi = bands.band_ranges()
     mu = float(0.5 * (hi[0] + lo[1]))
-    kappa, rho = construct_dielectric_kappa(phi, mu, 1 / beta, kg)
-    return CrystalState(
-        basis=basis, k_points=kg, kappa=kappa, rho=rho, phi=phi, mu=mu,
-        occ=OccupationModel(T=1 / beta, mu=mu), bands=bands, gap=spectral_gap(bands, mu),
-    )
+    return designer_crystal(phi, mu, 1 / beta, kg, bands=bands)
 
 
 # (crystal, fiber count, m_fiber_averaged calls): k = 0 and the points whose
@@ -759,18 +749,6 @@ def test_effective_b0_is_the_jacobian_schur_complement(N, monkeypatch):
     assert len(calls) == 2
     assert dc.solver is SupercellSolver.of(dc)
     assert ceff.b0 == b_function(ws, 0.0, k_grid=dc.solver.basis.k_points)
-
-
-def test_oversized_split_radius_warns():
-    st = make_crystal()
-    dc = build_deformed_kappa(st, 1 / 8, bump(8, amplitude=0.005))
-    _, psim, info = micro_solve_perturbation(dc)
-    from debye_forge.response import ResponseWorkspace, homogenized_coefficients
-
-    ws = ResponseWorkspace(BASIS, PHI, st.occ)
-    coeffs = homogenized_coefficients(ws, 1 / 8, st.eta0)
-    with pytest.warns(UserWarning, match="split radius"):
-        expansion_decompose(dc, psim, coeffs, a_split=2.0, newton_info=info)
 
 
 @pytest.mark.parametrize("amplitude", [1.90, 1.917])
