@@ -230,6 +230,11 @@ def validate_effective(cfg):
         raise ConfigError(["lattice/basis: must be a d x d matrix"])
     if len(cfg["kgrid"]) != basis.shape[0]:
         raise ConfigError(["kgrid: length must match the lattice dimension"])
+    ccfg = cfg["crystal"]
+    mu, mu_mode = ccfg["mu"], ccfg["scf"]["mu_mode"]
+    if ccfg["mode"] == "scf" and (mu_mode == "fixed-mu") == (mu == "mid-gap"):
+        raise ConfigError([f"crystal/mu {mu!r} with crystal/scf/mu_mode {mu_mode!r}: scf mode "
+                           "takes a numeric mu exactly when mu_mode is 'fixed-mu'"])
     for delta in cfg["multiscale"]["delta_list"]:
         n = 1.0 / delta
         if abs(n - round(n)) > 1e-9:

@@ -24,6 +24,7 @@ from .occupation import OccupationModel
 __all__ = [
     "BandStructure",
     "GapReport",
+    "GaplessCrystalError",
     "assemble_fiber",
     "diagonalize_fiber",
     "time_reversal_partners",
@@ -259,6 +260,10 @@ def compute_bands(basis, phi, k_points, threads=None) -> BandStructure:
     return BandStructure(basis=basis, k_points=k_points, eigenvalues=evals, eigenvectors=evecs)
 
 
+class GaplessCrystalError(RuntimeError):
+    """The crystal is not dielectric, so it has no response coefficients."""
+
+
 @dataclass
 class GapReport:
     eta: float
@@ -305,15 +310,16 @@ def density_from_potential(
 
     rho(x) = (1/(N_k |Omega|)) sum_{k,n} f_T(e_nk - mu) |u_nk(x)|^2, so
     int_Omega rho equals the k-averaged sum of occupations. The sum runs
-    over the bands with e_nk <= `occ.window(n_pw)`; the dropped density
-    is at most eps^2 / |Omega| pointwise. A tail weight f_T(e_max - mu)
-    of the top band above tail_tol flags the cutoff as too low.
+    over the bands with e_nk <= `occ.window(n_pw, eps^2)`; the dropped
+    density is at most eps^2 / |Omega| pointwise. A tail weight
+    f_T(e_max - mu) of the top band above tail_tol flags the cutoff as
+    too low.
     """
     basis = phi.basis
     if bands is None:
         bands = compute_bands(basis, phi, k_points, threads)
     vol = basis.lattice.volume
-    e_w = occ.window(basis.n_pw)
+    e_w = occ.window(basis.n_pw, np.finfo(float).eps ** 2)
     acc = np.zeros(basis.fft_shape, dtype=float)
     tail = 0.0
     for e, U in zip(bands.eigenvalues, bands.eigenvectors):

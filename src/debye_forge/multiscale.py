@@ -65,14 +65,14 @@ class SubspaceConvergenceError(RuntimeError):
 
 @dataclass
 class DeformedCrystal:
-    """kappa_delta = kappa_per + delta^d kappa'(delta y) on the N-supercell."""
+    """The base crystal on the N-supercell with the background charge
+    kappa_per + delta^d kappa'(delta y), of which only the added part is kept."""
 
     base: CrystalState
     delta: float
     factors: np.ndarray
     kappa_prime: SupercellField       # macro profile on the macro box
     kappa_prime_delta: SupercellField  # delta^d kappa'(delta y), micro units
-    kappa_delta: SupercellField
     solver: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -124,16 +124,12 @@ def build_deformed_kappa(base: CrystalState, delta: float, kappa_prime) -> Defor
         raise ValueError(
             f"kappa' grid {vals.shape} is not the supercell grid {super_shape}"
         )
-    kp_delta = SupercellField(basis.lattice, factors, delta**d * vals)
-    kappa_tiled = SupercellField.from_periodic(base.kappa, factors)
-    kappa_delta = kappa_tiled + kp_delta
     return DeformedCrystal(
         base=base,
         delta=delta,
         factors=factors,
         kappa_prime=kp,
-        kappa_prime_delta=kp_delta,
-        kappa_delta=kappa_delta,
+        kappa_prime_delta=SupercellField(basis.lattice, factors, delta**d * vals),
     )
 
 
@@ -203,7 +199,7 @@ class SupercellSolver:
         self.basis = SupercellPWBasis(base.basis, factors)
         self.occ = base.occ
         self.phi_tiled = SupercellField.from_periodic(base.phi, self.basis.factors)
-        self._e_hi = self.occ.window(self.basis.n_pw)
+        self._e_hi = self.occ.window(self.basis.n_pw, np.finfo(float).eps ** 2)
         self.density_window = {
             "kept": 0,
             "of": self.basis.n_pw,
@@ -432,8 +428,8 @@ class SupercellSolver:
         Subspace iteration with FFT matvecs: repeated first-order
         corrections, with Chebyshev filter passes as the fallback that
         guarantees convergence. The subspace holds the states with
-        e <= e_hi = `occ.window(n)` (n the basis size) plus a guard of
-        max(8, kept / 4) states above e_hi. Its pairs (theta_i, x_i) come
+        e <= e_hi = `occ.window(n, eps^2)` (n the basis size) plus a guard
+        of max(8, kept / 4) states above e_hi. Its pairs (theta_i, x_i) come
         with residuals r_i = h^phi x_i - theta_i x_i; the iteration stops
         once
 
@@ -880,10 +876,11 @@ def multiscale_sweep(crystal: CrystalState, delta_list, kappa_prime):
     kappa_prime is a macro source spec (`config.build_macro_source`) for
     the macro box of the crystal's cell; it is sampled on each supercell
     grid. The homogenized coefficients come from one pass and are moved
-    to each delta by `dataclasses.replace`.
+    to each delta by `dataclasses.replace`. A crystal that
+    `ResponseWorkspace.of` refuses is refused before any supercell work.
     """
     basis = crystal.basis
-    ws = ResponseWorkspace.from_crystal(crystal)
+    ws = ResponseWorkspace.of(crystal)
     coeffs = homogenized_coefficients(ws, delta_list[0], crystal.eta0)
     box = Lattice(basis.lattice.basis.copy())
     sweep = MultiscaleSweep([], [], [], float("nan"))

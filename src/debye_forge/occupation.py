@@ -64,10 +64,13 @@ class OccupationModel:
         """order-th derivative of f_T evaluated at eps - mu."""
         return _fermi(np.asarray(eps, dtype=float) - self.mu, self.T, order)
 
-    def window(self, n):
-        """mu + T ln(n / eps^2): the states of an n-state basis above it have
-        f_T < eps^2 / n, so they carry at most eps^2 / |Omega| of density."""
-        return self.mu + self.T * np.log(n / np.finfo(float).eps ** 2)
+    def window(self, n, tol):
+        """Edge mu + T ln(n / tol) of the occupied window of an n-state basis.
+
+        Every state above it has f_T < tol / n, so the n states together
+        carry occupation below tol.
+        """
+        return self.mu + self.T * np.log(n / tol)
 
 
 def _u_t(x):

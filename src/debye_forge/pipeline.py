@@ -130,7 +130,8 @@ def run_crystal(cfg):
 
 def load_crystal_bundle(cfg):
     """The crystal state that the `crystal` stage wrote, on the config's basis,
-    k-grid and temperature; a bundle written with others is refused (exit 2)."""
+    k-grid and temperature; a bundle written with others, or one whose
+    state.json lacks a key that the stage writes, is refused (exit 2)."""
     out = cfg.get("_crystal_bundle") or os.path.join(cfg["output_dir"], "crystal")
     spath = os.path.join(out, "state.json")
     if not os.path.exists(spath) or not os.path.exists(os.path.join(out, "manifest.json")):
@@ -138,6 +139,11 @@ def load_crystal_bundle(cfg):
             "crystal bundle missing; run the 'crystal' stage first", exit_code=2
         )
     meta = dfio.load_json(spath)
+    for key in ("lattice_basis", "ecut", "kgrid", "temperature", "mu", "converged",
+                "dielectric_flag", "residual_history", "charge_history"):
+        if key not in meta:
+            raise StageError(f"crystal bundle {out} lacks {key!r} in state.json; "
+                             "rerun the 'crystal' stage", exit_code=2)
     basis = build_basis(cfg)
     for key, want in (("lattice_basis", basis.lattice.basis.tolist()), ("ecut", cfg["ecut"]),
                       ("kgrid", cfg["kgrid"]), ("temperature", cfg["temperature"])):
@@ -163,10 +169,10 @@ def load_crystal_bundle(cfg):
         occ=OccupationModel(T=T, mu=mu),
         bands=bands,
         gap=gap,
-        residual_history=meta.get("residual_history", []),
-        charge_history=meta.get("charge_history", []),
-        converged=meta.get("converged", True),
-        dielectric_flag=meta.get("dielectric_flag", gap.in_gap),
+        residual_history=meta["residual_history"],
+        charge_history=meta["charge_history"],
+        converged=meta["converged"],
+        dielectric_flag=meta["dielectric_flag"],
     )
 
 
@@ -199,10 +205,8 @@ def run_response(cfg, state=None):
 
     timer = dfio.StageTimer()
     state = state or load_crystal_bundle(cfg)
-    if not state.dielectric_flag:
-        raise StageError("crystal is not dielectric; response undefined", exit_code=3)
     rcfg = cfg["response"]
-    ws = ResponseWorkspace.from_crystal(state)
+    ws = ResponseWorkspace.of(state)
     coeffs = homogenized_coefficients(ws, rcfg["delta"], state.eta0)
     samples, solve_fit = _b_fit(
         ws, b_fit_samples(state.basis.lattice, rcfg["kmax"], rcfg["ksamples"])

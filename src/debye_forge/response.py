@@ -28,6 +28,7 @@ import numpy as np
 
 from . import kernels
 from .fibers import (
+    GaplessCrystalError,
     assemble_fiber,
     contour_quadrature,
     den_from_matrix,
@@ -67,10 +68,6 @@ ALPHA_THRESHOLD = 0.1
 THETA_THRESHOLD = 0.1
 
 
-class GaplessCrystalError(RuntimeError):
-    pass
-
-
 def thermal_weights(order, a, b, occ: OccupationModel):
     """f[a_i, ..., a_i, b_j] of f_T(. - mu), a_i repeated `order` (1-3) times."""
     dd = (kernels.dd1_matrix, kernels.dd2_matrix, kernels.dd3_matrix)[order - 1]
@@ -99,33 +96,30 @@ class ResponseWorkspace:
         self.occ = occ
         self.weights = weights
         self._cache = {}
-        self._window = None
 
     def with_weights(self, weights):
         """The same crystal and fiber cache under another weight kernel."""
         other = ResponseWorkspace(self.basis, self.phi, self.occ, weights)
         other._cache = self._cache
-        other._window = self._window
         return other
-
-    @classmethod
-    def from_crystal(cls, crystal):
-        """The crystal's workspace (`of`), refused when mu is not in a gap."""
-        if getattr(crystal, "gap", None) is not None and not crystal.gap.in_gap:
-            raise GaplessCrystalError(
-                "response coefficients require mu inside a spectral gap"
-            )
-        return cls.of(crystal)
 
     @classmethod
     def of(cls, crystal):
         """The one thermal-weight workspace of a crystal, built on first use
         and kept on it, so every response fiber of the crystal (coefficients,
-        supercell Jacobians, effective coefficients) comes from one cache."""
-        ws = getattr(crystal, "response_ws", None)
-        if ws is None:
-            ws = crystal.response_ws = cls(crystal.basis, crystal.phi, crystal.occ)
-        return ws
+        supercell Jacobians, effective coefficients) comes from one cache.
+
+        Raises GaplessCrystalError unless `crystal.dielectric_flag` is true:
+        a designer crystal has it by construction, an SCF crystal when its
+        mu is in a spectral gap and the solve converged, and a loaded
+        bundle as the crystal stage wrote it.
+        """
+        if not crystal.dielectric_flag:
+            raise GaplessCrystalError("the crystal is not dielectric (mu outside a spectral gap "
+                                      "or an unconverged SCF solve): no response coefficients")
+        if crystal.response_ws is None:
+            crystal.response_ws = cls(crystal.basis, crystal.phi, crystal.occ)
+        return crystal.response_ws
 
     def fiber(self, k):
         """(eigenvalues, eigenvectors) of H_k at the absolute momentum k.
@@ -153,29 +147,20 @@ class ResponseWorkspace:
         """M_0 = `m_fiber` at k = 0 under this workspace's weights, built once."""
         return m_fiber(self, np.zeros(self.basis.d))
 
-    def _pair_window(self):
-        """(e_w, eps m / |Omega|) with e_w = mu + T ln(n_pw / (eps T m)) and
-        m the screening mass; (+inf, 0) when m underflows to 0."""
-        if self._window is None:
-            m = screening_mass_m(self)
-            eps = np.finfo(float).eps
-            T, vol = self.occ.T, self.basis.lattice.volume
-            if m > 0.0:
-                e_w = self.occ.mu + T * (np.log(self.basis.n_pw) - np.log(eps * T) - np.log(m))
-                self._window = (float(e_w), eps * m / vol)
-            else:
-                self._window = (np.inf, 0.0)
-        return self._window
-
-    @property
+    @cached_property
     def pair_window(self):
-        """Edge e_w of the occupied window of the pair blocks."""
-        return self._pair_window()[0]
+        """Edge e_w = `occ.window(n_pw, eps T m)` of the occupied window of
+        the pair blocks, m the screening mass and eps machine epsilon;
+        +inf when m underflows to 0, so that nothing is dropped."""
+        m = screening_mass_m(self)
+        if m > 0.0:
+            return float(self.occ.window(self.basis.n_pw, np.finfo(float).eps * self.occ.T * m))
+        return np.inf
 
     @property
     def pair_window_bound(self):
         """Bound eps m / |Omega| on any entry of the pairs a block drops."""
-        return self._pair_window()[1]
+        return np.finfo(float).eps * screening_mass_m(self) / self.basis.lattice.volume
 
     def momentum_matrices(self, U):
         """(-i d_j) in the eigenbasis at the 0-fiber: U^dag diag(G_j) U."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fibers import BandStructure, GapReport, compute_bands, density_from_potential, spectral_gap
+from .fibers import (BandStructure, GapReport, GaplessCrystalError, compute_bands,
+                     density_from_potential, spectral_gap)
 from .lattice import PeriodicField, PlaneWaveBasis
 from .occupation import OccupationModel, _fermi
 
@@ -33,10 +34,6 @@ MU_REL_TOL = 1e-12
 
 
 class UnreachableChargeError(ValueError):
-    pass
-
-
-class DielectricityError(RuntimeError):
     pass
 
 
@@ -284,7 +281,7 @@ def designer_crystal(
         bands = compute_bands(basis, phi, k_points, threads)
     gap = spectral_gap(bands, mu)
     if not gap.in_gap:
-        raise DielectricityError(
+        raise GaplessCrystalError(
             f"mu = {mu} is not inside a spectral gap (eta = {gap.eta:.3e})"
         )
     occ = OccupationModel(T=T, mu=mu)

@@ -413,6 +413,64 @@ def test_mismatched_crystal_bundle_refused(tmp_path, capsys, key, value, shown):
     assert not (tmp_path / "out" / "response").exists()
 
 
+def scf_config(tmp_path, **scf):
+    """fast_config in scf mode on the kappa of its own designer crystal."""
+    (tmp_path / "designer").mkdir()
+    path, _ = fast_config(tmp_path / "designer")
+    assert cli_main(["crystal", "--config", str(path)]) == 0
+    kappa = tmp_path / "designer" / "out" / "crystal" / "kappa.dbyf"
+    return fast_config(tmp_path, crystal={"mode": "scf", "mu": "mid-gap", "scf": scf,
+                                          "kappa": {"family": "file", "path": str(kappa)}})
+
+
+@pytest.mark.parametrize("mu, mu_mode", [(-0.1, "fixed-charge"), ("mid-gap", "fixed-mu")])
+def test_scf_mu_needs_fixed_mu_mode(tmp_path, capsys, mu, mu_mode):
+    """In scf mode a numeric mu is used exactly when mu_mode is fixed-mu;
+    fixed-charge would drop the given mu, and fixed-mu has no mu to hold
+    without one, so both are configuration errors naming both keys."""
+    path, cfg = scf_config(tmp_path)
+    cfg["crystal"].update(mu=mu, scf={"mu_mode": mu_mode})
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli_main(["crystal", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "crystal/mu" in err and "crystal/scf/mu_mode" in err
+    assert not (tmp_path / "out" / "crystal").exists()
+
+
+def test_unconverged_scf_crystal_refused(tmp_path, capsys):
+    """An SCF crystal stopped by max_iter is not dielectric: response and
+    multiscale refuse it alike (exit 3, one message) and write nothing."""
+    path, cfg = scf_config(tmp_path, max_iter=2)
+    assert cli_main(["crystal", "--config", str(path)]) == 0
+    state = load_json(tmp_path / "out" / "crystal" / "state.json")
+    assert state["converged"] is False and state["dielectric_flag"] is False
+    capsys.readouterr()
+    errors = []
+    for stage in ("response", "multiscale"):
+        assert cli_main([stage, "--config", str(path)]) == 3, stage
+        errors.append(capsys.readouterr().err)
+        assert not (tmp_path / "out" / stage).exists()
+    assert errors[0] == errors[1] and "not dielectric" in errors[0]
+
+
+@pytest.mark.parametrize("key", ["dielectric_flag", "converged"])
+def test_bundle_without_flag_refused(tmp_path, capsys, key):
+    """A bundle is read as the crystal stage wrote it: one whose state.json
+    lacks a flag is a configuration error naming the key."""
+    path, cfg = fast_config(tmp_path)
+    assert cli_main(["crystal", "--config", str(path)]) == 0
+    spath = tmp_path / "out" / "crystal" / "state.json"
+    state = load_json(spath)
+    del state[key]
+    dump_json(spath, state)
+    capsys.readouterr()
+    for stage in ("bands", "response", "multiscale"):
+        assert cli_main([stage, "--config", str(path)]) == 2, stage
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out" / stage).exists()
+
+
 def test_response_stage_2d(tmp_path):
     """The 2D response stage samples b(k) along both axes and their
     diagonal, so its fit design is full and eps_fit matches eps."""

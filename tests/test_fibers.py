@@ -173,15 +173,15 @@ class TestDensity:
 
     @pytest.mark.parametrize("case", ["mathieu", "cubic"])
     def test_window_matches_all_band_oracle(self, case):
-        # the bands above occ.window(n_pw) carry at most eps^2 / |Omega| per
-        # point, so dropping them is invisible against the all-band sum
+        # the bands above occ.window(n_pw, eps^2) carry at most eps^2 / |Omega|
+        # per point, so dropping them is invisible against the all-band sum
         if case == "mathieu":
             occ = OccupationModel(T=0.05, mu=0.5)
             phi, kgrid, bands = MATHIEU, self.kgrid, compute_bands(BASIS, MATHIEU, self.kgrid)
         else:
             phi, occ, kgrid, bands = cubic_crystal(4.0)
         basis = phi.basis
-        e_w = occ.window(basis.n_pw)
+        e_w = occ.window(basis.n_pw, np.finfo(float).eps ** 2)
         assert all(np.searchsorted(e, e_w) < basis.n_pw for e in bands.eigenvalues)
         rho = density_from_potential(phi, occ, kgrid, bands=bands, tail_tol=1.0)
         full = all_band_density(phi, occ, bands)

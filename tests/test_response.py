@@ -467,12 +467,10 @@ class TestRegime:
             basis = BASIS
             phi = PHI
             occ = OccupationModel(T=1 / 20, mu=MU)
-
-            class gap:
-                in_gap = False
+            dielectric_flag = False
 
         with pytest.raises(R.GaplessCrystalError):
-            R.ResponseWorkspace.from_crystal(FakeCrystal())
+            R.ResponseWorkspace.of(FakeCrystal())
 
 
 def test_eps_fit_converges_to_eigen_route_in_beta():
@@ -530,6 +528,11 @@ class TestPairWindow:
             e_c, U_c = w.fiber(k_col)
             got = R._pair_block(w, e_r, U_r, e_c, U_c, wrap=wrap)
             assert np.array_equal(got, _full_pair_block(w, e_r, U_r, e_c, U_c, wrap=wrap))
+
+    def test_window_is_the_occupation_edge(self, ws):
+        m = R.screening_mass_m(ws)
+        tol = np.finfo(float).eps * ws.occ.T * m
+        assert ws.pair_window == ws.occ.window(ws.basis.n_pw, tol)
 
     def test_step_workspace_shares_the_window(self, ws):
         assert ws.with_weights(R.step_weights).pair_window == ws.pair_window

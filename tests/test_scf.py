@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from debye_forge.fibers import compute_bands, spectral_gap
+from debye_forge.fibers import GaplessCrystalError, compute_bands, spectral_gap
 from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, monkhorst_pack
 from debye_forge.occupation import OccupationModel
 from debye_forge.scf import (
-    DielectricityError,
     SCFConfig,
     UnreachableChargeError,
     construct_dielectric_kappa,
@@ -95,7 +94,7 @@ class TestConstructDielectric:
         bands = compute_bands(BASIS, PHI, KGRID)
         lo, hi = bands.band_ranges()
         mu_in_band = float(0.5 * (lo[0] + hi[0]))
-        with pytest.raises(DielectricityError):
+        with pytest.raises(GaplessCrystalError):
             construct_dielectric_kappa(PHI, mu_in_band, T, KGRID)
 
 
@@ -219,7 +218,7 @@ class TestVerifyDielectricity:
         mu = midgap_mu()
         kappa, _ = construct_dielectric_kappa(PHI, mu, T, KGRID)
         st = scf_solve(kappa, SCFConfig(), 0.02, monkhorst_pack(LAT, 8))
-        coeffs = homogenized_coefficients(ResponseWorkspace.from_crystal(st), 0.1, st.eta0)
+        coeffs = homogenized_coefficients(ResponseWorkspace.of(st), 0.1, st.eta0)
         assert coeffs.c_T == pytest.approx(np.exp(-st.eta0 / 0.02) / 0.02, rel=1e-12)
 
 
