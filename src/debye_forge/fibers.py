@@ -125,15 +125,22 @@ def den_from_matrix(basis: PlaneWaveBasis, B):
 
 
 def potential_matrix(phi: PeriodicField):
-    """Multiplication operator by phi projected on the basis: phihat(G - G')."""
+    """Multiplication operator by phi projected on the basis: phihat(G - G').
+
+    Real (float64) when phi is `inversion_symmetric`, complex otherwise; the
+    fibers, their eigenvectors and the pair blocks built on them follow
+    this dtype.
+    """
     basis = phi.basis
     tab = _difference_table(basis)
-    padded = np.concatenate([phi.coeffs, [0.0]])
+    coeffs = phi.coeffs.real if phi.inversion_symmetric else phi.coeffs
+    padded = np.concatenate([coeffs, [0.0]])
     return padded[tab]
 
 
 def assemble_fiber(basis: PlaneWaveBasis, phi: PeriodicField, k):
-    """H_k = diag(|G+k|^2) - phihat(G-G') for a real potential phi.
+    """H_k = diag(|G+k|^2) - phihat(G-G') for a real potential phi, real
+    symmetric when phi is `inversion_symmetric` (`potential_matrix`).
 
     k is the absolute momentum: it is not reduced into the reciprocal
     cell, so that pair blocks of the averaged response keep their G
@@ -314,6 +321,11 @@ def density_from_potential(
     density is at most eps^2 / |Omega| pointwise. A tail weight
     f_T(e_max - mu) of the top band above tail_tol flags the cutoff as
     too low.
+
+    When phi is `inversion_symmetric` so is the density, and only the real
+    part of its coefficients is kept: the imaginary part is FFT round-off
+    of an exact 0, and an SCF or designer crystal built on this density
+    stays on real fibers.
     """
     basis = phi.basis
     if bands is None:
@@ -329,6 +341,8 @@ def density_from_potential(
         acc += basis.band_density(U[:, :r], occs[:r])[0]
     acc /= bands.nk * vol
     rho = PeriodicField.from_grid(basis, acc)
+    if phi.inversion_symmetric:
+        rho = PeriodicField(basis, rho.coeffs.real, realness=True)
     # pointwise positivity holds exactly for the summed grid values; the
     # ball-truncated field can ring slightly negative at coarse cutoffs
     rho.grid_min = float(acc.min())
@@ -355,7 +369,9 @@ def shift_overlap_tensor(basis: PlaneWaveBasis, U_row, U_col, offset=None):
     The conjugated rows are gathered once, column by column, into one
     (n_pw, nb, n_pw) array in (p, n, G) order, so the whole tensor is one
     (n_pw nb, n_pw) @ (n_pw, n_col) product. At most two arrays of
-    n_pw^2 nb entries are alive, the gather and the product.
+    n_pw^2 nb entries are alive, the gather and the product, of the
+    result type of U_row and U_col: real for the fibers of an
+    inversion-symmetric crystal, whose gathers are then half the bytes.
     """
     if offset is None or not np.any(np.asarray(offset) != 0):
         tab = _shift_table(basis)
@@ -369,10 +385,11 @@ def shift_overlap_tensor(basis: PlaneWaveBasis, U_row, U_col, offset=None):
             rows = basis.g_ints + np.asarray(offset, dtype=int)[None, :]
             tab = cache[offset] = basis.index_table(rows, basis.g_ints)
     n_pw, nb = U_row.shape
+    dtype = np.result_type(U_row, U_col)
     # pad[n, n_pw] = 0 is the slot of a shifted index outside the ball
-    pad = np.zeros((nb, n_pw + 1), dtype=complex)
+    pad = np.zeros((nb, n_pw + 1), dtype=dtype)
     pad[:, :n_pw] = U_row.T.conj()
-    rows = np.empty((n_pw, nb, n_pw), dtype=complex)
+    rows = np.empty((n_pw, nb, n_pw), dtype=dtype)
     for n in range(nb):
         np.take(pad[n], tab, out=rows[:, n, :], mode="clip")
     return (rows.reshape(n_pw * nb, n_pw) @ U_col).reshape(n_pw, nb, -1)

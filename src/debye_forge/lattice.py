@@ -333,6 +333,12 @@ class PeriodicField:
         return grid.real if self.realness else grid
 
     @property
+    def inversion_symmetric(self):
+        """Every coefficient is exactly real, so f(-x) = conj(f(x)): for a
+        real field, f(-x) = f(x). No tolerance."""
+        return not np.any(self.coeffs.imag)
+
+    @property
     def mean(self):
         m = self.coeffs[0]
         return m.real if self.realness else m

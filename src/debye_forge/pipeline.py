@@ -118,6 +118,8 @@ def run_crystal(cfg):
             "in_gap": state.gap.in_gap,
             "dielectric_flag": state.dielectric_flag,
             "converged": state.converged,
+            "inversion_symmetric": all(
+                f.inversion_symmetric for f in (state.phi, state.rho, state.kappa)),
             "residual_history": state.residual_history,
             "charge_history": state.charge_history,
             "lambda_per": state.lambda_per(),
@@ -131,7 +133,12 @@ def run_crystal(cfg):
 def load_crystal_bundle(cfg):
     """The crystal state that the `crystal` stage wrote, on the config's basis,
     k-grid and temperature; a bundle written with others, or one whose
-    state.json lacks a key that the stage writes, is refused (exit 2)."""
+    state.json lacks a key that the stage writes, is refused (exit 2).
+
+    When state.json says `inversion_symmetric`, the imaginary parts that
+    the grid round trip adds to the coefficients of phi, rho and kappa
+    (about 1e-17) are dropped, so the loaded crystal keeps real fibers.
+    """
     out = cfg.get("_crystal_bundle") or os.path.join(cfg["output_dir"], "crystal")
     spath = os.path.join(out, "state.json")
     if not os.path.exists(spath) or not os.path.exists(os.path.join(out, "manifest.json")):
@@ -140,7 +147,8 @@ def load_crystal_bundle(cfg):
         )
     meta = dfio.load_json(spath)
     for key in ("lattice_basis", "ecut", "kgrid", "temperature", "mu", "converged",
-                "dielectric_flag", "residual_history", "charge_history"):
+                "dielectric_flag", "inversion_symmetric", "residual_history",
+                "charge_history"):
         if key not in meta:
             raise StageError(f"crystal bundle {out} lacks {key!r} in state.json; "
                              "rerun the 'crystal' stage", exit_code=2)
@@ -154,7 +162,10 @@ def load_crystal_bundle(cfg):
     fields = {}
     for name in ("kappa", "rho", "phi"):
         vals = dfio.read_field(os.path.join(out, f"{name}.dbyf"))
-        fields[name] = PeriodicField.from_grid(basis, vals)
+        f = PeriodicField.from_grid(basis, vals)
+        if meta["inversion_symmetric"]:
+            f = PeriodicField(basis, f.coeffs.real, realness=f.realness)
+        fields[name] = f
     T = cfg["temperature"]
     mu = meta["mu"]
     bands = compute_bands(basis, fields["phi"], kgrid, cfg["threads"])

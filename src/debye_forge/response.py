@@ -211,15 +211,15 @@ def _pair_block(ws: ResponseWorkspace, e_row, U_row, e_col, U_col, wrap=None):
 
     Memory: each branch holds an overlap and its weighted conjugate, and
     the first branch's arrays are freed before the second gathers, so
-    about two arrays of n_pw^2 max(r, c) complex entries are alive at
-    once (two inside `shift_overlap_tensor` as well).
+    about two arrays of n_pw^2 max(r, c) entries are alive at once (two
+    inside `shift_overlap_tensor` as well), real when the fibers are.
     """
     e_w = ws.pair_window
     r = int(np.searchsorted(e_row, e_w, side="right"))
     c = int(np.searchsorted(e_col, e_w, side="right"))
     basis = ws.basis
     n_pw = basis.n_pw
-    out = np.zeros((n_pw, n_pw), dtype=complex)
+    out = np.zeros((n_pw, n_pw), dtype=np.result_type(U_row, U_col))
     A = None
     if r > 0:
         A = shift_overlap_tensor(basis, U_row[:, :r], U_col, offset=wrap)
@@ -297,14 +297,14 @@ def m_fiber_averaged(ws: ResponseWorkspace, k, k_grid):
     wraps = np.floor(rows @ lattice.reciprocal_inverse + 0.5).astype(int)
     rows -= wraps @ lattice.reciprocal
     partners = time_reversed_pairs(lattice, rows, cols)
-    acc = np.zeros((ws.basis.n_pw, ws.basis.n_pw), dtype=complex)
+    acc = 0.0  # takes the dtype of the blocks, real on real fibers
     for i, (a, q, wrap, p) in enumerate(zip(rows, cols, wraps, partners)):
         if 0 <= p < i:
             continue  # added twice with its partner
         e_r, U_r = ws.fiber(a)
         e_c, U_c = ws.fiber(q)
         blk = _pair_block(ws, e_r, U_r, e_c, U_c, wrap=wrap)
-        acc += blk if p in (-1, i) else 2.0 * blk
+        acc = acc + (blk if p in (-1, i) else 2.0 * blk)
     return acc / len(cols)
 
 

@@ -205,15 +205,19 @@ def scf_solve(
 
     In fixed-charge mode the target is int_Omega kappa and mu is
     re-bisected each iteration; phi is kept mean-free (the constant
-    gauge lives in mu). A non-converged run returns the best state
-    flagged converged=False rather than raising; a gapless final state
-    clears dielectric_flag.
+    gauge lives in mu), and a given mu is refused. A non-converged run
+    returns the best state flagged converged=False rather than raising; a
+    gapless final state clears dielectric_flag. An `inversion_symmetric`
+    kappa keeps every iterate's phi and rho exactly real in coefficients
+    (`density_from_potential`), so the fibers stay real throughout.
     """
     basis = kappa.basis
     if not kappa.realness:
         raise ValueError("kappa must be real")
     if config.mu_mode == "fixed-mu" and mu is None:
         raise ValueError("fixed-mu mode needs a chemical potential")
+    if config.mu_mode == "fixed-charge" and mu is not None:
+        raise ValueError(f"mu = {mu} given with mu_mode 'fixed-charge', which solves for mu")
     target = kappa.integral().real
     if config.mu_mode == "fixed-charge" and target <= 0:
         raise ValueError("fixed-charge mode needs a positive mean of kappa")

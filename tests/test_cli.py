@@ -454,7 +454,7 @@ def test_unconverged_scf_crystal_refused(tmp_path, capsys):
     assert errors[0] == errors[1] and "not dielectric" in errors[0]
 
 
-@pytest.mark.parametrize("key", ["dielectric_flag", "converged"])
+@pytest.mark.parametrize("key", ["dielectric_flag", "converged", "inversion_symmetric"])
 def test_bundle_without_flag_refused(tmp_path, capsys, key):
     """A bundle is read as the crystal stage wrote it: one whose state.json
     lacks a flag is a configuration error naming the key."""

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from debye_forge.multiscale import SupercellPWBasis
 from debye_forge.occupation import OccupationModel
 from oracles import all_band_density, all_k_bands, den_by_definition, diff_pos, shift_overlap_by_definition
 
+REPO = Path(__file__).resolve().parent.parent
 LAT = Lattice(np.array([[2 * np.pi]]))
 BASIS = PlaneWaveBasis(LAT, ecut=50.0)
 MATHIEU = PeriodicField.from_callable(BASIS, lambda x: 2.0 * np.cos(x))
@@ -96,6 +98,26 @@ class TestAssembly:
             assert np.array_equal(bands.eigenvalues[i], e)
             assert np.array_equal(bands.eigenvectors[i], U)
 
+    @pytest.mark.parametrize("name", ["cubic", "mathieu", "mathieu_fine", "oblique", "square"])
+    def test_fiber_dtype_follows_the_potential(self, name):
+        # an inversion-symmetric potential (every shipped config) gives a
+        # real fiber and real eigenvectors; the same crystal shifted by x0,
+        # phihat(G) e^{-i G.x0}, gives complex ones with the same spectrum
+        from debye_forge.config import build_basis, build_potential, parse_config
+
+        cfg = parse_config(str(REPO / "configs" / f"{name}.json"))
+        basis = build_basis(cfg)
+        phi = build_potential(basis, cfg["crystal"]["potential"])
+        shifted = PeriodicField(basis, phi.coeffs * np.exp(-1j * basis.g_cart @ np.full(basis.d, 0.37)),
+                                realness=True)
+        assert phi.inversion_symmetric and not shifted.inversion_symmetric
+        k = np.full(basis.d, 0.1)
+        H, H_s = assemble_fiber(basis, phi, k), assemble_fiber(basis, shifted, k)
+        assert H.dtype == np.float64 and H_s.dtype == np.complex128
+        (e, U), (e_s, U_s) = diagonalize_fiber(H), diagonalize_fiber(H_s)
+        assert U.dtype == np.float64 and U_s.dtype == np.complex128
+        assert np.abs(e - e_s).max() <= 1e-12 * np.abs(e).max()
+
     def test_complex_potential_rejected(self):
         c = np.zeros(BASIS.n_pw, dtype=complex)
         c[BASIS.index_of([1])] = 1.0  # e^{ix}, not real
@@ -156,6 +178,22 @@ class TestDensity:
             acc += np.sum(1.0 / (np.exp((e + 1.0) / self.occ.T) + 1.0))
         oracle = acc / len(self.kgrid) / LAT.volume
         assert vals.mean() == pytest.approx(oracle, rel=1e-12)
+
+    def test_square_designer_density_exactly_real(self):
+        # the density of an inversion-symmetric potential is even: its
+        # coefficients are kept exactly real, so is the designer kappa
+        from debye_forge.config import build_basis, build_potential, parse_config
+        from debye_forge.pipeline import first_gap_mu
+        from debye_forge.scf import designer_crystal
+
+        cfg = parse_config(str(REPO / "configs" / "square.json"))
+        basis = build_basis(cfg)
+        phi = build_potential(basis, cfg["crystal"]["potential"])
+        kgrid = monkhorst_pack(basis.lattice, cfg["kgrid"])
+        bands = compute_bands(basis, phi, kgrid)
+        state = designer_crystal(phi, first_gap_mu(bands), cfg["temperature"], kgrid, bands=bands)
+        assert not np.any(state.rho.coeffs.imag) and not np.any(state.kappa.coeffs.imag)
+        assert state.rho.inversion_symmetric and state.kappa.inversion_symmetric
 
     def test_density_positive_real_charge(self):
         occ = OccupationModel(T=0.05, mu=0.5)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from debye_forge.scf import (
     solve_chemical_potential,
 )
 
+REPO = Path(__file__).resolve().parent.parent
 LAT = Lattice(np.array([[2 * np.pi]]))
 BASIS = PlaneWaveBasis(LAT, ecut=50.0)
 PHI = PeriodicField.from_callable(BASIS, lambda x: 2.0 * np.cos(x))
@@ -200,6 +203,40 @@ class TestSCF:
         assert (st.phi - PHI).l2_norm() < 1e-8
         with pytest.raises(ValueError):
             scf_solve(kappa, SCFConfig(mu_mode="fixed-mu"), T, KGRID)
+
+    def test_fixed_charge_refuses_a_given_mu(self):
+        # fixed-charge solves for mu; a mu passed alongside is refused, not dropped
+        kappa, _ = construct_dielectric_kappa(PHI, midgap_mu(), T, KGRID)
+        with pytest.raises(ValueError, match="mu = -0.1.*fixed-charge"):
+            scf_solve(kappa, SCFConfig(), T, KGRID, mu=-0.1)
+
+    def test_inversion_symmetric_iterates_stay_real(self, monkeypatch):
+        # the designer kappa of configs/square.json is exactly real in
+        # coefficients, so every SCF iterate's phi is too (real fibers
+        # throughout), and the solve returns phi to criterion 1's bound
+        from debye_forge import scf as S
+        from debye_forge.config import build_basis, build_potential, parse_config
+        from debye_forge.pipeline import first_gap_mu
+
+        cfg = parse_config(str(REPO / "configs" / "square.json"))
+        basis = build_basis(cfg)
+        phi = build_potential(basis, cfg["crystal"]["potential"])
+        kgrid = monkhorst_pack(basis.lattice, cfg["kgrid"])
+        T2 = cfg["temperature"]
+        kappa, _ = construct_dielectric_kappa(phi, first_gap_mu(compute_bands(basis, phi, kgrid)),
+                                              T2, kgrid)
+        iterates = []
+        bands = S.compute_bands
+
+        def recorded(basis, phi, k_points, threads=None):
+            iterates.append(phi.coeffs.copy())
+            return bands(basis, phi, k_points, threads)
+
+        monkeypatch.setattr(S, "compute_bands", recorded)
+        st = scf_solve(kappa, SCFConfig(**cfg["crystal"]["scf"]), T2, kgrid)
+        assert st.converged and len(iterates) == len(st.residual_history)
+        assert all(not np.any(c.imag) for c in iterates + [st.phi.coeffs, st.rho.coeffs])
+        assert (st.phi - phi).l2_norm() < 1e-8
 
 
 class TestVerifyDielectricity:
