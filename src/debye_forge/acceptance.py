@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import response as R
+from .config import build_potential
 from .fibers import compute_bands
 from .lattice import (
     Lattice,
@@ -46,11 +47,13 @@ class MathieuContext:
 
     ECUT = 200.0
     NK = 16
+    POTENTIAL = {"family": "cosine", "terms": [{"n": [1], "amplitude": 2.0}]}
 
     def __init__(self):
         self.lattice = Lattice(np.array([[2.0 * np.pi]]))
         self.basis = PlaneWaveBasis(self.lattice, ecut=self.ECUT)
-        self.phi = PeriodicField.from_callable(self.basis, lambda x: 2.0 * np.cos(x))
+        # the cosine family of configs/mathieu.json: real coefficients, real fibers
+        self.phi = build_potential(self.basis, self.POTENTIAL)
         self.kgrid = monkhorst_pack(self.lattice, self.NK)
         bands = compute_bands(self.basis, self.phi, self.kgrid)
         self.mu = float(first_gap_mu(bands))

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from .lattice import Lattice, PeriodicField, PlaneWaveBasis, SupercellField
+from .lattice import Lattice, PeriodicField, PlaneWaveBasis, SupercellField, delta_factor
 
 __all__ = ["CONFIG_SCHEMA", "ConfigError", "parse_config", "validate_config",
            "build_potential", "build_macro_source", "config_hash", "serialize_config"]
@@ -236,9 +236,10 @@ def validate_effective(cfg):
         raise ConfigError([f"crystal/mu {mu!r} with crystal/scf/mu_mode {mu_mode!r}: scf mode "
                            "takes a numeric mu exactly when mu_mode is 'fixed-mu'"])
     for delta in cfg["multiscale"]["delta_list"]:
-        n = 1.0 / delta
-        if abs(n - round(n)) > 1e-9:
-            raise ConfigError([f"multiscale/delta_list: {delta} is not 1/N"])
+        try:
+            delta_factor(delta)
+        except ValueError as exc:
+            raise ConfigError([f"multiscale/delta_list: {exc}"]) from None
 
 
 def serialize_config(cfg):

@@ -228,7 +228,6 @@ def time_reversed_fiber(basis: PlaneWaveBasis, e, U):
 class BandStructure:
     """Spectra of the fibers over a k-grid (k = 0 always included)."""
 
-    basis: PlaneWaveBasis
     k_points: np.ndarray          # (nk, d)
     eigenvalues: np.ndarray       # (nk, n_pw), ascending per k
     eigenvectors: list            # nk arrays (n_pw, n_pw)
@@ -264,7 +263,7 @@ def compute_bands(basis, phi, k_points, threads=None) -> BandStructure:
             fibers[i] = time_reversed_fiber(basis, *fibers[p])
     evals = np.array([fibers[i][0] for i in range(len(k_points))])
     evecs = [fibers[i][1] for i in range(len(k_points))]
-    return BandStructure(basis=basis, k_points=k_points, eigenvalues=evals, eigenvectors=evecs)
+    return BandStructure(k_points=k_points, eigenvalues=evals, eigenvectors=evecs)
 
 
 class GaplessCrystalError(RuntimeError):

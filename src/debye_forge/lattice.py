@@ -116,6 +116,16 @@ def supercell_factors(factors, d):
     return factors
 
 
+def delta_factor(delta):
+    """The integer N of a scale ratio delta = 1/N: the supercell factor per
+    axis. A delta whose 1/delta is more than 1e-12 from an integer is not
+    commensurate with the lattice and raises ValueError."""
+    n = 1.0 / delta
+    if abs(n - round(n)) > 1e-12:
+        raise ValueError(f"delta = {delta} is not 1/N for integer N")
+    return int(round(n))
+
+
 def lattice_index_table(rows, cols, value, sign=1):
     """table[i, j] = value(rows[i] + sign * cols[j]) for integer vectors.
 

@@ -13,6 +13,7 @@ density map at psi = 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .lattice import (
     PlaneWaveBasis,
     SupercellField,
     centred_k_grid,
+    delta_factor,
     lattice_index_table,
     low_momentum_project,
     supercell_factors,
@@ -70,14 +72,23 @@ class DeformedCrystal:
 
     base: CrystalState
     delta: float
-    factors: np.ndarray
     kappa_prime: SupercellField       # macro profile on the macro box
-    kappa_prime_delta: SupercellField  # delta^d kappa'(delta y), micro units
     solver: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def macro_box(self) -> Lattice:
         return self.kappa_prime.supercell
+
+    @property
+    def factors(self) -> np.ndarray:
+        return np.full(self.base.basis.d, delta_factor(self.delta), dtype=int)
+
+    @cached_property
+    def kappa_prime_delta(self) -> SupercellField:
+        """delta^d kappa'(delta y) on the supercell, in micro units."""
+        vals = np.asarray(self.kappa_prime.values, dtype=float)
+        return SupercellField(self.base.basis.lattice, self.factors,
+                              self.delta ** self.base.basis.d * vals)
 
 
 def build_deformed_kappa(base: CrystalState, delta: float, kappa_prime) -> DeformedCrystal:
@@ -93,13 +104,9 @@ def build_deformed_kappa(base: CrystalState, delta: float, kappa_prime) -> Defor
             below 1e-8 of its amplitude at the box boundary, otherwise the
             periodic supercell truncates it and the build is refused.
     """
-    N = 1.0 / delta
-    if abs(N - round(N)) > 1e-12:
-        raise ValueError(f"delta = {delta} is not 1/N for integer N")
-    N = int(round(N))
+    N = delta_factor(delta)
     basis = base.basis
     d = basis.d
-    factors = np.full(d, N, dtype=int)
 
     kp = kappa_prime
     if not isinstance(kp, SupercellField):
@@ -124,13 +131,7 @@ def build_deformed_kappa(base: CrystalState, delta: float, kappa_prime) -> Defor
         raise ValueError(
             f"kappa' grid {vals.shape} is not the supercell grid {super_shape}"
         )
-    return DeformedCrystal(
-        base=base,
-        delta=delta,
-        factors=factors,
-        kappa_prime=kp,
-        kappa_prime_delta=SupercellField(basis.lattice, factors, delta**d * vals),
-    )
+    return DeformedCrystal(base=base, delta=delta, kappa_prime=kp)
 
 
 class SupercellPWBasis(GridTransforms):
@@ -197,9 +198,8 @@ class SupercellSolver:
     def __init__(self, base: CrystalState, factors):
         self.base = base
         self.basis = SupercellPWBasis(base.basis, factors)
-        self.occ = base.occ
         self.phi_tiled = SupercellField.from_periodic(base.phi, self.basis.factors)
-        self._e_hi = self.occ.window(self.basis.n_pw, np.finfo(float).eps ** 2)
+        self._e_hi = base.occ.window(self.basis.n_pw, np.finfo(float).eps ** 2)
         self.density_window = {
             "kept": 0,
             "of": self.basis.n_pw,
@@ -364,7 +364,7 @@ class SupercellSolver:
         sb = self.basis
         n, vol = sb.n_pw, sb.lattice.volume
         kept = resid.shape[0]
-        occs = self.occ.occ(theta[: kept + 1])
+        occs = self.base.occ.occ(theta[: kept + 1])
         dens, peak = sb.band_density(rows[:kept].T, occs[:kept])
         dens /= vol
         x_inf = np.sqrt(peak / vol)
@@ -638,25 +638,25 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
     kp_norm = float(np.sqrt(sb.lattice.volume * np.sum(np.abs(kp_coeffs) ** 2)))
     zero = SupercellField(sb.micro.lattice, sb.factors, np.zeros(sb.fft_shape))
 
-    def window():
-        # a copy, lists too: the solver's record grows with later calls
-        return {k: list(v) if isinstance(v, list) else v for k, v in solver.density_window.items()}
+    def report(status, iterations, history, floor, defect, nl_norm, drho_norm):
+        return {
+            "status": status,
+            "iterations": iterations,
+            "residuals": history,
+            "relative_residual": history[-1] / kp_norm if kp_norm else 0.0,
+            "noise_floor": floor,
+            "neutrality_defect": defect,
+            "nonlinearity_l2": nl_norm,
+            "nonlinearity_share": nl_norm / max(drho_norm, 1e-300),
+            # a copy, lists too: the solver's record grows with later calls
+            "density_window": {k: list(v) if isinstance(v, list) else v
+                               for k, v in solver.density_window.items()},
+        }
 
     if kp_norm == 0.0:
         # psi = 0 solves the equation exactly and no supercell density
         # enters its residual, so no density noise floor either
-        info = {
-            "status": "converged",
-            "iterations": 0,
-            "residuals": [0.0],
-            "relative_residual": 0.0,
-            "noise_floor": 0.0,
-            "neutrality_defect": 0.0,
-            "nonlinearity_l2": 0.0,
-            "nonlinearity_share": 0.0,
-            "density_window": window(),
-        }
-        return solver.phi_tiled, zero, info
+        return solver.phi_tiled, zero, report("converged", 0, [0.0], 0.0, 0.0, 0.0, 0.0)
 
     def noise_floor():
         return 2.0 * solver.density_window["subspace_bound"]
@@ -722,19 +722,8 @@ def micro_solve_perturbation(deformed: DeformedCrystal, tol: float = 1e-10):
     # nonlinearity diagnostics: N(psi) on the basis and its share of drho
     nl_norm = rnorm(solver.nonlinearity(psi_c, drho).flat[sb._fft_pos])
     drho_norm = rnorm(sb.grid_to_coeffs(drho.values))
-    info = {
-        "status": status(history[-1]),
-        "iterations": it,
-        "residuals": history,
-        "relative_residual": history[-1] / kp_norm,
-        "noise_floor": noise_floor(),
-        "neutrality_defect": defect,
-        "nonlinearity_l2": nl_norm,
-        "nonlinearity_share": nl_norm / max(drho_norm, 1e-300),
-        "density_window": window(),
-    }
-    phi_delta = solver.phi_tiled + psi_f
-    return phi_delta, psi_f, info
+    info = report(status(history[-1]), it, history, noise_floor(), defect, nl_norm, drho_norm)
+    return solver.phi_tiled + psi_f, psi_f, info
 
 
 def nonlinearity_N(solver: SupercellSolver, psi: SupercellField):
@@ -885,7 +874,7 @@ def multiscale_sweep(crystal: CrystalState, delta_list, kappa_prime):
     box = Lattice(basis.lattice.basis.copy())
     sweep = MultiscaleSweep([], [], [], float("nan"))
     for delta in delta_list:
-        N = int(round(1.0 / delta))
+        N = delta_factor(delta)
         spec = dict(kappa_prime)
         # the harness keeps the cubic deformation scaling of the 3D
         # setting: the amplitude carries the extra delta^(3-d) power

@@ -10,7 +10,6 @@ guarantee.
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 
@@ -23,8 +22,8 @@ from .config import (
     build_potential,
     config_hash,
 )
-from .fibers import compute_bands, spectral_gap
-from .lattice import Lattice, PeriodicField, monkhorst_pack
+from .fibers import compute_bands
+from .lattice import PeriodicField, delta_factor, monkhorst_pack
 from .occupation import OccupationModel
 from .scf import CrystalState, SCFConfig, designer_crystal, scf_solve
 
@@ -135,6 +134,8 @@ def load_crystal_bundle(cfg):
     k-grid and temperature; a bundle written with others, or one whose
     state.json lacks a key that the stage writes, is refused (exit 2).
 
+    Its gap and `dielectric_flag` are derived again from the loaded phi,
+    mu and `converged` (`CrystalState`); the stored flag is only required.
     When state.json says `inversion_symmetric`, the imaginary parts that
     the grid round trip adds to the coefficients of phi, rho and kappa
     (about 1e-17) are dropped, so the loaded crystal keeps real fibers.
@@ -166,24 +167,15 @@ def load_crystal_bundle(cfg):
         if meta["inversion_symmetric"]:
             f = PeriodicField(basis, f.coeffs.real, realness=f.realness)
         fields[name] = f
-    T = cfg["temperature"]
-    mu = meta["mu"]
-    bands = compute_bands(basis, fields["phi"], kgrid, cfg["threads"])
-    gap = spectral_gap(bands, mu)
     return CrystalState(
-        basis=basis,
-        k_points=kgrid,
         kappa=fields["kappa"],
         rho=fields["rho"],
         phi=fields["phi"],
-        mu=mu,
-        occ=OccupationModel(T=T, mu=mu),
-        bands=bands,
-        gap=gap,
+        occ=OccupationModel(T=cfg["temperature"], mu=meta["mu"]),
+        bands=compute_bands(basis, fields["phi"], kgrid, cfg["threads"]),
         residual_history=meta["residual_history"],
         charge_history=meta["charge_history"],
         converged=meta["converged"],
-        dielectric_flag=meta["dielectric_flag"],
     )
 
 
@@ -271,7 +263,7 @@ def run_response(cfg, state=None):
 
 
 def run_macro(cfg):
-    from .macro import MacroProblem, debye_observables, energy_identity_defect, solve_pb
+    from .macro import MacroProblem, auto_box, debye_observables, energy_identity_defect, solve_pb
 
     timer = dfio.StageTimer()
     mcfg = cfg["macro"]
@@ -288,8 +280,7 @@ def run_macro(cfg):
         eps = rj["eps"] if eps is None else eps
     eps = np.atleast_2d(np.asarray(eps, dtype=float))
     d = eps.shape[0]
-    L = mcfg["box_lengths"] / math.sqrt(nu)
-    box = Lattice(np.eye(d) * L)
+    box = auto_box(nu, d, mcfg["box_lengths"])
     shape = (mcfg["grid"],) * d
     src = build_macro_source(box, shape, mcfg["source"])
     prob = MacroProblem(box=box, nu=nu, eps=eps, source=src)
@@ -346,7 +337,7 @@ def run_multiscale(cfg, state=None, strict_regime=False):
         status = rep.newton["status"]
         if strict_regime and status != "converged":
             raise StageError(f"Newton status {status!r} at delta={delta}", exit_code=4)
-        outputs[f"multiscale_N{int(round(1.0 / delta))}.json"] = {
+        outputs[f"multiscale_N{delta_factor(delta)}.json"] = {
             "delta": delta,
             "nu_effective": ceff.nu,
             "eps_effective": ceff.eps,

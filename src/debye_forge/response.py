@@ -110,9 +110,8 @@ class ResponseWorkspace:
         supercell Jacobians, effective coefficients) comes from one cache.
 
         Raises GaplessCrystalError unless `crystal.dielectric_flag` is true:
-        a designer crystal has it by construction, an SCF crystal when its
-        mu is in a spectral gap and the solve converged, and a loaded
-        bundle as the crystal stage wrote it.
+        its mu is in a spectral gap of its bands and its state converged
+        (`CrystalState`), which a designer crystal is by construction.
         """
         if not crystal.dielectric_flag:
             raise GaplessCrystalError("the crystal is not dielectric (mu outside a spectral gap "

@@ -10,6 +10,7 @@ damping or Anderson acceleration over the phi-residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,23 +63,40 @@ class SCFConfig:
 
 @dataclass
 class CrystalState:
-    """Converged (or best-effort) periodic crystal data."""
+    """Converged (or best-effort) periodic crystal data. Only its inputs are
+    stored and the rest is derived; the crystal is dielectric when mu is in
+    a spectral gap of its bands and the state converged."""
 
-    basis: PlaneWaveBasis
-    k_points: np.ndarray
     kappa: PeriodicField
     rho: PeriodicField
     phi: PeriodicField
-    mu: float
     occ: OccupationModel
     bands: BandStructure
-    gap: GapReport
     residual_history: list = field(default_factory=list)
     charge_history: list = field(default_factory=list)
     converged: bool = True
-    dielectric_flag: bool = True
     # the crystal's one ResponseWorkspace (`ResponseWorkspace.of`)
     response_ws: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def basis(self) -> PlaneWaveBasis:
+        return self.phi.basis
+
+    @property
+    def k_points(self) -> np.ndarray:
+        return self.bands.k_points
+
+    @property
+    def mu(self) -> float:
+        return self.occ.mu
+
+    @cached_property
+    def gap(self) -> GapReport:
+        return spectral_gap(self.bands, self.mu)
+
+    @property
+    def dielectric_flag(self) -> bool:
+        return bool(self.gap.in_gap) and self.converged
 
     @property
     def eta(self):
@@ -96,7 +114,6 @@ class CrystalState:
         """|| -Lap phi - (kappa - rho) ||_{L^2_per}."""
         lhs = self.phi.coeffs * self.basis.g_norm2
         rhs = self.kappa.coeffs - self.rho.coeffs
-        rhs = rhs.copy()
         rhs[0] = 0.0  # phi is mean-free; the mean is the mu constraint
         diff = lhs - rhs
         return float(np.sqrt(self.basis.lattice.volume * np.sum(np.abs(diff) ** 2)))
@@ -206,8 +223,8 @@ def scf_solve(
     In fixed-charge mode the target is int_Omega kappa and mu is
     re-bisected each iteration; phi is kept mean-free (the constant
     gauge lives in mu), and a given mu is refused. A non-converged run
-    returns the best state flagged converged=False rather than raising; a
-    gapless final state clears dielectric_flag. An `inversion_symmetric`
+    returns the best state flagged converged=False rather than raising;
+    neither it nor a gapless state is dielectric. An `inversion_symmetric`
     kappa keeps every iterate's phi and rho exactly real in coefficients
     (`density_from_potential`), so the fibers stay real throughout.
     """
@@ -251,22 +268,15 @@ def scf_solve(
             break
         phi = PeriodicField(basis, mixer.step(phi.coeffs, g), realness=True)
 
-    occ = OccupationModel(T=T, mu=mu_cur)
-    gap = spectral_gap(bands, mu_cur)
     return CrystalState(
-        basis=basis,
-        k_points=np.atleast_2d(np.asarray(k_points, dtype=float)),
         kappa=kappa,
         rho=rho,
         phi=phi,
-        mu=mu_cur,
         occ=occ,
         bands=bands,
-        gap=gap,
         residual_history=residuals,
         charge_history=charges,
         converged=converged,
-        dielectric_flag=bool(gap.in_gap) and converged,
     )
 
 
@@ -283,27 +293,22 @@ def designer_crystal(
     basis = phi.basis
     if bands is None:
         bands = compute_bands(basis, phi, k_points, threads)
-    gap = spectral_gap(bands, mu)
-    if not gap.in_gap:
-        raise GaplessCrystalError(
-            f"mu = {mu} is not inside a spectral gap (eta = {gap.eta:.3e})"
-        )
     occ = OccupationModel(T=T, mu=mu)
     rho = density_from_potential(phi, occ, k_points, bands=bands)
-    kappa_coeffs = basis.g_norm2 * phi.coeffs + rho.coeffs
-    kappa = PeriodicField(basis, kappa_coeffs, realness=True)
-    return CrystalState(
-        basis=basis,
-        k_points=np.atleast_2d(np.asarray(k_points, dtype=float)),
+    kappa = PeriodicField(basis, basis.g_norm2 * phi.coeffs + rho.coeffs, realness=True)
+    state = CrystalState(
         kappa=kappa,
         rho=rho,
         phi=phi,
-        mu=mu,
         occ=occ,
         bands=bands,
-        gap=gap,
         charge_history=[float(abs(rho.integral().real - kappa.integral().real))],
     )
+    if not state.dielectric_flag:
+        raise GaplessCrystalError(
+            f"mu = {mu} is not inside a spectral gap (eta = {state.eta:.3e})"
+        )
+    return state
 
 
 def construct_dielectric_kappa(

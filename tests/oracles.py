@@ -52,7 +52,7 @@ def dense_density(sol, phi):
     den[f_T(h^phi - mu)] on the supercell grid."""
     evals, evecs = np.linalg.eigh(supercell_hamiltonian(sol, phi))
     grids = sol.basis.columns_to_grids(evecs)
-    full = np.einsum("n,n...->...", sol.occ.occ(evals), np.abs(grids) ** 2).real
+    full = np.einsum("n,n...->...", sol.base.occ.occ(evals), np.abs(grids) ** 2).real
     return full / sol.basis.lattice.volume
 
 
@@ -144,7 +144,7 @@ def all_k_bands(basis, phi, k_points):
     `fibers.compute_bands` halves by taking -k from k (time reversal)."""
     k_points = np.atleast_2d(np.asarray(k_points, dtype=float))
     fibers = [diagonalize_fiber(assemble_fiber(basis, phi, k)) for k in k_points]
-    return BandStructure(basis=basis, k_points=k_points,
+    return BandStructure(k_points=k_points,
                          eigenvalues=np.array([e for e, _ in fibers]),
                          eigenvectors=[U for _, U in fibers])
 

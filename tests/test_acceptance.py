@@ -6,6 +6,7 @@ Run as `pytest tests/test_acceptance.py -v -s` or via
 multiscale order criterion dominates.
 """
 
+import numpy as np
 import pytest
 
 from debye_forge import response as R
@@ -49,3 +50,13 @@ def test_permittivity_built_once_per_beta_over_criteria_7_to_9(monkeypatch):
         assert passed, detail
     assert [calls.get(id(ctx.workspace(beta)), 0) for beta in (20, 40, 60)] == [1, 1, 1]
     assert sum(calls.values()) == 4
+
+
+def test_reference_crystal_runs_in_real_arithmetic(ctx):
+    # phi is the cosine family of configs/mathieu.json, exactly real in
+    # coefficients, so the suite's fibers are float64
+    assert ctx.phi.inversion_symmetric
+    crystal = ctx.crystal(40)
+    assert all(U.dtype == np.float64 for U in crystal.bands.eigenvectors)
+    assert ctx.workspace(40).gamma[1].dtype == np.float64
+    assert ctx.workspace(40).m0.dtype == np.float64

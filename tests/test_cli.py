@@ -454,6 +454,44 @@ def test_unconverged_scf_crystal_refused(tmp_path, capsys):
     assert errors[0] == errors[1] and "not dielectric" in errors[0]
 
 
+def test_delta_not_one_over_n_is_a_configuration_error(tmp_path, capsys):
+    """A delta_list entry 1e-12 or more from 1/N is refused when the config
+    is parsed (exit 2, naming the key), by the same rule that builds each
+    supercell, so the multiscale stage writes nothing."""
+    path, cfg = fast_config(tmp_path)
+    assert cli_main(["crystal", "--config", str(path)]) == 0
+    cfg["multiscale"]["delta_list"] = [0.333333333333]
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli_main(["multiscale", "--config", str(path)]) == 2
+    assert "multiscale/delta_list" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "multiscale").exists()
+
+
+@pytest.mark.parametrize("mode", ["designer", "scf"])
+def test_loaded_bundle_derives_the_crystal_facts(tmp_path, mode):
+    """A loaded bundle reports the mu, k-grid, gap and dielectric flag of
+    the state that wrote it, each derived from its inputs, and the flag
+    that state.json records."""
+    from debye_forge.pipeline import load_crystal_bundle, run_crystal
+
+    path, _ = scf_config(tmp_path) if mode == "scf" else fast_config(tmp_path)
+    cfg = parse_config(str(path))
+    written = run_crystal(cfg)
+    loaded = load_crystal_bundle(cfg)
+    meta = load_json(tmp_path / "out" / "crystal" / "state.json")
+    assert loaded.mu == written.mu == meta["mu"]
+    assert np.array_equal(loaded.k_points, written.k_points)
+    assert loaded.basis is loaded.phi.basis and loaded.k_points is loaded.bands.k_points
+    for name in ("eta", "eta0", "edge_below", "edge_above"):
+        assert getattr(loaded.gap, name) == pytest.approx(getattr(written.gap, name), rel=1e-12)
+    assert loaded.gap.in_gap == written.gap.in_gap == meta["in_gap"]
+    assert loaded.converged == written.converged == meta["converged"]
+    assert loaded.dielectric_flag == written.dielectric_flag == meta["dielectric_flag"]
+    assert meta["dielectric_flag"] == (meta["in_gap"] and meta["converged"])
+    assert written.dielectric_flag
+
+
 @pytest.mark.parametrize("key", ["dielectric_flag", "converged", "inversion_symmetric"])
 def test_bundle_without_flag_refused(tmp_path, capsys, key):
     """A bundle is read as the crystal stage wrote it: one whose state.json

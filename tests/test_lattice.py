@@ -10,6 +10,7 @@ from debye_forge.lattice import (
     bloch_decompose,
     bloch_reconstruct,
     centred_k_grid,
+    delta_factor,
     low_momentum_project,
     monkhorst_pack,
     reciprocal_lattice,
@@ -289,3 +290,15 @@ def test_inner_product_convention(basis1d):
     f = PeriodicField.from_callable(basis1d, np.cos)
     val = f.l2_norm() ** 2
     assert abs(val - np.pi) < 1e-12  # int_0^{2pi} cos^2 = pi
+
+
+@pytest.mark.parametrize("delta, n", [(1 / 3, 3), (0.125, 8), (0.0625, 16), (0.03125, 32)])
+def test_delta_factor(delta, n):
+    assert delta_factor(delta) == n
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.333333333333])
+def test_delta_factor_refuses_a_delta_not_one_over_n(delta):
+    # 1 / 0.333333333333 is 3 + 3e-12, beyond the 1e-12 tolerance
+    with pytest.raises(ValueError, match="1/N"):
+        delta_factor(delta)

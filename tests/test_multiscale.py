@@ -89,6 +89,19 @@ class TestBuildDeformed:
         got = dc.kappa_prime_delta.values[i_macro]
         assert got == pytest.approx(delta * src.values[i_macro], rel=1e-12)
 
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_added_charge_derived_from_kappa_prime(self, N):
+        # the deformed crystal keeps kappa' and delta; its supercell factors
+        # and the added charge delta^d kappa'(delta y) follow from them
+        st = make_crystal()
+        src = bump(N, amplitude=0.02, mean_free=False)
+        dc = build_deformed_kappa(st, 1 / N, src)
+        assert np.array_equal(dc.factors, np.full(BASIS.d, N))
+        kp = dc.kappa_prime_delta
+        assert np.array_equal(kp.values, (1 / N) ** BASIS.d * src.values)
+        assert np.array_equal(kp.factors, dc.factors) and kp.micro is BASIS.lattice
+        assert dc.kappa_prime_delta is kp
+
     def test_noncommensurate_delta_refused(self):
         st = make_crystal()
         with pytest.raises(ValueError, match="1/N"):
