@@ -64,9 +64,7 @@ class MathieuContext:
 
     def crystal(self, beta) -> CrystalState:
         if beta not in self._crystals:
-            self._crystals[beta] = designer_crystal(
-                self.phi, self.mu, 1.0 / beta, self.kgrid, bands=self._bands
-            )
+            self._crystals[beta] = designer_crystal(self.phi, self.mu, 1.0 / beta, self._bands)
         return self._crystals[beta]
 
     def workspace(self, beta) -> R.ResponseWorkspace:
@@ -124,6 +122,10 @@ def crit_04_jacobian_identity(ctx):
     M0 = ws.m0
     occ = ws.occ
     kgamma = np.zeros((1, 1))
+
+    def density(phi):
+        return density_from_potential(phi, occ, compute_bands(basis, phi, kgamma), tail_tol=1.0)
+
     rng = np.random.default_rng(7)
     slopes = []
     for _ in range(5):
@@ -133,12 +135,8 @@ def crit_04_jacobian_identity(ctx):
         f = PeriodicField(basis, c)
         errs = []
         for h in (2e-3, 1e-3, 5e-4):
-            rp = density_from_potential(
-                PeriodicField(basis, ctx.phi.coeffs + h * c), occ, kgamma, tail_tol=1.0
-            )
-            rm = density_from_potential(
-                PeriodicField(basis, ctx.phi.coeffs - h * c), occ, kgamma, tail_tol=1.0
-            )
+            rp = density(PeriodicField(basis, ctx.phi.coeffs + h * c))
+            rm = density(PeriodicField(basis, ctx.phi.coeffs - h * c))
             fd = (rp.coeffs - rm.coeffs) / (2 * h)
             errs.append(np.linalg.norm(fd - M0 @ c))
         errs = np.array(errs)

@@ -12,17 +12,11 @@ import argparse
 import sys
 
 from .config import ConfigError, parse_config
-from .fibers import env_threads, worker_count
 
 
 def _add_common(p):
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--out", help="override the configured output directory")
-    p.add_argument(
-        "--threads",
-        type=worker_count,
-        help="k-point worker threads (overrides DEBYE_FORGE_THREADS and the config)",
-    )
     p.add_argument(
         "--strict-regime",
         action="store_true",
@@ -70,13 +64,11 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
-        env = env_threads()
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     if args.out:
         cfg["output_dir"] = args.out
-    cfg["threads"] = args.threads or env or cfg["threads"]
     if getattr(args, "state", None):
         cfg["_crystal_bundle"] = args.state
 

@@ -225,10 +225,12 @@ def parse_config(path_or_dict):
 
 
 def validate_effective(cfg):
-    basis = np.asarray(cfg["lattice"]["basis"], dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-        raise ConfigError(["lattice/basis: must be a d x d matrix"])
-    if len(cfg["kgrid"]) != basis.shape[0]:
+    try:
+        lattice = build_lattice(cfg)
+        lattice.reciprocal  # refuses a degenerate basis
+    except ValueError as exc:
+        raise ConfigError([f"lattice/basis: {exc}"]) from None
+    if len(cfg["kgrid"]) != lattice.d:
         raise ConfigError(["kgrid: length must match the lattice dimension"])
     ccfg = cfg["crystal"]
     mu, mu_mode = ccfg["mu"], ccfg["scf"]["mu_mode"]
@@ -277,7 +279,14 @@ def build_potential(basis: PlaneWaveBasis, spec) -> PeriodicField:
     if fam == "file":
         from .io import read_field
 
-        vals = read_field(spec["path"])
+        path = spec["path"]
+        try:
+            vals = read_field(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"field file {path}: {exc}"]) from None
+        if vals.shape != basis.fft_shape:
+            raise ConfigError([f"field file {path}: grid {vals.shape}, the basis grid "
+                               f"{basis.fft_shape}; write it at the config's lattice and ecut"])
         return PeriodicField.from_grid(basis, vals)
     raise ConfigError([f"unknown field family {fam!r}"])
 

@@ -11,7 +11,6 @@ functional calculus used as the cross-check route all live here.
 
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -49,30 +48,6 @@ class ContourConvergenceError(RuntimeError):
 
 class EigensolverError(RuntimeError):
     pass
-
-
-def worker_count(text):
-    """A k-point worker count from its text; ValueError unless a positive integer."""
-    n = int(text)
-    if n < 1:
-        raise ValueError(f"worker count must be positive, got {text!r}")
-    return n
-
-
-def env_threads():
-    """The worker count DEBYE_FORGE_THREADS sets, or None when it is unset."""
-    env = os.environ.get("DEBYE_FORGE_THREADS")
-    return worker_count(env) if env else None
-
-
-def _kmap(fn, items, threads=None):
-    """Map over k-points, optionally threaded; output order is fixed.
-    `threads` None takes the count from DEBYE_FORGE_THREADS, else 1."""
-    threads = threads or env_threads() or 1
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _difference_table(basis: PlaneWaveBasis):
@@ -247,9 +222,10 @@ class BandStructure:
         return self.eigenvalues.min(axis=0), self.eigenvalues.max(axis=0)
 
 
-def compute_bands(basis, phi, k_points, threads=None) -> BandStructure:
+def compute_bands(basis, phi, k_points, threads=1) -> BandStructure:
     """Fibers of the real potential phi at every k: one k of each +-k pair
-    is diagonalised and its partner is the `time_reversed_fiber`."""
+    is diagonalised, on `threads` workers in a fixed output order, and its
+    partner is the `time_reversed_fiber`."""
     k_points = np.atleast_2d(np.asarray(k_points, dtype=float))
     partners = time_reversal_partners(basis.lattice, k_points)
     direct = np.flatnonzero(partners < 0)
@@ -257,7 +233,13 @@ def compute_bands(basis, phi, k_points, threads=None) -> BandStructure:
     def solve(k):
         return diagonalize_fiber(assemble_fiber(basis, phi, k))
 
-    fibers = dict(zip(direct.tolist(), _kmap(solve, list(k_points[direct]), threads)))
+    ks = list(k_points[direct])
+    if threads <= 1 or len(ks) <= 1:
+        solved = [solve(k) for k in ks]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            solved = list(pool.map(solve, ks))
+    fibers = dict(zip(direct.tolist(), solved))
     for i, p in enumerate(partners):
         if p >= 0:
             fibers[i] = time_reversed_fiber(basis, *fibers[p])
@@ -305,14 +287,9 @@ def spectral_gap(bands: BandStructure, mu: float) -> GapReport:
 
 
 def density_from_potential(
-    phi: PeriodicField,
-    occ: OccupationModel,
-    k_points,
-    threads=None,
-    bands: BandStructure | None = None,
-    tail_tol: float = 1e-12,
+    phi: PeriodicField, occ: OccupationModel, bands: BandStructure, tail_tol: float = 1e-12
 ):
-    """Finite-temperature electron density of h^phi on a k-grid.
+    """Finite-temperature electron density of h^phi from `bands`, its fibers on a k-grid.
 
     rho(x) = (1/(N_k |Omega|)) sum_{k,n} f_T(e_nk - mu) |u_nk(x)|^2, so
     int_Omega rho equals the k-averaged sum of occupations. The sum runs
@@ -327,8 +304,6 @@ def density_from_potential(
     stays on real fibers.
     """
     basis = phi.basis
-    if bands is None:
-        bands = compute_bands(basis, phi, k_points, threads)
     vol = basis.lattice.volume
     e_w = occ.window(basis.n_pw, np.finfo(float).eps ** 2)
     acc = np.zeros(basis.fft_shape, dtype=float)

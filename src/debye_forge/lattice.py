@@ -569,16 +569,15 @@ def bloch_reconstruct(k_points, fibers, micro: Lattice, factors, shape):
     return out.copy_with(acc)
 
 
-def low_momentum_project(f: SupercellField, r: float, complement=False):
-    """Zero all Fourier modes with |Q| > r (or keep only those, if complement).
+def low_momentum_project(f: SupercellField, r: float):
+    """Zero all Fourier modes with |Q| > r.
 
-    Pure spectral filter: idempotent, self-adjoint, and P_r + bar P_r = 1.
+    Pure spectral filter: idempotent and self-adjoint; its complement
+    bar P_r f is f - P_r f.
     """
     q = f.wavevectors()
     q2 = np.einsum("...i,...i->...", q, q)
     mask = q2 <= r * r * (1.0 + 1e-12)
-    if complement:
-        mask = ~mask
     c = f.coeffs() * mask
     real = not np.iscomplexobj(f.values)
     return SupercellField.from_coeffs(f.micro, f.factors, c, real=real)

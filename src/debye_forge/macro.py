@@ -100,7 +100,7 @@ class DecayFit:
     window: tuple
 
 
-def debye_observables(problem: MacroProblem, psi: SupercellField, center=None):
+def debye_observables(problem: MacroProblem, psi: SupercellField):
     """Debye length and far-field decay fits along the principal eps axes.
 
     Fits log |psi| against distance on a window [3 w_fit, L/2 - margin]
@@ -112,10 +112,8 @@ def debye_observables(problem: MacroProblem, psi: SupercellField, center=None):
     L = np.linalg.norm(problem.box.basis, axis=1)
     debye = 1.0 / np.sqrt(problem.nu)
     evals, evecs = np.linalg.eigh(problem.eps)
-    if center is None:
-        idx = np.unravel_index(np.argmax(np.abs(psi.values)), psi.shape)
-        center = psi.grid_points()[idx]
     x = psi.grid_points()
+    center = x[np.unravel_index(np.argmax(np.abs(psi.values)), psi.shape)]
     fits = []
     for ax in range(d):
         direction = evecs[:, ax]

@@ -548,19 +548,23 @@ class SupercellSolver:
         a reciprocal vector, whose ball of modes is not the negated one.
         Each zone average in turn contracts one block of each of its own
         time-reversal pairs (`m_fiber_averaged`), so the stack takes about
-        N^2d / 4 pair blocks instead of N^2d.
+        N^2d / 4 pair blocks instead of N^2d. The stack takes the dtype of
+        its blocks, real on real fibers; the first point is always computed
+        directly (it has no earlier partner), so it sets the dtype.
         """
         if self._jac_blocks is None:
             ws = ResponseWorkspace.of(self.base)
             kpts = self.basis.k_points
             neg = self.base.basis.negation_index
-            n_pw = self.base.basis.n_pw
-            blocks = np.empty((len(kpts), n_pw, n_pw), dtype=complex)
+            blocks = None
             for i, (p, k) in enumerate(zip(self._partners, kpts)):
                 if p >= 0:
                     blocks[i] = blocks[p][np.ix_(neg, neg)].conj()
-                else:
-                    blocks[i] = _operator_block(ws, m_fiber_averaged(ws, k, kpts), k)
+                    continue
+                blk = _operator_block(ws, m_fiber_averaged(ws, k, kpts), k)
+                if blocks is None:
+                    blocks = np.empty((len(kpts),) + blk.shape, dtype=blk.dtype)
+                blocks[i] = blk
             self._jac_blocks = blocks
         return self._jac_blocks
 

@@ -1,5 +1,10 @@
 """Stage orchestration: crystal -> response -> macro -> multiscale.
 
+The `crystal` stage writes the crystal bundle, and every later stage that
+needs the crystal (`bands`, `response`, `multiscale`) reads it from that
+bundle (`load_crystal_bundle`), whether the stages run one per process
+or several in one `run_pipeline` call.
+
 Each stage hands its data outputs (JSON/CSV/DBYF) to one writer,
 `_write_stage`, which writes them and then a manifest with the config
 hash, package versions, timings, and a checksum per output. A stage that
@@ -93,7 +98,7 @@ def run_crystal(cfg):
         mu = ccfg["mu"]
         if mu == "mid-gap":
             mu = first_gap_mu(bands)
-        state = designer_crystal(phi, mu, T, kgrid, threads, bands=bands)
+        state = designer_crystal(phi, mu, T, bands)
     else:
         if "kappa" not in ccfg:
             raise StageError("scf mode requires a crystal/kappa spec", exit_code=2)
@@ -179,9 +184,9 @@ def load_crystal_bundle(cfg):
     )
 
 
-def run_bands(cfg, state=None):
+def run_bands(cfg):
     timer = dfio.StageTimer()
-    state = state or load_crystal_bundle(cfg)
+    state = load_crystal_bundle(cfg)
     bands = state.bands
     header = [f"k{i}" for i in range(state.basis.d)] + [
         f"e{n}" for n in range(bands.eigenvalues.shape[1])
@@ -202,12 +207,12 @@ def run_bands(cfg, state=None):
     })
 
 
-def run_response(cfg, state=None):
+def run_response(cfg):
     from .response import (ResponseWorkspace, _b_fit, b0_closed_form, b_fit_samples,
                            b_samples, homogenized_coefficients)
 
     timer = dfio.StageTimer()
-    state = state or load_crystal_bundle(cfg)
+    state = load_crystal_bundle(cfg)
     rcfg = cfg["response"]
     ws = ResponseWorkspace.of(state)
     coeffs = homogenized_coefficients(ws, rcfg["delta"], state.eta0)
@@ -314,11 +319,11 @@ def run_macro(cfg):
     return fits
 
 
-def run_multiscale(cfg, state=None, strict_regime=False):
+def run_multiscale(cfg, strict_regime=False):
     from .multiscale import multiscale_sweep
 
     timer = dfio.StageTimer()
-    state = state or load_crystal_bundle(cfg)
+    state = load_crystal_bundle(cfg)
     mcfg = cfg["multiscale"]
     sweep = multiscale_sweep(state, mcfg["delta_list"], mcfg["kappa_prime"])
 
@@ -362,20 +367,20 @@ _ORDER = ["crystal", "bands", "response", "macro", "multiscale"]
 
 
 def run_pipeline(cfg, stages, strict_regime=False):
-    """Run the requested stages in dependency order."""
+    """Run the requested stages in dependency order; each reads what an
+    earlier one wrote from the output directory."""
     os.makedirs(cfg["output_dir"], exist_ok=True)
-    state = None
     for name in _ORDER:
         if name not in stages:
             continue
         if name == "crystal":
-            state = run_crystal(cfg)
+            run_crystal(cfg)
         elif name == "bands":
-            run_bands(cfg, state)
+            run_bands(cfg)
         elif name == "response":
-            run_response(cfg, state)
+            run_response(cfg)
         elif name == "macro":
             run_macro(cfg)
         elif name == "multiscale":
-            run_multiscale(cfg, state, strict_regime=strict_regime)
+            run_multiscale(cfg, strict_regime=strict_regime)
     return 0

@@ -122,14 +122,8 @@ class CrystalState:
         return float(abs(self.rho.integral().real - self.kappa.integral().real))
 
 
-def solve_chemical_potential(
-    phi: PeriodicField,
-    T: float,
-    target_charge: float,
-    k_points,
-    bands: BandStructure | None = None,
-):
-    """Bisect mu so the per-cell charge matches target_charge.
+def solve_chemical_potential(bands: BandStructure, T: float, target_charge: float):
+    """Bisect mu so the per-cell charge over `bands` matches target_charge.
 
     The charge mean_k sum_n f_T(e_nk - mu) is strictly increasing in mu,
     so the root is unique once bracketed. Saturation (target at or above
@@ -140,8 +134,6 @@ def solve_chemical_potential(
     """
     if target_charge <= 0:
         raise UnreachableChargeError("target charge must be positive")
-    if bands is None:
-        bands = compute_bands(phi.basis, phi, k_points)
     evals = bands.eigenvalues
     n_states = evals.shape[1]
     if target_charge >= n_states * (1.0 - 1e-12):
@@ -216,7 +208,7 @@ def scf_solve(
     T: float,
     k_points,
     mu: float | None = None,
-    threads=None,
+    threads=1,
 ) -> CrystalState:
     """Solve -Lap phi = kappa - den[f_T(h^phi - mu)] on a k-grid.
 
@@ -250,9 +242,9 @@ def scf_solve(
     for _ in range(config.max_iter):
         bands = compute_bands(basis, phi, k_points, threads)
         if config.mu_mode == "fixed-charge":
-            mu_cur = solve_chemical_potential(phi, T, target, k_points, bands=bands)
+            mu_cur = solve_chemical_potential(bands, T, target)
         occ = OccupationModel(T=T, mu=mu_cur)
-        rho = density_from_potential(phi, occ, k_points, bands=bands, tail_tol=1e-12)
+        rho = density_from_potential(phi, occ, bands, tail_tol=1e-12)
         charges.append(float(abs(rho.integral().real - target)))
 
         rhs = kappa.coeffs - rho.coeffs
@@ -280,21 +272,16 @@ def scf_solve(
     )
 
 
-def designer_crystal(
-    phi: PeriodicField, mu: float, T: float, k_points, threads=None, bands=None
-) -> CrystalState:
+def designer_crystal(phi: PeriodicField, mu: float, T: float, bands: BandStructure) -> CrystalState:
     """Designer dielectric: the crystal whose self-consistent state is (phi, mu).
 
     rho := den[f_T(h^phi - mu)] and kappa := -Lap phi + rho solve the
     self-consistent equation exactly by construction; mu must lie in a
-    spectral gap of h^phi. `bands` are those of phi on k_points when the
-    caller already has them.
+    spectral gap of h^phi. `bands` are those of phi on the crystal's k-grid.
     """
     basis = phi.basis
-    if bands is None:
-        bands = compute_bands(basis, phi, k_points, threads)
     occ = OccupationModel(T=T, mu=mu)
-    rho = density_from_potential(phi, occ, k_points, bands=bands)
+    rho = density_from_potential(phi, occ, bands)
     kappa = PeriodicField(basis, basis.g_norm2 * phi.coeffs + rho.coeffs, realness=True)
     state = CrystalState(
         kappa=kappa,
@@ -311,10 +298,9 @@ def designer_crystal(
     return state
 
 
-def construct_dielectric_kappa(
-    phi: PeriodicField, mu: float, T: float, k_points, threads=None
-):
-    """(kappa, rho) of the designer crystal of (phi, mu); see `designer_crystal`."""
-    state = designer_crystal(phi, mu, T, k_points, threads)
+def construct_dielectric_kappa(phi: PeriodicField, mu: float, T: float, k_points, threads=1):
+    """(kappa, rho) of the designer crystal of (phi, mu) on k_points; see
+    `designer_crystal`."""
+    bands = compute_bands(phi.basis, phi, k_points, threads)
+    state = designer_crystal(phi, mu, T, bands)
     return state.kappa, state.rho
-

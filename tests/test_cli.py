@@ -190,8 +190,9 @@ class TestPipeline:
         assert (tmp_path / "out" / "multiscale" / "multiscale_N4.json").exists()
 
     def test_config_error_exit_code(self, tmp_path):
-        # an invalid value and an unknown key are both configuration errors
-        for bad in ({"temperature": -2.0}, {"future_knob": 1}):
+        # an invalid value and an unknown key are both configuration errors,
+        # and so is a worker count that is not a positive integer
+        for bad in ({"temperature": -2.0}, {"future_knob": 1}, {"threads": 0}, {"threads": 1.5}):
             p = tmp_path / "bad.json"
             p.write_text(json.dumps(dict(MINIMAL, **bad)))
             assert cli_main(["crystal", "--config", str(p)]) == 2, bad
@@ -293,41 +294,16 @@ class TestPipeline:
         )
         assert proc.returncode == 0
 
-    def test_threads_flag(self, tmp_path, monkeypatch):
-        # the count reaches the stages through the config only: the process
-        # environment, and so every later library call, is left as it was
-        monkeypatch.delenv("DEBYE_FORGE_THREADS", raising=False)
-        before = dict(os.environ)
-        path, cfg = fast_config(tmp_path)
-        assert cli_main(["crystal", "--config", str(path), "--threads", "2"]) == 0
-        assert dict(os.environ) == before
-
     def test_threads_reach_the_config(self, tmp_path, monkeypatch):
+        # the worker count is the config key `threads` and nothing else
         from debye_forge import pipeline
 
         seen = []
         monkeypatch.setattr(pipeline, "run_pipeline",
                             lambda cfg, stages, strict_regime: seen.append(cfg["threads"]))
         path, cfg = fast_config(tmp_path, threads=3)
-        monkeypatch.delenv("DEBYE_FORGE_THREADS", raising=False)
         assert cli_main(["crystal", "--config", str(path)]) == 0
-        monkeypatch.setenv("DEBYE_FORGE_THREADS", "4")
-        assert cli_main(["crystal", "--config", str(path)]) == 0
-        assert cli_main(["crystal", "--config", str(path), "--threads", "2"]) == 0
-        assert seen == [3, 4, 2]
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_thread_count_is_a_configuration_error(self, tmp_path, monkeypatch, capsys, value):
-        path, cfg = fast_config(tmp_path)
-        monkeypatch.setenv("DEBYE_FORGE_THREADS", value)
-        assert cli_main(["crystal", "--config", str(path)]) == 2
-        assert cli_main(["crystal", "--config", str(path), "--threads", "2"]) == 2
-        assert "configuration error" in capsys.readouterr().err
-        monkeypatch.delenv("DEBYE_FORGE_THREADS")
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["crystal", "--config", str(path), "--threads", value])
-        assert exc.value.code == 2
-        assert not (tmp_path / "out").exists()
+        assert seen == [3]
 
 
 class TestGoldenConfig:
@@ -380,6 +356,64 @@ def test_run_pipeline_multi_stage(tmp_path):
     assert rc == 0
     for stage in ("crystal", "bands", "response", "macro"):
         check_manifest(tmp_path / "out" / stage)
+
+
+def _data_outputs(root):
+    """Every data output under `root` by its relative path (manifests carry
+    timings and are left out)."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def test_run_pipeline_writes_what_the_cli_stages_write(tmp_path):
+    """The five stages in one run_pipeline call read the crystal from its
+    bundle, as the CLI does with one stage per process, so both routes
+    write the same data bytes."""
+    from debye_forge.pipeline import run_pipeline
+
+    stages = ("crystal", "bands", "response", "macro", "multiscale")
+    path, raw = fast_config(tmp_path)
+    for stage in stages:
+        assert cli_main([stage, "--config", str(path)]) == 0, stage
+    assert run_pipeline(parse_config(dict(raw, output_dir=str(tmp_path / "one"))), set(stages)) == 0
+    staged, together = _data_outputs(tmp_path / "out"), _data_outputs(tmp_path / "one")
+    assert len(staged) == 14 and staged.keys() == together.keys()
+    assert [name for name in staged if staged[name] != together[name]] == []
+
+
+@pytest.mark.parametrize("basis, shown", [
+    (np.eye(4).tolist(), "dimension must be 1, 2 or 3"),
+    ([[1.0, 2.0], [2.0, 4.0]], "degenerate lattice"),
+], ids=["4d", "singular"])
+def test_refused_lattice_is_a_configuration_error(tmp_path, capsys, basis, shown):
+    """A lattice that `Lattice` refuses is refused when the config is
+    parsed (exit 2, naming the key), before any stage runs."""
+    path, _ = fast_config(tmp_path, lattice={"basis": basis}, kgrid=[4] * len(basis))
+    assert cli_main(["crystal", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "lattice/basis" in err and shown in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["other-grid", "missing"])
+def test_unreadable_field_file_is_a_configuration_error(tmp_path, capsys, case):
+    """A `file` field written on another grid, or a path that cannot be
+    read, is a configuration error naming the path (and both grids), and
+    the crystal stage writes nothing."""
+    path, cfg = scf_config(tmp_path)
+    spec = cfg["crystal"]["kappa"]
+    if case == "other-grid":
+        cfg["ecut"] = 20.0  # grid (25,); the designer crystal wrote (30,) at ecut 30
+    else:
+        spec["path"] += ".missing"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli_main(["crystal", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and spec["path"] in err
+    if case == "other-grid":
+        assert "grid (30,), the basis grid (25,)" in err
+    assert not (tmp_path / "out" / "crystal").exists()
 
 
 def test_response_state_flag_override(tmp_path):

@@ -168,7 +168,8 @@ class TestDensity:
     kgrid = monkhorst_pack(LAT, 8)
 
     def test_free_density_constant_and_value(self):
-        rho = density_from_potential(ZERO, self.occ, self.kgrid, tail_tol=1.0)
+        rho = density_from_potential(ZERO, self.occ, compute_bands(BASIS, ZERO, self.kgrid),
+                                     tail_tol=1.0)
         vals = rho.values()
         assert np.abs(vals - vals.mean()).max() < 1e-13
         # independent scalar oracle: |Omega|^{-1} mean_k sum_G f(|G+k|^2 + 1)
@@ -191,23 +192,23 @@ class TestDensity:
         phi = build_potential(basis, cfg["crystal"]["potential"])
         kgrid = monkhorst_pack(basis.lattice, cfg["kgrid"])
         bands = compute_bands(basis, phi, kgrid)
-        state = designer_crystal(phi, first_gap_mu(bands), cfg["temperature"], kgrid, bands=bands)
+        state = designer_crystal(phi, first_gap_mu(bands), cfg["temperature"], bands)
         assert not np.any(state.rho.coeffs.imag) and not np.any(state.kappa.coeffs.imag)
         assert state.rho.inversion_symmetric and state.kappa.inversion_symmetric
 
     def test_density_positive_real_charge(self):
         occ = OccupationModel(T=0.05, mu=0.5)
-        rho = density_from_potential(MATHIEU, occ, self.kgrid)
+        bands = compute_bands(BASIS, MATHIEU, self.kgrid)
+        rho = density_from_potential(MATHIEU, occ, bands)
         assert rho.realness
         assert rho.values().min() > 0
-        bands = compute_bands(BASIS, MATHIEU, self.kgrid)
         expect = np.mean(np.sum(occ.occ(bands.eigenvalues), axis=1))
         assert rho.integral().real == pytest.approx(expect, rel=1e-12)
 
     def test_tail_flag(self):
         hot = OccupationModel(T=20.0, mu=30.0)
         with pytest.warns(UserWarning, match="cutoff"):
-            density_from_potential(ZERO, hot, self.kgrid)
+            density_from_potential(ZERO, hot, compute_bands(BASIS, ZERO, self.kgrid))
 
     @pytest.mark.parametrize("case", ["mathieu", "cubic"])
     def test_window_matches_all_band_oracle(self, case):
@@ -221,7 +222,7 @@ class TestDensity:
         basis = phi.basis
         e_w = occ.window(basis.n_pw, np.finfo(float).eps ** 2)
         assert all(np.searchsorted(e, e_w) < basis.n_pw for e in bands.eigenvalues)
-        rho = density_from_potential(phi, occ, kgrid, bands=bands, tail_tol=1.0)
+        rho = density_from_potential(phi, occ, bands, tail_tol=1.0)
         full = all_band_density(phi, occ, bands)
         bound = np.finfo(float).eps ** 2 / basis.lattice.volume
         assert np.abs(rho.coeffs - basis.grid_to_coeffs(full)).max() <= bound
@@ -237,7 +238,7 @@ class TestDensity:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            density_from_potential(phi, occ, kgrid, bands=bands)
+            density_from_potential(phi, occ, bands)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -283,7 +284,7 @@ class TestTimeReversal:
         # (a direct eigh of the same fiber with its basis permuted moves
         # the 2D density by 1.9e-16 of its 0.05 peak coefficient as well)
         occ = OccupationModel(T=0.05, mu=float(np.median(bands.eigenvalues[:, 1])))
-        rho = density_from_potential(phi, occ, kgrid, bands=bands, tail_tol=1.0)
+        rho = density_from_potential(phi, occ, bands, tail_tol=1.0)
         full = basis.grid_to_coeffs(all_band_density(phi, occ, ref))
         eps = np.finfo(float).eps
         bound = eps**2 / basis.lattice.volume + basis.n_pw * eps * np.abs(full).max()
@@ -493,8 +494,8 @@ def test_threaded_bands_bitwise_deterministic():
     b4 = compute_bands(BASIS, MATHIEU, kgrid, threads=4)
     assert np.array_equal(b1.eigenvalues, b4.eigenvalues)
     occ = OccupationModel(T=0.05, mu=0.2)
-    r1 = density_from_potential(MATHIEU, occ, kgrid, threads=1)
-    r4 = density_from_potential(MATHIEU, occ, kgrid, threads=4)
+    r1 = density_from_potential(MATHIEU, occ, b1)
+    r4 = density_from_potential(MATHIEU, occ, b4)
     assert np.array_equal(r1.coeffs, r4.coeffs)
 
 

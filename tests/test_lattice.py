@@ -217,8 +217,9 @@ class TestProjection:
         lhs = w * np.sum(pf.values * g.values)
         rhs = w * np.sum(f.values * low_momentum_project(g, r).values)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-        # P + Pbar = 1
-        comp = low_momentum_project(f, r, complement=True)
+        # the complement f - P_r f has no mode inside the ball, and P + Pbar = 1
+        comp = f - pf
+        assert np.abs(low_momentum_project(comp, r).values).max() < 1e-12
         assert np.abs(pf.values + comp.values - f.values).max() < 1e-12
 
     def test_projection_matches_fourier_cut(self):

@@ -52,7 +52,7 @@ class TestSquareLattice:
     def test_density_real_positive(self, square):
         lat, basis, phi, kgrid, bands, mu = square
         occ = OccupationModel(T=0.05, mu=mu)
-        rho = density_from_potential(phi, occ, kgrid, bands=bands)
+        rho = density_from_potential(phi, occ, bands)
         assert rho.realness
         # exact grid values are positive; the ball-truncated field may
         # ring slightly negative at this coarse cutoff
@@ -174,7 +174,7 @@ class TestHexLattice:
         assert np.all(np.diff(bands.eigenvalues, axis=1) >= -1e-12)
         rho = density_from_potential(
             phi, OccupationModel(T=0.2, mu=float(bands.eigenvalues[:, 0].max()) + 0.2),
-            kgrid, bands=bands, tail_tol=1.0,
+            bands, tail_tol=1.0,
         )
         assert rho.realness
         assert abs(rho.integral().imag) < 1e-12
@@ -200,7 +200,7 @@ class TestMultiscale2D:
         bands = compute_bands(basis, phi, kgrid)
         lo, hi = bands.band_ranges()
         mu = float(0.5 * (hi[0] + lo[1]))
-        st = designer_crystal(phi, mu, 1 / 10, kgrid, bands=bands)
+        st = designer_crystal(phi, mu, 1 / 10, bands)
         box = Lattice(lat.basis.copy())
         shape = tuple(s * N for s in basis.fft_shape)
         src = gaussian_source(
@@ -247,7 +247,7 @@ class TestMultiscale2D:
         kgrid = monkhorst_pack(lat, [N, N])
         bands = compute_bands(basis, phi, kgrid)
         lo, hi = bands.band_ranges()
-        st = designer_crystal(phi, float(0.5 * (hi[0] + lo[1])), 0.05, kgrid, bands=bands)
+        st = designer_crystal(phi, float(0.5 * (hi[0] + lo[1])), 0.05, bands)
         coeffs = R.homogenized_coefficients(R.ResponseWorkspace.of(st), 1.0 / N, st.eta0)
         assert abs(coeffs.eps[0, 1]) > 1e-4  # a genuinely non-diagonal tensor
         src = gaussian_source(
@@ -281,7 +281,7 @@ class TestCubic3D:
         lo, hi = bands.band_ranges()
         mu = float(0.5 * (hi[0] + lo[1]))
         occ = OccupationModel(T=0.1, mu=mu)
-        rho = density_from_potential(phi, occ, kgrid, bands=bands, tail_tol=1.0)
+        rho = density_from_potential(phi, occ, bands, tail_tol=1.0)
         assert rho.grid_min > 0
         ws = R.ResponseWorkspace(basis, phi, occ)
         M0 = R.m_fiber(ws, np.zeros(3))

@@ -31,7 +31,7 @@ def make_crystal(beta=40.0, N=8, basis=BASIS, phi=PHI):
     bands = compute_bands(basis, phi, kg)
     lo, hi = bands.band_ranges()
     mu = float(0.5 * (hi[0] + lo[1]))
-    return designer_crystal(phi, mu, 1.0 / beta, kg, bands=bands)
+    return designer_crystal(phi, mu, 1.0 / beta, bands)
 
 
 def macro_box():
@@ -433,7 +433,7 @@ def square_crystal(N, beta=20.0):
     bands = compute_bands(basis, phi, kg)
     lo, hi = bands.band_ranges()
     mu = float(0.5 * (hi[0] + lo[1]))
-    return designer_crystal(phi, mu, 1 / beta, kg, bands=bands)
+    return designer_crystal(phi, mu, 1 / beta, bands)
 
 
 # (crystal, fiber count, m_fiber_averaged calls): k = 0 and the points whose
@@ -463,6 +463,28 @@ def test_jacobian_blocks_from_half_the_zone(case, monkeypatch):
         ref = direct(ws, k, kpts)
         ref[np.diag_indices_from(ref)] += st.basis.kinetic_diagonal(k)
         assert np.abs(B - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["centred", "shifted"])
+def test_jacobian_stack_takes_the_dtype_of_its_blocks(shifted):
+    """The square crystal of configs/square.json is inversion-symmetric, so
+    its Jacobian blocks and their stack are real; shifted by x0 = (0.37,
+    0.37), phihat(G) e^{-i G.x0}, it is not, and both are complex."""
+    from debye_forge.config import build_basis, build_potential, parse_config
+    from debye_forge.pipeline import first_gap_mu
+
+    cfg = parse_config(str(REPO / "configs" / "square.json"))
+    basis = build_basis(cfg)
+    phi = build_potential(basis, cfg["crystal"]["potential"])
+    if shifted:
+        phi = PeriodicField(basis, phi.coeffs * np.exp(-1j * basis.g_cart @ np.array([0.37, 0.37])),
+                            realness=True)
+    N = cfg["kgrid"][0]
+    bands = compute_bands(basis, phi, monkhorst_pack(basis.lattice, cfg["kgrid"]))
+    st = designer_crystal(phi, first_gap_mu(bands), cfg["temperature"], bands)
+    assert st.phi.inversion_symmetric is not shifted
+    blocks = SupercellSolver(st, N).jacobian_blocks()
+    assert blocks.dtype == (np.complex128 if shifted else np.float64)
 
 
 @pytest.mark.parametrize("case", [("1d", 8, 5), ("1d", 32, 17), ("2d", 4, 12)],

@@ -76,6 +76,9 @@ class TestMFiber:
     def test_fd_jacobian_of_gamma_density(self, ws):
         from debye_forge.fibers import density_from_potential
 
+        def density(phi):
+            return density_from_potential(phi, ws.occ, compute_bands(BASIS, phi, kg), tail_tol=1.0)
+
         M0 = R.m_fiber(ws, [0.0])
         rng = np.random.default_rng(0)
         c = rng.standard_normal(BASIS.n_pw) + 1j * rng.standard_normal(BASIS.n_pw)
@@ -84,12 +87,8 @@ class TestMFiber:
         kg = np.zeros((1, 1))
         errs = []
         for h in (2e-3, 1e-3, 5e-4):
-            rp = density_from_potential(
-                PeriodicField(BASIS, PHI.coeffs + h * c), ws.occ, kg, tail_tol=1.0
-            )
-            rm = density_from_potential(
-                PeriodicField(BASIS, PHI.coeffs - h * c), ws.occ, kg, tail_tol=1.0
-            )
+            rp = density(PeriodicField(BASIS, PHI.coeffs + h * c))
+            rm = density(PeriodicField(BASIS, PHI.coeffs - h * c))
             errs.append(np.linalg.norm((rp.coeffs - rm.coeffs) / (2 * h) - M0 @ c))
         slope = np.polyfit(np.log([2e-3, 1e-3, 5e-4]), np.log(errs), 1)[0]
         assert abs(slope - 2.0) < 0.1

@@ -32,7 +32,7 @@ def midgap_mu(phi=PHI, kgrid=KGRID):
 class TestChemicalPotential:
     def test_free_particle_matches_scalar_oracle(self):
         target = 0.75
-        mu = solve_chemical_potential(ZERO, T, target, KGRID)
+        mu = solve_chemical_potential(compute_bands(BASIS, ZERO, KGRID), T, target)
 
         # independent scalar bisection on the free eigenvalues
         evals = np.array([BASIS.kinetic_diagonal(k) for k in KGRID])
@@ -54,30 +54,31 @@ class TestChemicalPotential:
         # holding the charge at a gap-centred value, doubling T moves mu
         # by less than T ln 2
         T0 = 0.5
-        mu0 = solve_chemical_potential(PHI, T0, 1.0, KGRID)
-        mu1 = solve_chemical_potential(PHI, 2 * T0, 1.0, KGRID)
+        bands = compute_bands(BASIS, PHI, KGRID)
+        mu0 = solve_chemical_potential(bands, T0, 1.0)
+        mu1 = solve_chemical_potential(bands, 2 * T0, 1.0)
         assert abs(mu1 - mu0) < 2 * T0 * np.log(2.0)
 
     def test_saturation_unreachable(self):
         with pytest.raises(UnreachableChargeError):
-            solve_chemical_potential(ZERO, T, float(BASIS.n_pw), KGRID)
+            solve_chemical_potential(compute_bands(BASIS, ZERO, KGRID), T, float(BASIS.n_pw))
 
     def test_collapsed_bracket_raises(self):
         # free electrons at k = 0 and T = 1e-9: the two degenerate states at
         # |G|^2 = 1 fill over a width ~T, and at a bracket of 1e-15 around
         # mu = 1 the charge still jumps by ~1e-6, far above the 1.7e-12
         # tolerance; the bisection must say so instead of returning mu
-        gamma = monkhorst_pack(LAT, 1)
+        gamma = compute_bands(BASIS, ZERO, monkhorst_pack(LAT, 1))
         with pytest.raises(UnreachableChargeError, match="bracket closed"):
-            solve_chemical_potential(ZERO, 1e-9, 1.7, gamma)
+            solve_chemical_potential(gamma, 1e-9, 1.7)
         # the same states at an ordinary temperature meet the tolerance, at
         # mu just below 1 where each of the pair holds 0.35
-        mu = solve_chemical_potential(ZERO, T, 1.7, gamma)
+        mu = solve_chemical_potential(gamma, T, 1.7)
         assert mu == pytest.approx(1.0 + T * np.log(0.35 / 0.65), abs=1e-6)
 
     def test_nonpositive_target(self):
         with pytest.raises(UnreachableChargeError):
-            solve_chemical_potential(ZERO, T, 0.0, KGRID)
+            solve_chemical_potential(compute_bands(BASIS, ZERO, KGRID), T, 0.0)
 
 
 class TestConstructDielectric:
@@ -141,8 +142,8 @@ class TestSCF:
         occ = OccupationModel(T=T, mu=mu)
         occ_shift = OccupationModel(T=T, mu=mu - c)
         shifted = PeriodicField(BASIS, PHI.coeffs + c * np.eye(BASIS.n_pw)[0], realness=True)
-        r1 = density_from_potential(PHI, occ, KGRID)
-        r2 = density_from_potential(shifted, occ_shift, KGRID)
+        r1 = density_from_potential(PHI, occ, compute_bands(BASIS, PHI, KGRID))
+        r2 = density_from_potential(shifted, occ_shift, compute_bands(BASIS, shifted, KGRID))
         assert np.abs(r1.coeffs - r2.coeffs).max() < 1e-12
 
     def test_plain_damping_monotone(self):
@@ -228,7 +229,7 @@ class TestSCF:
         iterates = []
         bands = S.compute_bands
 
-        def recorded(basis, phi, k_points, threads=None):
+        def recorded(basis, phi, k_points, threads=1):
             iterates.append(phi.coeffs.copy())
             return bands(basis, phi, k_points, threads)
 
