@@ -261,7 +261,8 @@ def build_basis(cfg) -> PlaneWaveBasis:
 
 
 def build_potential(basis: PlaneWaveBasis, spec) -> PeriodicField:
-    """Materialize an analytic field family on a plane-wave basis."""
+    """Materialize a field family on a plane-wave basis. A `file` field must
+    hold a real grid (DBYF kind 0) on the basis grid."""
     fam = spec["family"]
     if fam == "cosine":
         coeffs = np.zeros(basis.n_pw, dtype=complex)
@@ -275,19 +276,19 @@ def build_potential(basis: PlaneWaveBasis, spec) -> PeriodicField:
                 raise ConfigError([f"potential term {n} outside the cutoff set"])
             coeffs[i] += 0.5 * amp
             coeffs[j] += 0.5 * amp
-        return PeriodicField(basis, coeffs, realness=True)
+        return PeriodicField(basis, coeffs)
     if fam == "file":
         from .io import read_field
 
         path = spec["path"]
         try:
             vals = read_field(path)
+            if vals.shape != basis.fft_shape:
+                raise ValueError(f"grid {vals.shape}, the basis grid {basis.fft_shape}; "
+                                 "write it at the config's lattice and ecut")
+            return PeriodicField.from_grid(basis, vals)
         except (OSError, ValueError) as exc:
             raise ConfigError([f"field file {path}: {exc}"]) from None
-        if vals.shape != basis.fft_shape:
-            raise ConfigError([f"field file {path}: grid {vals.shape}, the basis grid "
-                               f"{basis.fft_shape}; write it at the config's lattice and ecut"])
-        return PeriodicField.from_grid(basis, vals)
     raise ConfigError([f"unknown field family {fam!r}"])
 
 

@@ -114,15 +114,13 @@ def potential_matrix(phi: PeriodicField):
 
 
 def assemble_fiber(basis: PlaneWaveBasis, phi: PeriodicField, k):
-    """H_k = diag(|G+k|^2) - phihat(G-G') for a real potential phi, real
-    symmetric when phi is `inversion_symmetric` (`potential_matrix`).
+    """H_k = diag(|G+k|^2) - phihat(G-G'), real symmetric when phi is
+    `inversion_symmetric` (`potential_matrix`).
 
     k is the absolute momentum: it is not reduced into the reciprocal
     cell, so that pair blocks of the averaged response keep their G
     labels across the zone boundary.
     """
-    if not phi.realness:
-        raise ValueError("fiber assembly requires a real potential")
     H = -potential_matrix(phi)
     H[np.diag_indices_from(H)] += basis.kinetic_diagonal(k)
     return H
@@ -316,7 +314,7 @@ def density_from_potential(
     acc /= bands.nk * vol
     rho = PeriodicField.from_grid(basis, acc)
     if phi.inversion_symmetric:
-        rho = PeriodicField(basis, rho.coeffs.real, realness=True)
+        rho = PeriodicField(basis, rho.coeffs.real)
     # pointwise positivity holds exactly for the summed grid values; the
     # ball-truncated field can ring slightly negative at coarse cutoffs
     rho.grid_min = float(acc.min())

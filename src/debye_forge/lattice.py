@@ -307,9 +307,12 @@ class PlaneWaveBasis(GridTransforms):
 
 
 class PeriodicField:
-    """Lattice-periodic function stored as plane-wave coefficients."""
+    """Real lattice-periodic function stored as plane-wave coefficients,
+    conj(c[-G]) = c[G]. Complex grid values are refused where they enter
+    (`from_grid`); `inversion_symmetric` is the one exact predicate on the
+    coefficients."""
 
-    def __init__(self, basis: PlaneWaveBasis, coeffs, realness=None):
+    def __init__(self, basis: PlaneWaveBasis, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (basis.n_pw,):
             raise ValueError(
@@ -317,15 +320,13 @@ class PeriodicField:
             )
         self.basis = basis
         self.coeffs = coeffs
-        if realness is None:
-            dev = np.abs(np.conj(coeffs[basis.negation_index]) - coeffs).max()
-            realness = dev < 1e-12 * max(1.0, np.abs(coeffs).max())
-        self.realness = bool(realness)
 
     @classmethod
     def from_grid(cls, basis: PlaneWaveBasis, values):
         values = np.asarray(values)
-        return cls(basis, basis.grid_to_coeffs(values), realness=np.isrealobj(values))
+        if np.iscomplexobj(values):
+            raise ValueError(f"complex grid values ({values.dtype}): a field must be real")
+        return cls(basis, basis.grid_to_coeffs(values))
 
     @classmethod
     def from_callable(cls, basis: PlaneWaveBasis, func):
@@ -335,23 +336,20 @@ class PeriodicField:
 
     @classmethod
     def zeros(cls, basis: PlaneWaveBasis):
-        return cls(basis, np.zeros(basis.n_pw, dtype=complex), realness=True)
+        return cls(basis, np.zeros(basis.n_pw, dtype=complex))
 
     def values(self):
         """Real-space samples on the FFT grid."""
-        grid = self.basis.coeffs_to_grid(self.coeffs)
-        return grid.real if self.realness else grid
+        return self.basis.coeffs_to_grid(self.coeffs).real
 
     @property
     def inversion_symmetric(self):
-        """Every coefficient is exactly real, so f(-x) = conj(f(x)): for a
-        real field, f(-x) = f(x). No tolerance."""
+        """Every coefficient is exactly real, so f(-x) = f(x). No tolerance."""
         return not np.any(self.coeffs.imag)
 
     @property
     def mean(self):
-        m = self.coeffs[0]
-        return m.real if self.realness else m
+        return self.coeffs[0].real
 
     def l2_norm(self):
         """L^2_per norm, sqrt(int_Omega |f|^2)."""
@@ -372,24 +370,14 @@ class PeriodicField:
 
     def __add__(self, other):
         self._check(other)
-        return PeriodicField(
-            self.basis,
-            self.coeffs + other.coeffs,
-            realness=self.realness and other.realness,
-        )
+        return PeriodicField(self.basis, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         self._check(other)
-        return PeriodicField(
-            self.basis,
-            self.coeffs - other.coeffs,
-            realness=self.realness and other.realness,
-        )
+        return PeriodicField(self.basis, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        s = complex(scalar)
-        real = self.realness and s.imag == 0.0
-        return PeriodicField(self.basis, self.coeffs * s, realness=real)
+        return PeriodicField(self.basis, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 

@@ -136,8 +136,9 @@ def run_crystal(cfg):
 
 def load_crystal_bundle(cfg):
     """The crystal state that the `crystal` stage wrote, on the config's basis,
-    k-grid and temperature; a bundle written with others, or one whose
-    state.json lacks a key that the stage writes, is refused (exit 2).
+    k-grid and temperature; a bundle written with others, one whose
+    state.json lacks a key that the stage writes, or one with a field file
+    that does not read as a real grid, is refused (exit 2).
 
     Its gap and `dielectric_flag` are derived again from the loaded phi,
     mu and `converged` (`CrystalState`); the stored flag is only required.
@@ -167,10 +168,14 @@ def load_crystal_bundle(cfg):
     kgrid = monkhorst_pack(basis.lattice, cfg["kgrid"])
     fields = {}
     for name in ("kappa", "rho", "phi"):
-        vals = dfio.read_field(os.path.join(out, f"{name}.dbyf"))
-        f = PeriodicField.from_grid(basis, vals)
+        path = os.path.join(out, f"{name}.dbyf")
+        try:
+            f = PeriodicField.from_grid(basis, dfio.read_field(path))
+        except ValueError as exc:
+            raise StageError(f"crystal bundle field {path}: {exc}; rerun the 'crystal' stage",
+                             exit_code=2) from None
         if meta["inversion_symmetric"]:
-            f = PeriodicField(basis, f.coeffs.real, realness=f.realness)
+            f = PeriodicField(basis, f.coeffs.real)
         fields[name] = f
     return CrystalState(
         kappa=fields["kappa"],

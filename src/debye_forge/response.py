@@ -327,25 +327,22 @@ def screening_mass_m(ws) -> float:
 
 
 def rho_prime(ws):
-    """d-vector of periodic fields: the k-linear coefficient of M_k 1.
+    """d coefficient arrays (complex128): the k-linear coefficient of M_k 1.
 
     Component j is -2 den[oint r_0^2 (-i d_j) r_0] = -2 den[U_0 (D_2 o
     P_j) U_0^dagger], with D_2 the confluent second divided differences
     f[e_n, e_n, e_m] and P_j the momentum matrix in the 0-fiber
     eigenbasis: the density of one plane-wave matrix per component
     (pair-density form, Baroni et al., Rev. Mod. Phys. 73, 515 (2001)).
-    Purely imaginary-valued; odd under inversion for
-    inversion-symmetric crystals.
+    Purely imaginary-valued, so not a `PeriodicField`; odd under inversion
+    for inversion-symmetric crystals. Complex128 on real fibers too, so
+    the `eps''` solves against it keep complex arithmetic and its rounding.
     """
     e0, U0 = ws.gamma
     D2 = ws.weights(2, e0, e0, ws.occ)
     U0h = U0.conj().T
-    return [
-        PeriodicField(
-            ws.basis, -2.0 * den_from_matrix(ws.basis, U0 @ (D2 * P) @ U0h), realness=False
-        )
-        for P in ws.momentum_matrices(U0)
-    ]
+    return [-2.0 * den_from_matrix(ws.basis, U0 @ (D2 * P) @ U0h).astype(complex)
+            for P in ws.momentum_matrices(U0)]
 
 
 def _symmetric(upper):
@@ -398,8 +395,8 @@ def epsilon_double_prime(ws, M0, rho_p):
     """Local-field correction: eps''_ij = |Omega|^{-1} <rho'_i, Kbar_0^{-1} rho'_j>
     from the 0-fiber M0 and rho'."""
     K0 = _operator_block(ws, M0)
-    sols = [_kbar_solve(K0, f.coeffs) for f in rho_p]
-    return _symmetric([np.vdot(rho_p[i].coeffs, sols[j]).real
+    sols = [_kbar_solve(K0, c) for c in rho_p]
+    return _symmetric([np.vdot(rho_p[i], sols[j]).real
                        for i, j in zip(*np.triu_indices(ws.basis.d))])
 
 
@@ -610,7 +607,7 @@ class HomogenizedCoefficients:
     eta0: float
     m: float
     V: PeriodicField
-    rho_p: list
+    rho_p: list  # rho', d complex128 coefficient arrays (`rho_prime`)
     eps: np.ndarray
     eps_prime: np.ndarray
     eps_dprime: np.ndarray
@@ -703,7 +700,7 @@ def prime_terms_contour(ws, tol=1e-10):
     val, _ = contour_quadrature(integrand, ws.occ, ws.gamma[0], tol=tol)
     n_tr = len(upper[0])
     ep = _symmetric(-(4.0 / basis.lattice.volume) * val[:n_tr].real)
-    rp = [PeriodicField(basis, -2.0 * v, realness=False) for v in val[n_tr:].reshape(d, -1)]
+    rp = list(-2.0 * val[n_tr:].reshape(d, -1))
     return ep, rp
 
 

@@ -119,7 +119,7 @@ class CrystalState:
         return float(np.sqrt(self.basis.lattice.volume * np.sum(np.abs(diff) ** 2)))
 
     def charge_defect(self):
-        return float(abs(self.rho.integral().real - self.kappa.integral().real))
+        return float(abs(self.rho.integral() - self.kappa.integral()))
 
 
 def solve_chemical_potential(bands: BandStructure, T: float, target_charge: float):
@@ -221,13 +221,11 @@ def scf_solve(
     (`density_from_potential`), so the fibers stay real throughout.
     """
     basis = kappa.basis
-    if not kappa.realness:
-        raise ValueError("kappa must be real")
     if config.mu_mode == "fixed-mu" and mu is None:
         raise ValueError("fixed-mu mode needs a chemical potential")
     if config.mu_mode == "fixed-charge" and mu is not None:
         raise ValueError(f"mu = {mu} given with mu_mode 'fixed-charge', which solves for mu")
-    target = kappa.integral().real
+    target = kappa.integral()
     if config.mu_mode == "fixed-charge" and target <= 0:
         raise ValueError("fixed-charge mode needs a positive mean of kappa")
 
@@ -245,7 +243,7 @@ def scf_solve(
             mu_cur = solve_chemical_potential(bands, T, target)
         occ = OccupationModel(T=T, mu=mu_cur)
         rho = density_from_potential(phi, occ, bands, tail_tol=1e-12)
-        charges.append(float(abs(rho.integral().real - target)))
+        charges.append(float(abs(rho.integral() - target)))
 
         rhs = kappa.coeffs - rho.coeffs
         phi_new = _poisson_mean_free(basis, rhs)
@@ -258,7 +256,7 @@ def scf_solve(
         if res <= config.tol_residual:
             converged = True
             break
-        phi = PeriodicField(basis, mixer.step(phi.coeffs, g), realness=True)
+        phi = PeriodicField(basis, mixer.step(phi.coeffs, g))
 
     return CrystalState(
         kappa=kappa,
@@ -282,14 +280,14 @@ def designer_crystal(phi: PeriodicField, mu: float, T: float, bands: BandStructu
     basis = phi.basis
     occ = OccupationModel(T=T, mu=mu)
     rho = density_from_potential(phi, occ, bands)
-    kappa = PeriodicField(basis, basis.g_norm2 * phi.coeffs + rho.coeffs, realness=True)
+    kappa = PeriodicField(basis, basis.g_norm2 * phi.coeffs + rho.coeffs)
     state = CrystalState(
         kappa=kappa,
         rho=rho,
         phi=phi,
         occ=occ,
         bands=bands,
-        charge_history=[float(abs(rho.integral().real - kappa.integral().real))],
+        charge_history=[float(abs(rho.integral() - kappa.integral()))],
     )
     if not state.dielectric_flag:
         raise GaplessCrystalError(

@@ -18,6 +18,14 @@ from debye_forge.io import sha256_file
 from debye_forge.lattice import PeriodicField, lattice_index_table
 
 
+def hermitian_defect(field):
+    """max_G |conj(c[-G]) - c[G]| / max(1, max |c|) over the coefficients c
+    of a field: 0 exactly for the coefficients of a real function."""
+    c = field.coeffs
+    dev = np.abs(np.conj(c[field.basis.negation_index]) - c).max()
+    return float(dev) / max(1.0, float(np.abs(c).max()))
+
+
 def check_manifest(stage_dir):
     """Assert that a stage's manifest.json lists exactly the other files of
     its directory, each with its sha256."""
@@ -58,7 +66,7 @@ def dense_density(sol, phi):
 
 def m_fiber_apply_contour(ws, k, w: PeriodicField, tol=1e-10):
     """M_k w by contour quadrature of den[R_0(z) W R_k(z)]: the resolvent
-    route to `response.m_fiber`. Returns (M_k w, error estimate)."""
+    route to `response.m_fiber`. Returns (coefficients of M_k w, error estimate)."""
     H0 = assemble_fiber(ws.basis, ws.phi, np.zeros(ws.basis.d))
     Hk = assemble_fiber(ws.basis, ws.phi, k)
     eye = np.eye(ws.basis.n_pw)
@@ -73,7 +81,7 @@ def m_fiber_apply_contour(ws, k, w: PeriodicField, tol=1e-10):
         return den_from_matrix(ws.basis, R0 @ W @ Rk)
 
     val, err = contour_quadrature(integrand, ws.occ, spectrum, tol=tol)
-    return PeriodicField(ws.basis, -val, realness=False), err
+    return -val, err
 
 
 def den_by_definition(basis, B):

@@ -12,7 +12,7 @@ import pytest
 from debye_forge.cli import main as cli_main
 from debye_forge.config import ConfigError, config_hash, parse_config, serialize_config
 from debye_forge.io import dump_json, load_json, read_field, sha256_file, write_field
-from oracles import check_manifest
+from oracles import check_manifest, hermitian_defect
 
 MINIMAL = {
     "lattice": {"basis": [[6.283185307179586]]},
@@ -414,6 +414,84 @@ def test_unreadable_field_file_is_a_configuration_error(tmp_path, capsys, case):
     if case == "other-grid":
         assert "grid (30,), the basis grid (25,)" in err
     assert not (tmp_path / "out" / "crystal").exists()
+
+
+def _complex_copy(src, dst, imag):
+    """Write the grid of the field file src to dst as a complex DBYF field
+    (kind 1) with imaginary part imag."""
+    vals = read_field(src)
+    write_field(dst, vals + 1j * np.full_like(vals, imag))
+    return str(dst)
+
+
+@pytest.mark.parametrize("key", ["kappa", "potential"])
+@pytest.mark.parametrize("imag", [1e-3, 0.0], ids=["imag", "zero-imag"])
+def test_complex_field_file_is_a_configuration_error(tmp_path, capsys, key, imag):
+    """A `file` field holds a real grid: a complex one (DBYF kind 1) is a
+    configuration error naming the path (exit 2), even when its imaginary
+    part is exactly 0, as scf kappa and as designer potential alike, and
+    the crystal stage writes nothing."""
+    path, cfg = scf_config(tmp_path)
+    written = tmp_path / "designer" / "out" / "crystal"
+    if key == "kappa":
+        spec = cfg["crystal"]["kappa"]
+        spec["path"] = _complex_copy(spec["path"], tmp_path / "kappa_c.dbyf", imag)
+    else:
+        spec = {"family": "file", "path": _complex_copy(written / "phi.dbyf", tmp_path / "phi_c.dbyf", imag)}
+        cfg["crystal"] = {"potential": spec}
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli_main(["crystal", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and spec["path"] in err and "complex" in err
+    assert not (tmp_path / "out" / "crystal").exists()
+
+
+def test_complex_bundle_field_refused(tmp_path, capsys):
+    """A crystal bundle whose phi.dbyf holds a complex grid is refused by
+    the stages that read it (exit 2, naming the file), which write nothing."""
+    path, _ = fast_config(tmp_path)
+    assert cli_main(["crystal", "--config", str(path)]) == 0
+    phi = tmp_path / "out" / "crystal" / "phi.dbyf"
+    _complex_copy(phi, phi, 0.0)
+    capsys.readouterr()
+    for stage in ("bands", "response"):
+        assert cli_main([stage, "--config", str(path)]) == 2, stage
+        err = capsys.readouterr().err
+        assert str(phi) in err and "complex" in err
+        assert not (tmp_path / "out" / stage).exists()
+
+
+def test_every_field_the_program_builds_is_real(tmp_path):
+    """Every field that the program builds has the coefficients of a real
+    function, conj(c[-G]) = c[G] to 1e-12 max(1, max |c|): the designer
+    kappa, rho and phi of configs/mathieu.json and configs/square.json, the
+    final phi and rho of the SCF run on the Mathieu kappa, the fields that
+    each bundle loads, and the screening density V."""
+    from debye_forge.pipeline import load_crystal_bundle, run_crystal
+    from debye_forge.response import ResponseWorkspace, screening_density_V
+
+    fields = {}
+    for name in ("mathieu", "square"):
+        cfg = parse_config(str(REPO / "configs" / f"{name}.json"))
+        cfg["output_dir"] = str(tmp_path / name)
+        state = run_crystal(cfg)
+        loaded = load_crystal_bundle(cfg)
+        for field in ("kappa", "rho", "phi"):
+            fields[f"{name} designer {field}"] = getattr(state, field)
+            fields[f"{name} loaded {field}"] = getattr(loaded, field)
+        fields[f"{name} V"] = screening_density_V(ResponseWorkspace.of(loaded))
+        if name == "mathieu":
+            cfg["crystal"] = dict(cfg["crystal"], mode="scf", kappa={
+                "family": "file", "path": str(tmp_path / name / "crystal" / "kappa.dbyf")})
+            cfg["output_dir"] = str(tmp_path / "scf")
+            scf = run_crystal(cfg)
+            fields["mathieu scf phi"], fields["mathieu scf rho"] = scf.phi, scf.rho
+            loaded = load_crystal_bundle(cfg)
+            for field in ("kappa", "rho", "phi"):
+                fields[f"mathieu scf loaded {field}"] = getattr(loaded, field)
+    defects = {name: hermitian_defect(f) for name, f in fields.items()}
+    assert max(defects.values()) <= 1e-12, defects
 
 
 def test_response_state_flag_override(tmp_path):

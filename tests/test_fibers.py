@@ -28,7 +28,8 @@ from debye_forge.lattice import Lattice, PeriodicField, PlaneWaveBasis, monkhors
 from debye_forge import fibers as F
 from debye_forge.multiscale import SupercellPWBasis
 from debye_forge.occupation import OccupationModel
-from oracles import all_band_density, all_k_bands, den_by_definition, diff_pos, shift_overlap_by_definition
+from oracles import (all_band_density, all_k_bands, den_by_definition, diff_pos, hermitian_defect,
+                     shift_overlap_by_definition)
 
 REPO = Path(__file__).resolve().parent.parent
 LAT = Lattice(np.array([[2 * np.pi]]))
@@ -108,8 +109,7 @@ class TestAssembly:
         cfg = parse_config(str(REPO / "configs" / f"{name}.json"))
         basis = build_basis(cfg)
         phi = build_potential(basis, cfg["crystal"]["potential"])
-        shifted = PeriodicField(basis, phi.coeffs * np.exp(-1j * basis.g_cart @ np.full(basis.d, 0.37)),
-                                realness=True)
+        shifted = PeriodicField(basis, phi.coeffs * np.exp(-1j * basis.g_cart @ np.full(basis.d, 0.37)))
         assert phi.inversion_symmetric and not shifted.inversion_symmetric
         k = np.full(basis.d, 0.1)
         H, H_s = assemble_fiber(basis, phi, k), assemble_fiber(basis, shifted, k)
@@ -119,10 +119,12 @@ class TestAssembly:
         assert np.abs(e - e_s).max() <= 1e-12 * np.abs(e).max()
 
     def test_complex_potential_rejected(self):
+        # coefficients built in code that are not those of a real function
+        # (e^{ix}) give a fiber that is not Hermitian, refused by the solver
         c = np.zeros(BASIS.n_pw, dtype=complex)
-        c[BASIS.index_of([1])] = 1.0  # e^{ix}, not real
-        with pytest.raises(ValueError):
-            assemble_fiber(BASIS, PeriodicField(BASIS, c, realness=False), [0.0])
+        c[BASIS.index_of([1])] = 1.0
+        with pytest.raises(EigensolverError, match="not Hermitian"):
+            diagonalize_fiber(assemble_fiber(BASIS, PeriodicField(BASIS, c), [0.0]))
 
     def test_phase_conjugation_relation(self):
         # fibers at k and k + G0 coincide after relabelling G -> G + G0
@@ -200,7 +202,7 @@ class TestDensity:
         occ = OccupationModel(T=0.05, mu=0.5)
         bands = compute_bands(BASIS, MATHIEU, self.kgrid)
         rho = density_from_potential(MATHIEU, occ, bands)
-        assert rho.realness
+        assert hermitian_defect(rho) <= 1e-12
         assert rho.values().min() > 0
         expect = np.mean(np.sum(occ.occ(bands.eigenvalues), axis=1))
         assert rho.integral().real == pytest.approx(expect, rel=1e-12)
@@ -512,7 +514,7 @@ def test_contour_matches_eigen_calculus_random_gapped_fibers():
             amp = 0.15 * rng.standard_normal()
             c[BASIS.index_of([n])] += 0.5 * amp
             c[BASIS.index_of([-n])] += 0.5 * amp
-        phi = PeriodicField(BASIS, 2.0 * c, realness=True)
+        phi = PeriodicField(BASIS, 2.0 * c)
         k = rng.uniform(-0.5, 0.5)
         ev, U = diagonalize_fiber(assemble_fiber(BASIS, phi, [k]))
         spacings = np.diff(ev[:6])

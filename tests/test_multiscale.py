@@ -477,8 +477,7 @@ def test_jacobian_stack_takes_the_dtype_of_its_blocks(shifted):
     basis = build_basis(cfg)
     phi = build_potential(basis, cfg["crystal"]["potential"])
     if shifted:
-        phi = PeriodicField(basis, phi.coeffs * np.exp(-1j * basis.g_cart @ np.array([0.37, 0.37])),
-                            realness=True)
+        phi = PeriodicField(basis, phi.coeffs * np.exp(-1j * basis.g_cart @ np.array([0.37, 0.37])))
     N = cfg["kgrid"][0]
     bands = compute_bands(basis, phi, monkhorst_pack(basis.lattice, cfg["kgrid"]))
     st = designer_crystal(phi, first_gap_mu(bands), cfg["temperature"], bands)

@@ -123,12 +123,12 @@ class TestSCF:
         kappa, _ = construct_dielectric_kappa(PHI, mu, T, KGRID)
         shift = 2 * np.pi / 3.0
         phase = np.exp(-1j * BASIS.g_cart[:, 0] * shift)
-        kappa_s = PeriodicField(BASIS, kappa.coeffs * phase, realness=True)
+        kappa_s = PeriodicField(BASIS, kappa.coeffs * phase)
         st = scf_solve(kappa, SCFConfig(), T, KGRID)
         st_s = scf_solve(kappa_s, SCFConfig(), T, KGRID)
-        moved = PeriodicField(BASIS, st.phi.coeffs * phase, realness=True)
+        moved = PeriodicField(BASIS, st.phi.coeffs * phase)
         assert (st_s.phi - moved).l2_norm() < 1e-8
-        moved_rho = PeriodicField(BASIS, st.rho.coeffs * phase, realness=True)
+        moved_rho = PeriodicField(BASIS, st.rho.coeffs * phase)
         assert (st_s.rho - moved_rho).l2_norm() < 1e-8
 
     def test_gauge_invariance(self):
@@ -141,7 +141,7 @@ class TestSCF:
         c = 0.37
         occ = OccupationModel(T=T, mu=mu)
         occ_shift = OccupationModel(T=T, mu=mu - c)
-        shifted = PeriodicField(BASIS, PHI.coeffs + c * np.eye(BASIS.n_pw)[0], realness=True)
+        shifted = PeriodicField(BASIS, PHI.coeffs + c * np.eye(BASIS.n_pw)[0])
         r1 = density_from_potential(PHI, occ, compute_bands(BASIS, PHI, KGRID))
         r2 = density_from_potential(shifted, occ_shift, compute_bands(BASIS, shifted, KGRID))
         assert np.abs(r1.coeffs - r2.coeffs).max() < 1e-12
@@ -175,11 +175,11 @@ class TestSCF:
         c = 0.5 * (c + np.conj(c[BASIS.negation_index]))
         c[0] = 0.0
         c /= np.linalg.norm(c)
-        dk = PeriodicField(BASIS, c, realness=True)
+        dk = PeriodicField(BASIS, c)
         lin = np.linalg.solve(K[1:, 1:], c[1:])
         errs = []
         for eps in (2e-3, 1e-3):
-            pk = PeriodicField(BASIS, kappa.coeffs + eps * c, realness=True)
+            pk = PeriodicField(BASIS, kappa.coeffs + eps * c)
             st = scf_solve(pk, SCFConfig(tol_residual=1e-13), T, KGRID)
             dphi = (st.phi.coeffs - base.phi.coeffs)[1:] / eps
             errs.append(np.linalg.norm(dphi - lin))
